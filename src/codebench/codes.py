@@ -442,13 +442,19 @@ class TraceDualSpec:
         return out
 
     def weight_distribution(self, budget: int | None = None, threads: int = 1):
+        """Exact distribution in two parts: the 2-dimensional slice
+        {c_(0,b)} through ``kernels.weight_counts``, and every a != 0
+        through the g orbit representatives of ``kernels.trace_orbit_counts``,
+        g = gcd(q+1, (q-1) h).  Charged (g+1) q^2 against the budget: q^2
+        words per representative plus at most q^2 for the slice."""
         from .weights import WeightDistribution
 
         budget = default_budget() if budget is None else budget
-        cost = kernels.projective_count(self.q, 4) + 1
-        kernels.check_budget(cost, budget)
-        counts = kernels.weight_counts(self.basis_matrix(), self.field, threads=threads)
-        return WeightDistribution(n=self.n, q=self.q, k=4, counts=tuple(int(c) for c in counts))
+        q = self.q
+        kernels.check_budget((gcd(self.n, (q - 1) * self.h) + 1) * q * q, budget)
+        counts = kernels.weight_counts(self.basis_matrix()[2:], self.field, threads=threads)
+        counts += kernels.trace_orbit_counts(self.field2, self.h)
+        return WeightDistribution(n=self.n, q=q, k=4, counts=tuple(int(c) for c in counts))
 
 
 def trace_dual(q: int, h: int) -> TraceDualSpec:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cache
 
 DEFAULT_BUDGET = 1 << 26
 
@@ -35,12 +36,18 @@ def backend_name() -> str:
     if choice not in _BACKENDS:
         raise ValueError(f"WORKBENCH_BACKEND must be one of {_BACKENDS}")
     if choice == "auto":
-        try:
-            import numba  # noqa: F401
-        except ImportError:
-            return "numpy"
-        return "numba"
+        return "numba" if _numba_importable() else "numpy"
     return choice
+
+
+@cache
+def _numba_importable() -> bool:
+    # the kernels ask on every call; a failed import is not cached by Python
+    try:
+        import numba  # noqa: F401
+    except ImportError:
+        return False
+    return True
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from .codes import (
     trace_dual,
 )
 from .config import default_budget
-from .errors import WorkbenchError
+from .errors import BudgetExceeded, WorkbenchError
 from .galois import field_new, prime_power
 from .weights import (
     WeightDistribution,
@@ -151,6 +151,8 @@ def _four_weight_suite(theorem: str, q: int, i: int, family: str, budget, thread
     budget = default_budget() if budget is None else budget
     try:
         report = verify_four_weight(q, h, budget=budget, threads=threads)
+    except BudgetExceeded:
+        raise  # a refused enumeration has falsified nothing
     except WorkbenchError as exc:
         res.record("four-weight support and closed form", False, str(exc))
         return res

@@ -124,6 +124,28 @@ def test_budget_exceeded_exit3(capsys):
     assert code == 3
 
 
+def test_trace_dual_budget_charge(capsys):
+    # h = 31, g = gcd(65, 63 * 31) = 1: the orbit route is charged (g+1) q^2
+    charge = 2 * 64**2
+    argv = ("verify", "thm3.1", "--q", "64", "--i", "1")
+    assert run(capsys, "--budget", str(charge - 1), *argv)[0] == 3
+    code, out = run(capsys, "--budget", str(charge), *argv)
+    assert code == 0
+    assert out.endswith("VERIFIED\n")
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("argv", [
+    ("thm3.1", "--q", "512", "--i", "1"),
+    ("thm3.4", "--q", "729", "--i", "2"),
+])
+def test_verify_large_duals_default_budget(argv, capsys):
+    code, out = run(capsys, "verify", *argv)
+    assert code == 0
+    assert "[FAIL]" not in out
+    assert out.endswith("VERIFIED\n")
+
+
 def test_out_file_byte_identical(tmp_path, capsys):
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(["--format", "csv", "--out", str(p1), "wdist", "--q", "9",

@@ -111,6 +111,30 @@ def test_scan_supports_backends_agree(backend, s, monkeypatch):
     assert np.array_equal(nulls[hit], want_nulls[hit])  # both normalised
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("s", [4, 5])
+def test_scan_supports_flag2_hand_built(backend, s, monkeypatch):
+    # columns c, lam*c, e1, e2, e3, w, mu*c over GF(9): a subset holding two
+    # multiples of c beside columns independent of c has a one-dimensional
+    # nullspace supported on those two, so with a zero entry (flag 2); three
+    # multiples of c give flag 3, and {c, e1, e2, e3, w} flag 1
+    f2 = field_new(3, 2)
+    a = f2.alpha_pow
+    c = np.array([1, a(1), a(2), a(3)], dtype=np.int64)
+    e = np.eye(4, dtype=np.int64)
+    w = np.array([1, a(5), a(6), a(7)], dtype=np.int64)
+    cols = [c, f2.mul_arr(a(2), c), e[1], e[2], e[3], w, f2.mul_arr(a(5), c)]
+    H = np.stack(cols, axis=1)
+    combos = np.array(list(itertools.combinations(range(H.shape[1]), s)), dtype=np.int64)
+    want_flags, want_nulls = nullspace_oracle(H, combos, f2)
+    assert set(want_flags.tolist()) == {4: {0, 2, 3}, 5: {1, 2, 3}}[s]
+    monkeypatch.setenv("WORKBENCH_BACKEND", backend)
+    flags, nulls = kernels.scan_supports(H, combos, f2)
+    assert np.array_equal(flags, want_flags)
+    hit = flags == 1
+    assert np.array_equal(nulls[hit], want_nulls[hit])
+
+
 def test_scan_supports_nullvectors_annihilate():
     H, f2 = parity_check_rows(9, 3)
     combos = np.array(list(itertools.combinations(range(10), 4)), dtype=np.int64)

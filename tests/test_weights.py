@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from codebench import _kernels as kernels
 from codebench.codes import CodeSpec, LinearCode, bch_build, trace_dual
 from codebench.errors import (
     DegenerateDimension,
@@ -10,6 +11,7 @@ from codebench.errors import (
     NonIntegerResult,
 )
 from codebench.galois import field_new, prime_power
+from codebench.verify import valid_instances
 from codebench.weights import (
     WeightDistribution,
     classify,
@@ -163,6 +165,17 @@ def test_trace_dual_weight_distribution_route():
     assert td.weight_distribution().counts == enumerator_formula(16, 4).counts
 
 
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 32, 49, 64, 81])
+def test_trace_dual_orbit_route_matches_kernel(q):
+    # the orbit route against the generic enumeration of all projective
+    # messages; for p^m = 2 the closed form does not apply and this is the
+    # only independent check
+    for family, i, h in valid_instances(q):
+        td = trace_dual(q, h)
+        want = kernels.weight_counts(td.basis_matrix(), td.field)
+        assert td.weight_distribution().counts == tuple(want.tolist()), (family, i, h)
+
+
 def test_distribution_csv():
     wd = weight_distribution(bch_build(CodeSpec(9, 10, 3, 3)).dual())
     csv = wd.to_csv()
@@ -202,8 +215,10 @@ def test_classification_matches_paper_instances_q_le_64():
 
 @pytest.mark.slow
 def test_enumerator_formula_matches_at_s5_scale():
-    # the trace-route distribution of the q=243 dual against the closed form;
-    # the same counts also reach the NMDS classification through the
-    # reciprocal-polynomial dual, so the two routes cross-validate at scale
-    wd = trace_dual(243, 4).weight_distribution()
+    # the orbit-route distribution of the q=243 dual against the closed form
+    # and against the generic kernel over all q^3+q^2+q+1 projective messages
+    td = trace_dual(243, 4)
+    wd = td.weight_distribution()
     assert wd.counts == enumerator_formula(243, 3).counts
+    want = kernels.weight_counts(td.basis_matrix(), td.field)
+    assert wd.counts == tuple(want.tolist())
