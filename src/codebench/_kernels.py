@@ -5,10 +5,11 @@ Three kernels dominate every long run:
 * ``weight_counts`` — exact weight distribution of the row span of a
   generator matrix, enumerating one representative per projective message
   (scalar multiples share a weight) and scaling counts by q-1.
-* ``trace_orbit_counts`` — exact weight distribution of the trace-dual
-  words c_(a,b) with a != 0, one orbit representative of a per class of
-  the weight-preserving scalar/shift group; pure numpy on log/Zech
-  arrays, with no dense table and no backend choice.
+* ``trace_orbit_counts`` — exact weight distribution of the two-term
+  trace code words c_(a,b) with a != 0 over GF(q^m), one orbit
+  representative of a per class of the weight-preserving scalar/shift
+  group; pure numpy on log/Zech arrays and the logs of ker Tr, with no
+  dense table and no backend choice.
 * ``scan_supports`` — for 4- or 5-column submatrices of a 4-row parity
   matrix over GF(q^2), classify the nullspace and extract the unique
   projective nullvector where it exists.
@@ -21,12 +22,13 @@ results are independent of the partition.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from math import gcd, isqrt
+from math import gcd
 
 import numpy as np
 
 from .config import backend_name
-from .errors import BudgetExceeded, NotSquareField
+from .errors import BudgetExceeded
+from .galois import trace_kernel_logs
 from . import _kernels_np as npk
 
 try:
@@ -216,38 +218,36 @@ def _run_range(base, free, add_tab, lo, hi, n):
     return local
 
 
-def trace_orbit_counts(field2, h: int) -> np.ndarray:
-    """Exact counts (A_0..A_(q+1)) over the words c_(a,b), a != 0, of the
-    trace dual c_(a,b)[i] = Tr(a beta^(h i) + b beta^((h+1) i)), i = 0..q,
-    where field2 = GF(q^2) and beta = alpha^(q-1).
+def trace_orbit_counts(big, q: int, n: int, h: int) -> np.ndarray:
+    """Exact counts (A_0..A_n) over the words c_(a,b), a != 0, of the trace
+    code c_(a,b)[i] = Tr(a gamma^(h i) + b gamma^((h+1) i)), i < n, where
+    big = GF(q^m), Tr is the trace onto GF(q) and gamma = alpha^e,
+    e = (q^m-1)/n, has order n.
 
     Scalars lambda in GF(q)* and the cyclic shift by t map (a, b) to
-    (lambda a beta^(h t), lambda b beta^((h+1) t)) and keep the weight, so
-    a = alpha^r with r < g = gcd(q+1, (q-1) h) represents the g orbits on
-    GF(q^2)*, each of (q^2-1)/g elements.  For one representative,
-    coordinate i of c_(a,b) is zero exactly when b lies on the line
-    B_i = (K - a beta^(h i)) beta^(-(h+1) i), where K = ker Tr is {0} plus
-    the alpha^l with l = c0 (mod q+1), c0 = 0 for even q and (q+1)/2 for
-    odd q.  Counting for every b the lines through it gives the weights of
-    all q^2 words c_(a,b) from q(q+1) Zech lookups, in arrays no larger
-    than the field's own log tables.
+    (lambda a gamma^(h t), lambda b gamma^((h+1) t)) and keep the weight.
+    On a they generate the subgroup of index g = gcd((q^m-1)/(q-1), e h)
+    of GF(q^m)*, so a = alpha^r, r < g, represents the g orbits, each of
+    (q^m-1)/g elements.  For one representative, coordinate i of c_(a,b)
+    is zero exactly when b lies on the hyperplane
+    B_i = (K - a gamma^(h i)) gamma^(-(h+1) i), K = ker Tr.  Counting for
+    every b the hyperplanes through it gives the weights of all q^m words
+    c_(a,b) from n (q^(m-1) - 1) Zech lookups, one per nonzero k in K.
     """
-    q = isqrt(field2.q)
-    if q * q != field2.q:
-        raise NotSquareField(field2.q)
-    n = q + 1
-    order = field2.q - 1
-    orbits = gcd(n, (q - 1) * h)
-    neg_one = 0 if q % 2 == 0 else order // 2  # log(-1)
-    kernel_logs = (0 if q % 2 == 0 else n // 2) + n * np.arange(q - 1, dtype=np.int64)
+    order = big.q - 1
+    e = order // n
+    eh = e * h % order
+    orbits = gcd(order // (q - 1), eh)
+    neg_one = 0 if big.p == 2 else order // 2  # log(-1)
+    kernel_logs = trace_kernel_logs(big, q)
     i = np.arange(n, dtype=np.int64)
     hist = np.zeros(n + 1, dtype=np.int64)
     for r in range(orbits):
-        # log(-a beta^(h i)) and log(-a beta^(-i)), the k = 0 point of B_i
-        shift = (r + neg_one + (q - 1) * h * i) % order
-        line0 = (r + neg_one - (q - 1) * i) % order
-        # k = alpha^l: k - a beta^(h i) = alpha^shift (1 + alpha^(l - shift))
-        z = field2.zech[(kernel_logs[None, :] - shift[:, None]) % order]
+        # log(-a gamma^(h i)) and log(-a gamma^(-i)), the k = 0 point of B_i
+        shift = (r + neg_one + eh * i) % order
+        line0 = (r + neg_one - e * i) % order
+        # k = alpha^l: k - a gamma^(h i) = alpha^shift (1 + alpha^(l - shift))
+        z = big.zech[(kernel_logs[None, :] - shift[:, None]) % order]
         logs = np.where(z < 0, -1, (line0[:, None] + z) % order)  # -1: b = 0
         zeros = np.bincount(logs.ravel() + 1, minlength=order + 1)
         zeros += np.bincount(line0 + 1, minlength=order + 1)

@@ -17,7 +17,7 @@ from . import verify as verify_mod
 from .codes import CodeSpec, bch_build, trace_dual
 from .config import RunConfig, default_budget
 from .cyclotomic import coset, coset_leaders
-from .errors import BudgetExceeded, WorkbenchError
+from .errors import BudgetExceeded, Falsified, WorkbenchError
 from .galois import field_new
 from .weights import classify as classify_code
 from .weights import weight_distribution
@@ -305,6 +305,9 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except Falsified as exc:
+        print(f"falsified: {exc}", file=sys.stderr)
+        return EXIT_FALSIFIED
     except WorkbenchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,11 +1,12 @@
-"""BCH codes C_(q,n,delta,h), duals, and the length-(q+1) trace representation.
+"""BCH codes C_(q,n,delta,h), duals, and their trace representation.
 
 The builder expands minimal polynomials in the splitting field GF(q^m),
 m = ord_n(q), takes their lcm as the generator polynomial, and realises
-generator/check matrices as cyclic shift staircases.  For the length-(q+1)
-codes with a 4-dimensional dual, the dual is also available as the trace
-code {c_(a,b)} over the unit circle, which is the representation all
-weight/design verifications cross-check against.
+generator/check matrices as cyclic shift staircases.  For delta = 3 and
+two distinct cosets C_h, C_(h+1) of size m, the dual is also available as
+the two-term trace code {c_(a,b)} (for n = q + 1, over the unit circle),
+which is the representation all weight/design verifications cross-check
+against.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import _kernels as kernels
 from .config import default_budget
-from .cyclotomic import Poly, coset, minimal_poly, splitting_field
+from .cyclotomic import Poly, coset, minimal_poly, multiplicative_order, splitting_field
 from .errors import (
     BudgetExceeded,
     DegenerateDimension,
@@ -30,7 +31,7 @@ from .galois import (
     field_for_order,
     prime_power,
     subfield_embedding,
-    trace_table,
+    trace_arr,
     unit_circle,
 )
 
@@ -130,6 +131,22 @@ def nullspace(mat: np.ndarray, field: Field) -> np.ndarray:
         for r, pcol in enumerate(pivots):
             basis[idx, pcol] = field.neg(int(R[r, fcol]))
     return basis
+
+
+def orthogonal(a: np.ndarray, b: np.ndarray, field: Field) -> bool:
+    """Whether a b^T = 0, i.e. every row of a is orthogonal to every row of b.
+
+    Field addition adds base-p digits mod p, so each inner product is
+    summed digit by digit over the nonzero entries of a only.
+    """
+    rows, cols = np.nonzero(a)
+    prods = field.mul_arr(a[rows, cols][:, None], b[:, cols].T)
+    for d in range(field.m):
+        sums = np.zeros((a.shape[0], len(b)), dtype=np.int64)
+        np.add.at(sums, rows, prods // field.p**d % field.p)
+        if (sums % field.p).any():
+            return False
+    return True
 
 
 def same_row_space(a: np.ndarray, b: np.ndarray, field: Field) -> bool:
@@ -336,7 +353,7 @@ def min_distance(code: LinearCode, budget: int | None = None, threads: int = 1) 
 
 
 # ---------------------------------------------------------------------------
-# trace representation of the dual for n = q + 1
+# trace representation of the dual of a two-coset BCH code
 
 
 def _family_row_exponents(q: int, h: int, family: str) -> list[int]:
@@ -372,68 +389,79 @@ def parity_check_rows(q: int, h: int) -> tuple[np.ndarray, Field]:
 
 
 class TraceDualSpec:
-    """Generator of the dual codewords c_(a,b) via the relative trace.
+    """Generator of the dual codewords c_(a,b) of C_(q,n,3,h) via the trace.
 
-    c_(a,b)[i] = Tr(a * beta^(h i) + b * beta^((h+1) i)) for i = 0..q,
-    with the trace values carried back to the canonical GF(q) through the
-    subfield embedding.  The map (a, b) -> c_(a,b) is GF(q)-bilinear and
-    injective exactly when the dual dimension is 4.
+    c_(a,b)[i] = Tr(a gamma^(h i) + b gamma^((h+1) i)) for i < n and a, b
+    in GF(q^m), m = ord_n(q), where gamma = alpha^((q^m-1)/n) is the
+    primitive n-th root of unity of the BCH construction and Tr is the
+    trace onto GF(q); the values are carried back to the canonical GF(q)
+    through the subfield embedding.  The map (a, b) -> c_(a,b) is
+    GF(q)-linear and lands in the dual (Delsarte); it is injective exactly
+    when the cosets C_h and C_(h+1) are distinct and both of size m, which
+    the constructor requires.  n defaults to q + 1, where m = 2.
     """
 
-    def __init__(self, q: int, h: int):
-        n = q + 1
-        ch, ch1 = coset(n, q, h % n), coset(n, q, (h + 1) % n)
-        dim = len(set(ch.members) | set(ch1.members))
-        if dim != 4:
-            raise DegenerateDimension(f"dual dimension is {dim}, not 4")
-        self.q, self.h, self.n = q, h, n
-        self.family, self.i = classify_h(q, h)
+    def __init__(self, q: int, h: int, n: int | None = None):
+        n = q + 1 if n is None else n
+        m = multiplicative_order(q, n)
+        ch, ch1 = coset(n, q, h), coset(n, q, h + 1)
+        if ch.leader == ch1.leader or ch.size != m or ch1.size != m:
+            dim = len(set(ch.members) | set(ch1.members))
+            raise DegenerateDimension(f"dual dimension is {dim}, not {2 * m}")
+        self.q, self.h, self.n, self.m = q, h, n, m
+        self.family, self.i = classify_h(q, h) if n == q + 1 else (FAMILY_GENERIC, None)
         self.field = field_for_order(q)
-        self.field2 = field_for_order(q * q)
-        self.circle = unit_circle(self.field2)
-        self.embedding = subfield_embedding(self.field2, self.field)
-        f2 = self.field2
-        self._bh = np.array(
-            [f2.pow(self.circle.beta, (h * i)) for i in range(n)], dtype=np.int64
-        )
-        self._bh1 = np.array(
-            [f2.pow(self.circle.beta, ((h + 1) * i)) for i in range(n)], dtype=np.int64
-        )
+        self.big, _ = splitting_field(q, n)
+        self.embedding = subfield_embedding(self.big, self.field)
+        order = self.big.q - 1
+        e = order // n
+        i = np.arange(n, dtype=np.int64)
+        self._bh = self.big.exp[(e * h % order) * i % order]
+        self._bh1 = self.big.exp[(e * (h + 1) % order) * i % order]
+
+    def _words(self, a, b) -> np.ndarray:
+        """Rows c_(a[j], b[j]), coordinates in canonical GF(q)."""
+        big = self.big
+        a = np.asarray(a, dtype=np.int64)[:, None]
+        b = np.asarray(b, dtype=np.int64)[:, None]
+        vals = big.add_arr(big.mul_arr(a, self._bh), big.mul_arr(b, self._bh1))
+        return self.embedding.project_arr(trace_arr(big, vals, self.q))
 
     def codeword(self, a: int, b: int) -> np.ndarray:
         """Single dual codeword, coordinates in canonical GF(q)."""
-        f2 = self.field2
-        vals = f2.add_arr(f2.mul_arr(a, self._bh), f2.mul_arr(b, self._bh1))
-        traces = f2.add_arr(vals, f2.pow_arr(vals, self.q))
-        return self.embedding.project_arr(traces)
+        return self._words([a], [b])[0]
 
     def basis_matrix(self) -> np.ndarray:
-        """4 x (q+1) generator matrix of the trace code over GF(q):
-        rows c_(1,0), c_(alpha,0), c_(0,1), c_(0,alpha)."""
-        a = self.field2.alpha_pow(1)
-        rows = [
-            self.codeword(1, 0),
-            self.codeword(a, 0),
-            self.codeword(0, 1),
-            self.codeword(0, a),
-        ]
-        return np.array(rows, dtype=np.int64)
+        """2m x n generator matrix of the trace code over GF(q): rows
+        c_(alpha^j, 0), then c_(0, alpha^j), for j < m."""
+        powers = self.big.exp[: self.m]
+        zeros = np.zeros(self.m, dtype=np.int64)
+        return self._words(np.concatenate([powers, zeros]), np.concatenate([zeros, powers]))
+
+    def orbit_count(self) -> int:
+        """g = gcd((q^m-1)/(q-1), e h), the number of orbits of the
+        scalar/shift group on a != 0 (see ``kernels.trace_orbit_counts``)."""
+        order = self.big.q - 1
+        return gcd(order // (self.q - 1), order // self.n * self.h % order)
+
+    def enumeration_cost(self) -> int:
+        """(g+1) q^m: q^m words per orbit representative plus at most q^m
+        for the slice a = 0."""
+        return (self.orbit_count() + 1) * self.big.q
 
     def codewords(self, budget: int | None = None) -> np.ndarray:
-        """All q^4 dual codewords, one per (a, b), vectorised emission."""
+        """All q^(2m) dual codewords, one per (a, b), vectorised emission."""
         budget = default_budget() if budget is None else budget
-        q, n = self.q, self.n
-        total = q**4
+        big, n = self.big, self.n
+        total = big.q**2
         kernels.check_budget(total, budget)
-        f2 = self.field2
-        q2 = f2.q
-        mul_tab = f2.mul_table()
-        add_tab = f2.add_table()
-        tr = trace_table(f2)
+        mul_tab = big.mul_table()
+        add_tab = big.add_table()
+        reps = np.arange(big.q, dtype=np.int64)
+        tr = trace_arr(big, reps, self.q)
         proj = self.embedding.project_table()
-        reps = np.arange(q2, dtype=np.int64)
-        a_grid = np.repeat(reps, q2)
-        b_grid = np.tile(reps, q2)
+        a_grid = np.repeat(reps, big.q)
+        b_grid = np.tile(reps, big.q)
         out = np.empty((total, n), dtype=np.int32)
         for i in range(n):
             va = mul_tab[a_grid, self._bh[i]]
@@ -442,20 +470,21 @@ class TraceDualSpec:
         return out
 
     def weight_distribution(self, budget: int | None = None, threads: int = 1):
-        """Exact distribution in two parts: the 2-dimensional slice
+        """Exact distribution in two parts: the m-dimensional slice
         {c_(0,b)} through ``kernels.weight_counts``, and every a != 0
-        through the g orbit representatives of ``kernels.trace_orbit_counts``,
-        g = gcd(q+1, (q-1) h).  Charged (g+1) q^2 against the budget: q^2
-        words per representative plus at most q^2 for the slice."""
+        through the g orbit representatives of ``kernels.trace_orbit_counts``.
+        Charged ``enumeration_cost()`` = (g+1) q^m against the budget."""
         from .weights import WeightDistribution
 
         budget = default_budget() if budget is None else budget
-        q = self.q
-        kernels.check_budget((gcd(self.n, (q - 1) * self.h) + 1) * q * q, budget)
-        counts = kernels.weight_counts(self.basis_matrix()[2:], self.field, threads=threads)
-        counts += kernels.trace_orbit_counts(self.field2, self.h)
-        return WeightDistribution(n=self.n, q=q, k=4, counts=tuple(int(c) for c in counts))
+        kernels.check_budget(self.enumeration_cost(), budget)
+        slice_rows = self.basis_matrix()[self.m :]
+        counts = kernels.weight_counts(slice_rows, self.field, threads=threads)
+        counts += kernels.trace_orbit_counts(self.big, self.q, self.n, self.h)
+        return WeightDistribution(
+            n=self.n, q=self.q, k=2 * self.m, counts=tuple(int(c) for c in counts)
+        )
 
 
-def trace_dual(q: int, h: int) -> TraceDualSpec:
-    return TraceDualSpec(q, h)
+def trace_dual(q: int, h: int, n: int | None = None) -> TraceDualSpec:
+    return TraceDualSpec(q, h, n)

@@ -12,7 +12,15 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import DivisionByZero, NotCoprime, NotPrimitiveRoot, SpecMismatch
-from .galois import Field, FieldElement, field_for_order, field_new, subfield_embedding
+from .galois import (
+    Field,
+    FieldElement,
+    factorize,
+    field_for_order,
+    field_new,
+    prime_power,
+    subfield_embedding,
+)
 
 
 def multiplicative_order(q: int, n: int) -> int:
@@ -211,16 +219,8 @@ class Poly:
         return f"Poly({self.field!r}, {list(self.coeffs)})"
 
 
-def poly_mul(f: Poly, g: Poly) -> Poly:
-    return f * g
-
-
 def poly_divmod(f: Poly, g: Poly) -> tuple[Poly, Poly]:
     return divmod(f, g)
-
-
-def poly_eval(f: Poly, x: int) -> int:
-    return f.eval(x)
 
 
 def poly_gcd(f: Poly, g: Poly) -> Poly:
@@ -257,7 +257,7 @@ def minimal_poly(beta: FieldElement, cs: CyclotomicCoset) -> Poly:
         raise NotPrimitiveRoot(f"no n-th roots of unity in {big!r}")
     if big.pow(beta.rep, n) != 1:
         raise NotPrimitiveRoot("beta^n != 1")
-    for f in {n // p for p in _prime_factors(n)}:
+    for f in {n // p for p in factorize(n)}:
         if big.pow(beta.rep, f) == 1:
             raise NotPrimitiveRoot("beta has order smaller than n")
     base = field_for_order(q)
@@ -274,23 +274,8 @@ def minimal_poly(beta: FieldElement, cs: CyclotomicCoset) -> Poly:
     return Poly.make(base, [emb.project(c) for c in coeffs])
 
 
-def _prime_factors(n: int) -> set[int]:
-    out = set()
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out.add(d)
-            n //= d
-        d += 1
-    if n > 1:
-        out.add(n)
-    return out
-
-
 def splitting_field(q: int, n: int) -> tuple[Field, FieldElement]:
     """Canonical GF(q^m) with m = ord_n(q), plus a primitive n-th root beta."""
-    from .galois import prime_power
-
     p, t = prime_power(q)
     m = multiplicative_order(q, n)
     big = field_new(p, t * m)

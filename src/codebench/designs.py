@@ -289,9 +289,3 @@ def weight5_blocks_rank(q: int, h: int, budget: int | None = None) -> list[tuple
     if comb(n, 5) > budget:
         raise BudgetExceeded(f"C({n},5) exceeds budget {budget}")
     return _rank_supports(q, h, 5)
-
-
-def supports_from_det_blocks(q: int, h: int) -> list[tuple[int, ...]]:
-    """Alias with the coordinate identification spelled out: block indices
-    are exponents t with u = beta^t."""
-    return weight4_blocks_det(q, h)

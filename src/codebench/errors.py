@@ -41,23 +41,27 @@ class DegenerateDimension(WorkbenchError):
     """The dual of the requested code does not have dimension 4."""
 
 
-class NonIntegerResult(WorkbenchError):
+class Falsified(WorkbenchError):
+    """A checked claim does not hold; the message carries the witness."""
+
+
+class NonIntegerResult(Falsified):
     """A transform produced a non-integer count; the input was inconsistent."""
 
 
-class FourWeightViolation(WorkbenchError):
+class FourWeightViolation(Falsified):
     pass
 
 
-class ValueSetViolation(WorkbenchError):
+class ValueSetViolation(Falsified):
     """A solution count fell outside its proven value set."""
 
 
-class MultiplicityNotQMinus1(WorkbenchError):
+class MultiplicityNotQMinus1(Falsified):
     """A weight-k support is carried by non-proportional codewords."""
 
 
-class NotRegular(WorkbenchError):
+class NotRegular(Falsified):
     """Block multiset is not a t-design; carries a witness t-subset."""
 
     def __init__(self, subset, count, expected):

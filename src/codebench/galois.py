@@ -142,7 +142,14 @@ def lex_smallest_primitive_modulus(p: int, m: int) -> tuple[int, ...]:
 
 
 def _build_exp_chain(p: int, m: int, q: int, modulus: tuple[int, ...]) -> np.ndarray:
-    """exp[i] = representation of alpha^i for 0 <= i < q - 1."""
+    """exp[i] = representation of alpha^i for 0 <= i < q - 1.
+
+    For odd p and m > 1 the base-p digit vectors of the powers are rows:
+    multiplying by alpha^L is the m x m matrix A_L whose row d holds the
+    digits of x^d alpha^L (mod the modulus), so a block of L consecutive
+    powers times A_L mod p is the next block.  Blocks double up to about
+    sqrt(q), then step through the rest of the group.
+    """
     exp = np.empty(q - 1, dtype=np.int64)
     if m == 1:
         a = smallest_primitive_root(p)
@@ -164,16 +171,19 @@ def _build_exp_chain(p: int, m: int, q: int, modulus: tuple[int, ...]) -> np.nda
             if x & q:
                 x = (x ^ mod_int) & (q - 1)
         return exp
-    digits = [0] * m
-    digits[0] = 1
-    powers = [p**i for i in range(m)]
-    mod_low = modulus[:m]
-    for i in range(q - 1):
-        exp[i] = sum(d * w for d, w in zip(digits, powers))
-        lead = digits[m - 1]
-        digits = [0] + digits[:-1]
-        if lead:
-            digits = [(d - lead * c) % p for d, c in zip(digits, mod_low)]
+    A = np.zeros((m, m), dtype=np.int64)
+    A[np.arange(m - 1), np.arange(1, m)] = 1
+    A[m - 1] = [(-c) % p for c in modulus[:m]]  # x^m reduced mod the modulus
+    block = np.zeros((1, m), dtype=np.int64)
+    block[0, 0] = 1
+    while len(block) * len(block) < q - 1:
+        block = np.vstack([block, block @ A % p])
+        A = A @ A % p
+    weights = p ** np.arange(m, dtype=np.int64)
+    L = len(block)
+    for start in range(0, q - 1, L):
+        exp[start : start + L] = (block @ weights)[: q - 1 - start]
+        block = block @ A % p
     return exp
 
 
@@ -488,17 +498,28 @@ def rel_trace(field: Field, x: int) -> int:
     return field.add(x, field.pow(x, q))
 
 
-def trace_table(field: Field) -> np.ndarray:
-    """Vector of rel_trace over all representations (cached)."""
+def trace_arr(field: Field, a, q: int) -> np.ndarray:
+    """Tr(x) = x + x^q + ... + x^(q^(d-1)) onto the copy of GF(q), for each
+    representation x in a, where this field is GF(q^d)."""
+    p, t = prime_power(q)
+    if p != field.p or field.m % t:
+        raise NotInSubfield(f"GF({q}) is not a subfield of {field!r}")
+    conj = total = np.asarray(a, dtype=np.int64)
+    for _ in range(field.m // t - 1):
+        conj = field.pow_arr(conj, q)
+        total = field.add_arr(total, conj)
+    return total
 
-    def build():
-        q = isqrt(field.q)
-        if q * q != field.q:
-            raise NotSquareField(field.q)
-        reps = np.arange(field.q, dtype=np.int64)
-        return field.add_arr(reps, field.pow_arr(reps, q)).astype(np.int32)
 
-    return field._dense("trace", build)
+def trace_kernel_logs(field: Field, q: int) -> np.ndarray:
+    """Ascending logs of the nonzero x with Tr(x) = 0 onto GF(q).
+
+    The kernel is a GF(q)-subspace, so it is a union of cosets of
+    GF(q)* = <alpha^u>, u = (|field|-1)/(q-1): tracing alpha^l for l < u
+    finds the residues f, and the logs are f + u k in ascending order."""
+    u = (field.q - 1) // (q - 1)
+    first = np.flatnonzero(trace_arr(field, field.exp[:u], q) == 0)
+    return (u * np.arange(q - 1, dtype=np.int64)[:, None] + first).ravel()
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from .config import default_budget
 from .cyclotomic import coset
 from .errors import BudgetExceeded, InvalidParameters
 from .galois import field_new, prime_power, subfield_embedding
-from .weights import macwilliams, weight_distribution
+from .weights import distribution_pair
 
 
 @dataclass(frozen=True)
@@ -200,8 +200,7 @@ def report_tables(
             generic = subfield_subcode_generic(parent, t)
             generic_match = same_row_space(generic.gen_matrix, sub.gen_matrix, sub.field)
         try:
-            wd = weight_distribution(sub, budget=budget, threads=threads)
-            dual_wd = macwilliams(wd)
+            wd, dual_wd = distribution_pair(sub, budget=budget, threads=threads)
             params = (sub.n, sub.k, wd.d())
             dual_params = (sub.n, sub.n - sub.k, dual_wd.d())
         except BudgetExceeded as exc:

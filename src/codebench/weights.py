@@ -1,25 +1,22 @@
 """Weight distributions, the MacWilliams transform, and Singleton classes.
 
-All counting is exact big-integer arithmetic: binomials through math.comb,
-counts as Python ints.  The MacWilliams transform solves the triangular
-system of the identity
-
-    sum_{i<=n-j} C(n-i, j) A_i  =  q^(k-j) * sum_{i<=j} C(n-i, n-j) A_i*
-
-for the dual counts in increasing j, which doubles as a consistency check:
-a non-integer intermediate raises immediately rather than rounding.
+All counting is exact big-integer arithmetic, counts as Python ints.  The
+MacWilliams transform sums Krawtchouk values over the nonzero counts, so
+its cost grows with n times the number of nonzero weights, and it doubles
+as a consistency check: a dual count that is not a non-negative integer
+raises immediately rather than rounding.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import comb
 
 from . import _kernels as kernels
-from .codes import LinearCode, TraceDualSpec, trace_dual
+from .codes import LinearCode, TraceDualSpec, orthogonal, rank, trace_dual
 from .config import default_budget
 from .errors import (
     BudgetExceeded,
+    DegenerateDimension,
     FourWeightViolation,
     InvalidParameters,
     NonIntegerResult,
@@ -69,54 +66,93 @@ class WeightDistribution:
         return json.dumps(self.to_json_dict())
 
 
+def _enumerate(
+    code: LinearCode, budget: int | None, threads: int
+) -> tuple[WeightDistribution, bool]:
+    """Count the cheapest affordable route; returns (counts, dual side?).
+
+    Routes, in units charged against the budget:
+      * direct — the projective messages of the code;
+      * dual — the projective messages of the dual;
+      * trace orbit — for delta = 3 codes whose cosets C_h, C_(h+1) are
+        distinct of size m, the trace code's (g+1) q^m orbit words; taken
+        only once its 2m x n basis B is proven to span the dual
+        (G B^T = 0 and rank B = n - k), else the next route is tried.
+    """
+    budget = default_budget() if budget is None else budget
+    costs = {
+        "direct": code.enumeration_cost(),
+        "dual": kernels.projective_count(code.q, code.n - code.k) + 1,
+    }
+    spec = code.spec
+    if spec is not None and spec.delta == 3 and (spec.q, spec.n) == (code.q, code.n):
+        try:
+            td = trace_dual(spec.q, spec.h, spec.n)
+            costs["trace orbit"] = td.enumeration_cost()
+        except DegenerateDimension:
+            pass
+    for route in sorted(costs, key=costs.get):
+        if costs[route] > budget:
+            break
+        if route == "trace orbit":
+            B = td.basis_matrix()
+            in_dual = orthogonal(code.gen_matrix, B, code.field)
+            if in_dual and rank(B, code.field) == code.n - code.k:
+                return td.weight_distribution(budget=budget, threads=threads), True
+            continue
+        counted = code if route == "direct" else code.dual()
+        counts = kernels.weight_counts(counted.gen_matrix, counted.field, threads=threads)
+        wd = WeightDistribution(code.n, code.q, counted.k, tuple(int(c) for c in counts))
+        return wd, route == "dual"
+    listed = ", ".join(f"{route}={cost}" for route, cost in costs.items())
+    raise BudgetExceeded(f"min({listed}) exceeds budget {budget}")
+
+
 def weight_distribution(
     source: LinearCode | TraceDualSpec,
     budget: int | None = None,
     threads: int = 1,
 ) -> WeightDistribution:
-    """Exact weight distribution; enumerates the cheaper of the code and its
-    dual (projectively), transforming back when the dual side was counted."""
+    """Exact weight distribution from the cheapest affordable enumeration
+    (see ``_enumerate``), transformed back when the dual side was counted."""
     if isinstance(source, TraceDualSpec):
         return source.weight_distribution(budget=budget, threads=threads)
-    budget = default_budget() if budget is None else budget
-    code = source
-    direct_cost = code.enumeration_cost()
-    dual_cost = kernels.projective_count(code.q, code.n - code.k) + 1
-    if direct_cost <= min(dual_cost, budget):
-        counts = kernels.weight_counts(code.gen_matrix, code.field, threads=threads)
-        return WeightDistribution(
-            n=code.n, q=code.q, k=code.k, counts=tuple(int(c) for c in counts)
-        )
-    if dual_cost <= budget:
-        dcode = code.dual()
-        counts = kernels.weight_counts(dcode.gen_matrix, dcode.field, threads=threads)
-        dual_wd = WeightDistribution(
-            n=code.n, q=code.q, k=dcode.k, counts=tuple(int(c) for c in counts)
-        )
-        return macwilliams(dual_wd)
-    raise BudgetExceeded(
-        f"min(direct={direct_cost}, dual={dual_cost}) exceeds budget {budget}"
-    )
+    counted, dual_side = _enumerate(source, budget, threads)
+    return macwilliams(counted) if dual_side else counted
+
+
+def distribution_pair(
+    code: LinearCode, budget: int | None = None, threads: int = 1
+) -> tuple[WeightDistribution, WeightDistribution]:
+    """(code, dual) distributions from one enumeration and one transform."""
+    counted, dual_side = _enumerate(code, budget, threads)
+    other = macwilliams(counted)
+    return (other, counted) if dual_side else (counted, other)
 
 
 def macwilliams(wd: WeightDistribution) -> WeightDistribution:
-    """Weight distribution of the dual code from the triangular system."""
+    """Weight distribution of the dual code, A*_j = q^-k sum_i A_i K_j(i).
+
+    The Krawtchouk values come from the three-term recurrence
+    (j+1) K_(j+1)(i) = ((n-j)(q-1) + j - q i) K_j(i) - (q-1)(n-j+1) K_(j-1)(i)
+    over the nonzero A_i only.
+    """
     n, k, q = wd.n, wd.k, wd.q
+    terms = [(i, c) for i, c in enumerate(wd.counts) if c]
+    size = q**k
+    prev, cur = [0] * len(terms), [1] * len(terms)
     out: list[int] = []
     for j in range(n + 1):
-        lhs = sum(comb(n - i, j) * wd.counts[i] for i in range(n - j + 1))
-        # divide by q^(k-j); for j > k this is a multiplication
-        if j >= k:
-            s = lhs * q ** (j - k)
-        else:
-            denom = q ** (k - j)
-            if lhs % denom:
-                raise NonIntegerResult(f"A*_{j} is not an integer")
-            s = lhs // denom
-        s -= sum(comb(n - i, n - j) * out[i] for i in range(j))
+        s = sum(c * kj for (_, c), kj in zip(terms, cur))
+        if s % size:
+            raise NonIntegerResult(f"A*_{j} is not an integer")
         if s < 0:
-            raise NonIntegerResult(f"A*_{j} = {s} is negative")
-        out.append(s)
+            raise NonIntegerResult(f"A*_{j} = {s // size} is negative")
+        out.append(s // size)
+        prev, cur = cur, [
+            (((n - j) * (q - 1) + j - q * i) * kj - (q - 1) * (n - j + 1) * kp) // (j + 1)
+            for (i, _), kj, kp in zip(terms, cur, prev)
+        ]
     return WeightDistribution(n=n, q=q, k=n - k, counts=tuple(out))
 
 
@@ -135,29 +171,12 @@ class Classification:
 
 
 def classify(code: LinearCode, budget: int | None = None, threads: int = 1) -> Classification:
-    """Singleton classification from exact d and d_dual.
-
-    One enumeration serves both distances: whichever side is counted, the
-    other side's distribution comes from the MacWilliams transform.
-    """
+    """Singleton classification from exact d and d_dual, both read off
+    ``distribution_pair``: one enumeration serves both distances."""
     if code.k == 0 or code.k == code.n:
         raise InvalidParameters("classification needs 0 < k < n")
-    budget = default_budget() if budget is None else budget
-    direct_cost = code.enumeration_cost()
-    dual_cost = kernels.projective_count(code.q, code.n - code.k) + 1
-    if min(direct_cost, dual_cost) > budget:
-        raise BudgetExceeded(f"both sides exceed budget {budget}")
-    if direct_cost <= dual_cost:
-        counts = kernels.weight_counts(code.gen_matrix, code.field, threads=threads)
-        primal = WeightDistribution(code.n, code.q, code.k, tuple(int(c) for c in counts))
-        ddual = macwilliams(primal).d()
-        d = primal.d()
-    else:
-        dcode = code.dual()
-        counts = kernels.weight_counts(dcode.gen_matrix, dcode.field, threads=threads)
-        dwd = WeightDistribution(code.n, code.q, dcode.k, tuple(int(c) for c in counts))
-        ddual = dwd.d()
-        d = macwilliams(dwd).d()
+    wd, dual_wd = distribution_pair(code, budget=budget, threads=threads)
+    d, ddual = wd.d(), dual_wd.d()
     defect = code.n - code.k + 1 - d
     dual_defect = code.k + 1 - ddual
     if defect == 0:

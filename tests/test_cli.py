@@ -119,6 +119,26 @@ def test_unknown_theorem_exit2(capsys):
     assert main(["verify", "nonsense"]) == 2
 
 
+def test_falsified_design_exit1_with_witness(capsys):
+    # weight-5 supports of C_(9,10,3,3) form a 3-design, not a 4-design
+    code = main(["design", "--q", "9", "--h", "3", "--weight", "5", "--t", "4"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "falsified: t-subset (0, 1, 2, 6) lies in 0 blocks, expected 2\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("cor3.3", "--s", "5"),  # the [244,4] dual over GF(243)
+    ("thm5.3", "--s", "4"),  # the [82,16] ternary dual, m = 8
+])
+def test_verify_trace_orbit_instances(argv, capsys):
+    code, out = run(capsys, "verify", *argv)
+    assert code == 0
+    assert "[FAIL]" not in out
+    assert out.endswith("VERIFIED\n")
+
+
 def test_budget_exceeded_exit3(capsys):
     code, _ = run(capsys, "--budget", "100", "wdist", "--q", "9", "--h", "3")
     assert code == 3
@@ -138,6 +158,7 @@ def test_trace_dual_budget_charge(capsys):
 @pytest.mark.parametrize("argv", [
     ("thm3.1", "--q", "512", "--i", "1"),
     ("thm3.4", "--q", "729", "--i", "2"),
+    ("cor3.2", "--s", "6", "--i", "1", "--family", "pi-minus-1"),
 ])
 def test_verify_large_duals_default_budget(argv, capsys):
     code, out = run(capsys, "verify", *argv)

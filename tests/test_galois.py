@@ -12,12 +12,17 @@ from codebench.errors import (
     SpecMismatch,
 )
 from codebench.galois import (
+    _build_exp_chain,
     field_from_json,
     field_new,
+    is_prime,
+    lex_smallest_primitive_modulus,
     prime_power,
     rel_trace,
     subfield_embedding,
     subfield_members,
+    trace_arr,
+    trace_kernel_logs,
     unit_circle,
 )
 
@@ -92,6 +97,33 @@ def test_modulus_is_lex_smallest_primitive(p, m):
             assert tuple(mod) == field_new(p, m).modulus
             return
     pytest.fail("no primitive candidate found")
+
+
+def _exp_chain_per_element(p, m, q, modulus):
+    # independent oracle: multiply the digit list by x once per power,
+    # reducing the leading digit with the modulus
+    exp = []
+    digits = [1] + [0] * (m - 1)
+    for _ in range(q - 1):
+        exp.append(sum(d * p**i for i, d in enumerate(digits)))
+        lead = digits[m - 1]
+        digits = [0] + digits[:-1]
+        if lead:
+            digits = [(d - lead * c) % p for d, c in zip(digits, modulus[:m])]
+    return exp
+
+
+ODD_EXTENSIONS = [
+    (p, m) for p in range(3, 82) if is_prime(p) for m in range(2, 9) if p**m <= 3**8
+]
+
+
+@pytest.mark.parametrize("p,m", ODD_EXTENSIONS)
+def test_exp_chain_matches_per_element_loop(p, m):
+    q = p**m
+    modulus = lex_smallest_primitive_modulus(p, m)
+    want = _exp_chain_per_element(p, m, q, modulus)
+    assert _build_exp_chain(p, m, q, modulus).tolist() == want
 
 
 def test_prime_field_uses_smallest_primitive_root():
@@ -207,6 +239,35 @@ def test_rel_trace_additive_exhaustive():
     q = 9
     tr = lambda a: f.add_arr(a, f.pow_arr(a, q))
     assert np.array_equal(tr(f.add_arr(x, y)), f.add_arr(tr(x), tr(y)))
+
+
+@pytest.mark.parametrize("p,m,t", [
+    (2, 6, 1), (2, 6, 2), (2, 6, 3), (3, 4, 1), (3, 4, 2), (5, 2, 1),
+])
+def test_trace_sums_conjugates(p, m, t):
+    f = field_new(p, m)
+    q = p**t
+    r = np.arange(f.q, dtype=np.int64)
+    want = np.zeros(f.q, dtype=np.int64)
+    for j in range(m // t):
+        want = f.add_arr(want, f.pow_arr(r, q**j))
+    table = trace_arr(f, r, q)
+    assert np.array_equal(table, want)
+    # onto the copy of GF(q), each value hit q^(m/t - 1) times
+    values, counts = np.unique(table, return_counts=True)
+    assert set(values.tolist()) == set(subfield_members(f, q).tolist())
+    assert set(counts.tolist()) == {f.q // q}
+    # the kernel logs are exactly the zeros of the full table
+    zeros = np.flatnonzero(table[f.exp[: f.q - 1]] == 0)
+    assert trace_kernel_logs(f, q).tolist() == zeros.tolist()
+
+
+def test_trace_of_square_field_is_relative_trace():
+    f = field_new(3, 4)
+    r = np.arange(f.q, dtype=np.int64)
+    assert trace_arr(f, r, 9).tolist() == [rel_trace(f, x) for x in range(f.q)]
+    with pytest.raises(NotInSubfield):
+        trace_arr(f, r, 27)
 
 
 def test_subfield_embedding_gf81_gf9():

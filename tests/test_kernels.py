@@ -6,7 +6,7 @@ import pytest
 
 from codebench import _kernels as kernels
 from codebench.codes import CodeSpec, bch_build, nullspace, parity_check_rows, rref, trace_dual
-from codebench.galois import field_new, prime_power
+from codebench.galois import field_new, prime_power, trace_kernel_logs
 from codebench.weights import enumerator_formula
 
 HAVE_NUMBA = importlib.util.find_spec("numba") is not None
@@ -23,6 +23,17 @@ def brute_counts(G, field, n):
                 word = field.add_arr(word, field.mul_arr(c, row))
         counts[int((word != 0).sum())] += 1
     return counts
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 49, 81, 243])
+def test_trace_zero_mask_matches_closed_form_at_m2(q):
+    # the orbit kernel's K = ker Tr; over GF(q^2), Tr(alpha^l) = 0 iff
+    # l = c0 (mod q+1), c0 = 0 for even q and (q+1)/2 for odd q
+    big = field_new(*prime_power(q * q))
+    logs = trace_kernel_logs(big, q)
+    n = q + 1
+    c0 = 0 if q % 2 == 0 else n // 2
+    assert logs.tolist() == (c0 + n * np.arange(q - 1)).tolist()
 
 
 def test_projective_count():

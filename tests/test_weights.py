@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 
 from codebench import _kernels as kernels
-from codebench.codes import CodeSpec, LinearCode, bch_build, trace_dual
+from codebench import weights as weights_mod
+from codebench.codes import CodeSpec, LinearCode, bch_build, orthogonal, rank, trace_dual
 from codebench.errors import (
+    BudgetExceeded,
     DegenerateDimension,
     InvalidParameters,
     NonIntegerResult,
 )
-from codebench.galois import field_new, prime_power
+from codebench.galois import factorize, field_new, prime_power
+from codebench.subfield import report_tables, table_rows
 from codebench.verify import valid_instances
 from codebench.weights import (
     WeightDistribution,
@@ -174,6 +177,97 @@ def test_trace_dual_orbit_route_matches_kernel(q):
         td = trace_dual(q, h)
         want = kernels.weight_counts(td.basis_matrix(), td.field)
         assert td.weight_distribution().counts == tuple(want.tolist()), (family, i, h)
+
+
+def _dual_kernel_counts(code):
+    dual = code.dual()
+    return tuple(kernels.weight_counts(dual.gen_matrix, dual.field).tolist())
+
+
+@pytest.mark.parametrize("q", [q for q in range(4, 28) if len(factorize(q)) == 1])
+def test_orbit_route_matches_kernel_every_h(q, monkeypatch):
+    # every C_(q,q+1,3,h) with two distinct cosets of size 2: the orbit
+    # counts against the generic kernel over the algebraic dual, and the
+    # chooser's distribution against the transform of those kernel counts
+    calls = []
+    orbit_counts = kernels.trace_orbit_counts
+    monkeypatch.setattr(kernels, "trace_orbit_counts",
+                        lambda *a: calls.append(a) or orbit_counts(*a))
+    for h in range(q + 1):
+        try:
+            td = trace_dual(q, h)
+        except DegenerateDimension:
+            continue
+        code = bch_build(CodeSpec(q=q, n=q + 1, delta=3, h=h))
+        want = _dual_kernel_counts(code)
+        assert td.weight_distribution().counts == want, h
+        before = len(calls)
+        wd = weight_distribution(code)
+        assert wd.counts == macwilliams(WeightDistribution(q + 1, q, 4, want)).counts, h
+        # the chooser takes the orbit route exactly when it is strictly cheapest
+        cheapest = td.enumeration_cost() < min(code.enumeration_cost(),
+                                               kernels.projective_count(q, 4) + 1)
+        assert (len(calls) > before) == cheapest, h
+
+
+SUBFIELD_ROWS = {(row[0], row[1]): row for row in table_rows()}
+
+
+@pytest.mark.parametrize("label,s", [
+    ("binary", 4), ("binary", 5), ("quaternary", 2), ("quaternary", 4),
+    ("ternary", 2), ("ternary", 3),
+    pytest.param("quaternary", 6, marks=pytest.mark.slow),
+])
+def test_orbit_route_matches_kernel_on_subfield_rows(label, s):
+    # C_(p^t, n, 3, h) with n = p^s + 1 and m = ord_n(p^t) = 2s/t > 2
+    _label, _s, t, parent_q, h, *_rest = SUBFIELD_ROWS[label, s]
+    p, _ = prime_power(parent_q)
+    spec = CodeSpec(q=p**t, n=parent_q + 1, delta=3, h=h)
+    td = trace_dual(spec.q, spec.h, spec.n)
+    assert td.m == 2 * s // t
+    assert td.weight_distribution().counts == _dual_kernel_counts(bch_build(spec))
+
+
+@pytest.mark.parametrize("bad", ["h+2", "repeated"])
+def test_orbit_route_needs_proven_dual_basis(bad, monkeypatch):
+    # a trace basis of full rank that is not orthogonal to the code
+    # (exponent h+2 in place of h+1; C_3 is another coset of size 2), or
+    # one orthogonal but of rank m < n-k (the b rows repeat the a rows),
+    # must fail the check and fall back to the kernel
+    code = bch_build(CodeSpec(q=9, n=10, delta=3, h=1))
+    td = trace_dual(9, 1)
+    assert orthogonal(code.gen_matrix, td.basis_matrix(), code.field)
+    order = td.big.q - 1
+    if bad == "h+2":
+        td._bh1 = td.big.exp[(order // td.n) * (td.h + 2) * np.arange(td.n) % order]
+        assert rank(td.basis_matrix(), code.field) == 4
+        assert not orthogonal(code.gen_matrix, td.basis_matrix(), code.field)
+    else:
+        td._bh1 = td._bh
+        assert rank(td.basis_matrix(), code.field) == 2
+        assert orthogonal(code.gen_matrix, td.basis_matrix(), code.field)
+
+    def refuse(*args):
+        raise AssertionError("orbit kernel ran on an unproven basis")
+
+    monkeypatch.setattr(weights_mod, "trace_dual", lambda q, h, n: td)
+    monkeypatch.setattr(kernels, "trace_orbit_counts", refuse)
+    want = macwilliams(WeightDistribution(10, 9, 4, _dual_kernel_counts(code)))
+    assert weight_distribution(code).counts == want.counts
+
+
+def test_orbit_route_charge():
+    # g = gcd(28, 26 * 12) = 4, so the route costs 5 * 27^2 = 3645, below
+    # the dual's 27^3 + 27^2 + 27 + 2 projective messages
+    code = bch_build(CodeSpec(q=27, n=28, delta=3, h=12))
+    td = trace_dual(27, 12)
+    assert (td.orbit_count(), td.enumeration_cost()) == (4, 3645)
+    with pytest.raises(BudgetExceeded, match="trace orbit=3645"):
+        weight_distribution(code, budget=3644)
+    assert weight_distribution(code, budget=3645).d() == 4
+    (row,) = report_tables(budget=100, labels=("ternary",), s_values=(4,),
+                           check_generic=False)
+    assert row.params is None and "trace orbit=531441" in row.skipped
 
 
 def test_distribution_csv():
