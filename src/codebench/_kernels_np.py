@@ -43,18 +43,25 @@ def weight_counts_np(scaled: np.ndarray, add_tab: np.ndarray, q: int, n: int) ->
     return proj
 
 
-def _det(A, rows, cols, mul_tab, add_tab, neg_tab):
-    """Vectorised determinant of A[:, rows][:, :, cols] by Laplace expansion."""
+def _det(A, rows, cols, mul_tab, add_tab, neg_tab, memo):
+    """Vectorised determinant of A[:, rows][:, :, cols] by Laplace expansion.
+
+    Minors are cached in memo by (rows, cols), so every minor is computed
+    once however many expansions share it."""
+    key = (rows, cols)
+    if key in memo:
+        return memo[key]
     if len(rows) == 1:
         return A[:, rows[0], cols[0]]
     r0 = rows[0]
     acc = None
     for j, c in enumerate(cols):
-        sub = _det(A, rows[1:], cols[:j] + cols[j + 1 :], mul_tab, add_tab, neg_tab)
+        sub = _det(A, rows[1:], cols[:j] + cols[j + 1 :], mul_tab, add_tab, neg_tab, memo)
         term = mul_tab[A[:, r0, c], sub]
         if j % 2 == 1:
             term = neg_tab[term]
         acc = term if acc is None else add_tab[acc, term]
+    memo[key] = acc
     return acc
 
 
@@ -62,8 +69,9 @@ def scan_supports_np(H, combos, mul_tab, add_tab, neg_tab, flags, nulls) -> None
     N, s = combos.shape
     A = H[:, combos].transpose(1, 0, 2)  # (N, 4, s)
     rows4 = (0, 1, 2, 3)
+    memo: dict = {}
     if s == 4:
-        det4 = _det(A, rows4, (0, 1, 2, 3), mul_tab, add_tab, neg_tab)
+        det4 = _det(A, rows4, (0, 1, 2, 3), mul_tab, add_tab, neg_tab, memo)
         flags[det4 != 0] = 0
         sing = det4 == 0
         # adjugate: cofactor vectors along each row are nullvectors
@@ -75,7 +83,7 @@ def scan_supports_np(H, combos, mul_tab, add_tab, neg_tab, flags, nulls) -> None
             v = np.empty((N, 4), dtype=np.int32)
             for j in range(4):
                 cols3 = tuple(c for c in range(4) if c != j)
-                minor = _det(A, rows3, cols3, mul_tab, add_tab, neg_tab)
+                minor = _det(A, rows3, cols3, mul_tab, add_tab, neg_tab, memo)
                 v[:, j] = neg_tab[minor] if (i0 + j) % 2 == 1 else minor
             nz = (v != 0).any(axis=1)
             any_cof |= nz
@@ -92,7 +100,7 @@ def scan_supports_np(H, combos, mul_tab, add_tab, neg_tab, flags, nulls) -> None
         minors = np.empty((N, 5), dtype=np.int32)
         for j in range(5):
             cols4 = tuple(c for c in range(5) if c != j)
-            m = _det(A, rows4, cols4, mul_tab, add_tab, neg_tab)
+            m = _det(A, rows4, cols4, mul_tab, add_tab, neg_tab, memo)
             minors[:, j] = neg_tab[m] if j % 2 == 1 else m
         rank4 = (minors != 0).any(axis=1)
         flags[~rank4] = 3

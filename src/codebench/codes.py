@@ -149,6 +149,54 @@ def orthogonal(a: np.ndarray, b: np.ndarray, field: Field) -> bool:
     return True
 
 
+def row_keys(words: np.ndarray, q: int) -> np.ndarray:
+    """Rows of base-q digits packed into int64 keys, d digits per key for the
+    largest d with q^d <= 2^63: an exact injective encoding, not a hash.
+
+    The most significant digit comes first, so key rows compare
+    lexicographically exactly as the digit rows do."""
+    d = 1
+    while q ** (d + 1) <= 2**63:
+        d += 1
+    rows, n = words.shape
+    keys = np.empty((-(-n // d), rows), dtype=np.int64)
+    for c, lo in enumerate(range(0, n, d)):
+        block = words[:, lo : lo + d]
+        weights = q ** np.arange(block.shape[1] - 1, -1, -1, dtype=np.int64)
+        keys[c] = np.einsum("ij,j->i", block, weights)
+    return keys.T
+
+
+def group_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(order, starts): a stable lexicographic sort of the key rows and the
+    positions in it where each run of equal rows begins.
+
+    Rows are sorted by their leading key; only the runs that share one
+    are ordered again by whole rows with ``np.lexsort``."""
+    order = np.argsort(keys[:, 0], kind="stable")
+    if keys.shape[1] > 1:
+        lead = keys[order, 0]
+        same = lead[1:] == lead[:-1]
+        tied = np.zeros(len(order), dtype=bool)
+        tied[1:] |= same
+        tied[:-1] |= same
+        pos = np.flatnonzero(tied)
+        sub = order[pos]
+        order[pos] = sub[np.lexsort(keys[sub].T[::-1])]
+    ordered = keys[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    return order, np.flatnonzero(new)
+
+
+def distinct_row_keys(words: np.ndarray, q: int) -> np.ndarray:
+    """The distinct rows of words, as sorted packed keys (see ``row_keys``);
+    two arrays hold the same set of rows iff these are equal."""
+    keys = row_keys(words, q)
+    order, starts = group_rows(keys)
+    return keys[order[starts]]
+
+
 def same_row_space(a: np.ndarray, b: np.ndarray, field: Field) -> bool:
     ra = rank(a, field)
     rb = rank(b, field)
@@ -450,24 +498,23 @@ class TraceDualSpec:
         return (self.orbit_count() + 1) * self.big.q
 
     def codewords(self, budget: int | None = None) -> np.ndarray:
-        """All q^(2m) dual codewords, one per (a, b), vectorised emission."""
+        """All q^(2m) dual codewords, row a * q^m + b holding c_(a,b).
+
+        With T[x, y] = Tr(x + y) in canonical GF(q), coordinate i of c_(a,b)
+        is T[a gamma^(h i), b gamma^((h+1) i)], so column i, read as a
+        q^m x q^m array over (a, b), is T with its rows and columns permuted
+        by multiplication with gamma^(h i) and gamma^((h+1) i)."""
         budget = default_budget() if budget is None else budget
         big, n = self.big, self.n
-        total = big.q**2
-        kernels.check_budget(total, budget)
+        kernels.check_budget(big.q**2, budget)
         mul_tab = big.mul_table()
-        add_tab = big.add_table()
         reps = np.arange(big.q, dtype=np.int64)
-        tr = trace_arr(big, reps, self.q)
-        proj = self.embedding.project_table()
-        a_grid = np.repeat(reps, big.q)
-        b_grid = np.tile(reps, big.q)
-        out = np.empty((total, n), dtype=np.int32)
+        tr = self.embedding.project_table()[trace_arr(big, reps, self.q)]
+        table = tr.astype(np.int32)[big.add_table()]
+        cols = np.empty((n, big.q, big.q), dtype=np.int32)
         for i in range(n):
-            va = mul_tab[a_grid, self._bh[i]]
-            vb = mul_tab[b_grid, self._bh1[i]]
-            out[:, i] = proj[tr[add_tab[va, vb]]]
-        return out
+            np.take(table[mul_tab[self._bh[i]]], mul_tab[self._bh1[i]], axis=1, out=cols[i])
+        return np.ascontiguousarray(cols.reshape(n, -1).T)
 
     def weight_distribution(self, budget: int | None = None, threads: int = 1):
         """Exact distribution in two parts: the m-dimensional slice

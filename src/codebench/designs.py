@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb, gcd
 
 import numpy as np
@@ -19,7 +19,10 @@ from . import _kernels as kernels
 from .codes import (
     LinearCode,
     TraceDualSpec,
+    group_rows,
+    orthogonal,
     parity_check_rows,
+    row_keys,
     trace_dual,
 )
 from .config import default_budget
@@ -30,6 +33,8 @@ from .errors import (
     NotRegular,
 )
 from .galois import field_for_order, prime_power, subfield_embedding, unit_circle
+
+_CHUNK_ELEMS = 1 << 20  # (triple, w) pairs per batch of the determinant scan
 
 
 @dataclass(frozen=True)
@@ -126,12 +131,14 @@ def supports_of_weight(
 
 
 def _supports_from_words(words: np.ndarray, k: int, q: int, n_points: int) -> SupportCount:
-    weights = np.count_nonzero(words, axis=1)
-    hits = words[weights == k]
-    multiset: dict[tuple[int, ...], int] = {}
-    for row in hits:
-        supp = tuple(np.flatnonzero(row).tolist())
-        multiset[supp] = multiset.get(supp, 0) + 1
+    hits = words[np.count_nonzero(words, axis=1) == k] != 0
+    # one key column is the support bitmask itself while n <= 63
+    order, starts = group_rows(row_keys(hits, 2))
+    first = order[starts]  # the sort is stable: each support's first row
+    mults = np.diff(starts, append=len(order))
+    seen = np.argsort(first)  # supports in order of first appearance
+    cols = np.nonzero(hits[first[seen]])[1].reshape(len(seen), k)
+    multiset = dict(zip(map(tuple, cols.tolist()), mults[seen].tolist()))
     return _blocks_from_multiset(multiset, q, k, n_points)
 
 
@@ -140,8 +147,8 @@ def _rank_supports(q: int, h: int, k: int, check_code: LinearCode | None = None)
     4 x k submatrices of the parity-check matrix.
 
     A support is accepted when the nullspace is one-dimensional with an
-    everywhere-nonzero vector; the reconstructed codeword is verified
-    against the generator polynomial when the code is supplied.
+    everywhere-nonzero vector.  When the code is supplied, every
+    reconstructed codeword is checked against its check matrix.
     """
     n = q + 1
     H, field2 = parity_check_rows(q, h)
@@ -152,30 +159,45 @@ def _rank_supports(q: int, h: int, k: int, check_code: LinearCode | None = None)
             "parity submatrix with nullity >= 2: the code has weight < 4 words"
         )
     hit_idx = np.flatnonzero(flags == 1)
-    blocks = [tuple(combos[i].tolist()) for i in hit_idx]
-    if check_code is not None and len(blocks):
+    supports = combos[hit_idx]
+    if check_code is not None and len(hit_idx):
         field = check_code.field
-        emb = subfield_embedding(field2, field)
-        sample = hit_idx if len(hit_idx) <= 64 else hit_idx[:: max(1, len(hit_idx) // 64)]
-        for i in sample:
-            word = np.zeros(n, dtype=np.int64)
-            vals = emb.project_arr(nulls[i].astype(np.int64))
-            word[combos[i]] = vals
-            if not check_code.contains(word):
-                raise InvalidParameters(
-                    f"reconstructed weight-{k} word on {tuple(combos[i])} is not in the code"
-                )
-    return blocks
+        words = np.zeros((len(hit_idx), n), dtype=np.int64)
+        vals = subfield_embedding(field2, field).project_arr(nulls[hit_idx])
+        np.put_along_axis(words, supports, vals, axis=1)
+        H = check_code.check_matrix
+        if not orthogonal(words, H, field):
+            bad = next(j for j in range(len(words)) if not orthogonal(words[j : j + 1], H, field))
+            raise InvalidParameters(
+                f"reconstructed weight-{k} word on {tuple(supports[bad].tolist())} "
+                "is not in the code"
+            )
+    return list(map(tuple, supports.tolist()))
+
+
+def _lex_rank(points: np.ndarray, cidx: np.ndarray, n: int) -> np.ndarray:
+    """Lexicographic rank among the t-subsets of range(n) of each subset
+    points[r, cidx[i]], as an array [r, i]; rows of points increase within
+    [0, n).  The rank of c_0 < ... < c_(t-1) is
+    C(n,t) - 1 - sum_j C(n-1-c_j, t-j)."""
+    t = cidx.shape[1]
+    binom = np.array([[comb(a, j) for j in range(t + 1)] for a in range(n)], dtype=np.int64)
+    ranks = np.full((len(points), len(cidx)), comb(n, t) - 1, dtype=np.int64)
+    for j in range(t):
+        ranks -= binom[n - 1 - points, t - j][:, cidx[:, j]]
+    return ranks
 
 
 def verify_design(blocks, n_points: int, t: int) -> tuple[int, int]:
     """Direct exhaustive t-subset counting; returns (lambda, b).
 
-    Raises NotRegular with a witness subset when any t-subset is covered a
-    different number of times.  Also asserts the integer identity
-    C(n, t) * lambda = b * C(k, t).
+    Every t-subset of every block is ranked in lexicographic order and the
+    ranks are counted, so all C(n, t) counts are exact.  Raises NotRegular
+    with the lexicographically first t-subset covered a different number
+    of times than (0, ..., t-1).  Also asserts the integer identity
+    C(n, t) * lambda = b * C(k, t), which fails when the counts are
+    regular but a block holds a point outside range(n) or a repeated point.
     """
-    blocks = [tuple(sorted(b)) for b in blocks]
     b = len(blocks)
     if b == 0:
         return 0, 0
@@ -184,18 +206,26 @@ def verify_design(blocks, n_points: int, t: int) -> tuple[int, int]:
         raise InvalidParameters("blocks of mixed sizes")
     if not t < k < n_points:
         raise InvalidParameters("need t < k < n_points")
-    counts: dict[tuple[int, ...], int] = {}
-    for blk in blocks:
-        for sub in combinations(blk, t):
-            counts[sub] = counts.get(sub, 0) + 1
-    lam = None
-    for sub in combinations(range(n_points), t):
-        c = counts.get(sub, 0)
-        if lam is None:
-            lam = c
-        elif c != lam:
-            raise NotRegular(sub, c, lam)
-    assert lam is not None
+
+    def proper(a):  # rows of distinct points in range(n), rows sorted
+        return (a[:, 0] >= 0) & (a[:, -1] < n_points) & (np.diff(a, axis=1) > 0).all(axis=1)
+
+    rows = np.sort(np.asarray(blocks, dtype=np.int64), axis=1)
+    cidx = np.array(list(combinations(range(k), t)), dtype=np.int64)
+    simple = proper(rows)
+    # of a block with a point outside range(n) or a repeated point, only
+    # the t-subsets of t distinct points in range(n) are counted
+    subs = rows[~simple][:, cidx].reshape(-1, t)
+    ranks = np.concatenate([
+        _lex_rank(rows[simple], cidx, n_points).ravel(),
+        _lex_rank(subs[proper(subs)], np.arange(t)[None, :], n_points).ravel(),
+    ])
+    counts = np.bincount(ranks, minlength=comb(n_points, t))
+    lam = int(counts[0])
+    off = np.flatnonzero(counts != lam)
+    if len(off):
+        witness = next(islice(combinations(range(n_points), t), int(off[0]), None))
+        raise NotRegular(witness, int(counts[off[0]]), lam)
     if comb(n_points, t) * lam != b * comb(k, t):
         raise NotRegular((), comb(n_points, t) * lam, b * comb(k, t))
     return lam, b
@@ -220,8 +250,9 @@ def weight4_blocks_det(q: int, h: int, budget: int | None = None) -> list[tuple[
     """4-subsets {x,y,z,w} of U_(q+1) with singular matrix of rows
     (1, u, u^(p^i), u^(p^i+1)), as coordinate indices via u = beta^index.
 
-    For each 3-subset the zero set of the cofactor-expanded quartic f(w) is
-    scanned over the whole circle, so every block surfaces from each of its
+    The four 3 x 3 cofactors of every 3-subset are computed at once, and
+    the cofactor-expanded quartic f(w) is evaluated for every 3-subset
+    and every w on the circle, so every block surfaces from each of its
     triples; the dedup to a set is exact.
     """
     budget = default_budget() if budget is None else budget
@@ -239,38 +270,39 @@ def weight4_blocks_det(q: int, h: int, budget: int | None = None) -> list[tuple[
     u_pi = f2.pow_arr(u, pi)
     u_pi1 = f2.mul_arr(u_pi, u)
     rows = np.vstack([np.ones(n, dtype=np.int64), u, u_pi, u_pi1])
+    triples = np.array(list(combinations(range(n), 3)), dtype=np.int64)
+    step = max(1, _CHUNK_ELEMS // n)
+    quads = [_quartic_zero_blocks(f2, rows, triples[lo : lo + step])
+             for lo in range(0, len(triples), step)]
+    return list(map(tuple, np.unique(np.concatenate(quads), axis=0).tolist()))
 
-    def det3(c0, c1, c2, r):
-        # minor of rows `r` (3-tuple) at columns c0, c1, c2
-        a, b, c = rows[r[0]], rows[r[1]], rows[r[2]]
-        t1 = f2.mul(f2.mul(a[c0], b[c1]), c[c2])
-        t2 = f2.mul(f2.mul(a[c1], b[c2]), c[c0])
-        t3 = f2.mul(f2.mul(a[c2], b[c0]), c[c1])
-        t4 = f2.mul(f2.mul(a[c2], b[c1]), c[c0])
-        t5 = f2.mul(f2.mul(a[c0], b[c2]), c[c1])
-        t6 = f2.mul(f2.mul(a[c1], b[c0]), c[c2])
-        pos = f2.add(f2.add(t1, t2), t3)
-        neg = f2.add(f2.add(t4, t5), t6)
-        return f2.sub(pos, neg)
 
-    blocks: set[tuple[int, ...]] = set()
-    idx = np.arange(n)
-    for x, y, z in combinations(range(n), 3):
-        # f(w) = sum_j D_j w^(e_j): cofactors of the w column
-        d0 = det3(x, y, z, (1, 2, 3))
-        d1 = det3(x, y, z, (0, 2, 3))
-        d2 = det3(x, y, z, (0, 1, 3))
-        d3 = det3(x, y, z, (0, 1, 2))
-        # cofactor expansion along the w column: +d3*w^(pi+1) -d2*w^pi +d1*w -d0
-        vals = f2.add_arr(
-            f2.add_arr(f2.mul_arr(d3, u_pi1), f2.neg_arr(f2.mul_arr(d2, u_pi))),
-            f2.add_arr(f2.mul_arr(d1, u), np.full(n, f2.neg(d0), dtype=np.int64)),
-        )
-        zeros = idx[vals == 0]
-        for w in zeros:
-            if w != x and w != y and w != z:
-                blocks.add(tuple(sorted((x, y, z, int(w)))))
-    return sorted(blocks)
+def _quartic_zero_blocks(f2, rows: np.ndarray, triples: np.ndarray) -> np.ndarray:
+    """Sorted 4-subsets {x, y, z, w}, one row per triple (x, y, z) and zero
+    w outside it of the quartic f(w) = det[rows at x, y, z, w]."""
+    x, y, z = triples.T
+    mul, add = f2.mul_arr, f2.add_arr
+
+    def det3(r0, r1, r2):
+        # minor of rows r0, r1, r2 at the columns x, y, z of every triple
+        a, b, c = rows[r0], rows[r1], rows[r2]
+        pos = add(add(mul(mul(a[x], b[y]), c[z]), mul(mul(a[y], b[z]), c[x])),
+                  mul(mul(a[z], b[x]), c[y]))
+        neg = add(add(mul(mul(a[z], b[y]), c[x]), mul(mul(a[x], b[z]), c[y])),
+                  mul(mul(a[y], b[x]), c[z]))
+        return f2.sub_arr(pos, neg)[:, None]
+
+    # f(w) = sum_j D_j w^(e_j) for every triple (rows) and w (columns), by
+    # cofactor expansion along the w column: +d3*w^(pi+1) -d2*w^pi +d1*w -d0
+    d0, d1, d2, d3 = det3(1, 2, 3), det3(0, 2, 3), det3(0, 1, 3), det3(0, 1, 2)
+    _, u, u_pi, u_pi1 = rows
+    vals = add(
+        add(mul(d3, u_pi1), f2.neg_arr(mul(d2, u_pi))),
+        add(mul(d1, u), f2.neg_arr(d0)),
+    )
+    t_idx, w = np.nonzero(vals == 0)
+    new = (w != x[t_idx]) & (w != y[t_idx]) & (w != z[t_idx])
+    return np.sort(np.column_stack([triples[t_idx[new]], w[new]]), axis=1)
 
 
 def weight5_blocks_rank(q: int, h: int, budget: int | None = None) -> list[tuple[int, ...]]:

@@ -181,35 +181,28 @@ def count_unit_solutions(q: int, h: int, a: int, b: int) -> SolutionCount:
 def unit_solution_counts(q: int, h: int) -> np.ndarray:
     """Vectorised N(a, b) over all q^4 pairs; index is a_rep * q^2 + b_rep.
 
-    Entry for (0, 0) is q + 1 (every unit solves the zero equation)."""
+    For each unit u the family equation splits as A_u(a) + B_u(b) = 0, so
+    the u-column of every pair is one comparison A_u(a) = -B_u(b) of a
+    q^2 x q^2 grid.  Entry for (0, 0) is q + 1 (every unit solves the zero
+    equation)."""
     family, i, p, s = _family_data(q, h)
     f2 = field_for_order(q * q)
-    circle = unit_circle(f2)
-    pi = p**i
-    q2 = f2.q
-    mul_tab = f2.mul_table()
-    add_tab = f2.add_table()
-    reps = np.arange(q2, dtype=np.int64)
-    a_grid = np.repeat(reps, q2)
-    b_grid = np.tile(reps, q2)
-    aq = f2.pow_arr(a_grid, q)
-    bq = f2.pow_arr(b_grid, q)
-    counts = np.zeros(q2 * q2, dtype=np.int64)
-    for u in circle.elements:
-        upi = f2.pow(u, pi)
-        upi1 = f2.mul(upi, u)
-        if family == FAMILY_Q_MINUS_PI:
-            v = add_tab[
-                add_tab[a_grid, mul_tab[b_grid, u]],
-                add_tab[mul_tab[bq, upi], mul_tab[aq, upi1]],
-            ]
-        else:
-            v = add_tab[
-                add_tab[bq, mul_tab[aq, u]],
-                add_tab[mul_tab[a_grid, upi], mul_tab[b_grid, upi1]],
-            ]
-        counts += v == 0
-    return counts
+    u = np.array(unit_circle(f2).elements, dtype=np.int64)[:, None]
+    upi = f2.pow_arr(u, p**i)
+    upi1 = f2.mul_arr(upi, u)
+    reps = np.arange(f2.q, dtype=np.int64)[None, :]
+    rq = f2.pow_arr(reps, q)
+    # rows indexed by u: A_u(a) and -B_u(b)
+    if family == FAMILY_Q_MINUS_PI:
+        lhs = f2.add_arr(reps, f2.mul_arr(rq, upi1))
+        rhs = f2.neg_arr(f2.add_arr(f2.mul_arr(reps, u), f2.mul_arr(rq, upi)))
+    else:
+        lhs = f2.add_arr(f2.mul_arr(rq, u), f2.mul_arr(reps, upi))
+        rhs = f2.neg_arr(f2.add_arr(rq, f2.mul_arr(reps, upi1)))
+    counts = np.zeros((f2.q, f2.q), dtype=np.int64)
+    for a_vals, b_vals in zip(lhs, rhs):
+        counts += a_vals[:, None] == b_vals[None, :]
+    return counts.ravel()
 
 
 def predict_case12(q: int, h: int, a: int, b: int) -> SolutionCount:

@@ -183,3 +183,15 @@ def test_unit_solution_value_sets_q8_both_i():
         m = gcd(i, 3)
         allowed = {0, 1, 2, 2**m + 1}
         assert set(np.unique(counts[1:]).tolist()) <= allowed
+
+
+@pytest.mark.parametrize("q,h", [(8, 3), (8, 2), (9, 3), (9, 1)])
+def test_unit_solution_counts_equal_brute_force_every_pair(q, h):
+    # q-minus-pi at q = 8 (h = 3, 2) and q = 9 (h = 3); pi-minus-1 at q = 9 (h = 1)
+    counts = unit_solution_counts(q, h)
+    q2 = q * q
+    for a in range(q2):
+        for b in range(q2):
+            if a or b:
+                assert counts[a * q2 + b] == count_unit_solutions(q, h, a, b).value, (a, b)
+    assert counts[0] == q + 1
