@@ -17,7 +17,7 @@ from .codes import (
     parity_check_rows,
     trace_dual,
 )
-from .config import RunConfig, default_budget
+from .config import default_budget
 from .cyclotomic import CyclotomicCoset, Poly, coset, coset_leaders, minimal_poly
 from .designs import (
     Design,

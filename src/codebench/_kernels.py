@@ -1,49 +1,36 @@
-"""Hot enumeration kernels: numba-jitted with a pure-numpy fallback.
+"""Hot enumeration kernels, in numpy.
 
 Three kernels dominate every long run:
 
 * ``weight_counts`` — exact weight distribution of the row span of a
   generator matrix, enumerating one representative per projective message
-  (scalar multiples share a weight) and scaling counts by q-1.
+  (scalar multiples share a weight) and scaling counts by q-1.  Message
+  digits fold into chunked codeword blocks that gather through the dense
+  add table.
 * ``trace_orbit_counts`` — exact weight distribution of the two-term
   trace code words c_(a,b) with a != 0 over GF(q^m), one orbit
   representative of a per class of the weight-preserving scalar/shift
-  group; pure numpy on log/Zech arrays and the logs of ker Tr, with no
-  dense table and no backend choice.
+  group, on log/Zech arrays and the logs of ker Tr, with no dense table.
 * ``scan_supports`` — for 4- or 5-column submatrices of a 4-row parity
   matrix over GF(q^2), classify the nullspace and extract the unique
-  projective nullvector where it exists.
+  projective nullvector where it exists, through vectorised adjugate
+  minors instead of per-subset elimination.
 
-Backend selection: ``WORKBENCH_BACKEND`` env var (numba | numpy | auto).
-The numba kernels release the GIL, so a thread count > 1 partitions the
-message space across a thread pool; partial counts merge by addition, so
-results are independent of the partition.
+The tests check each kernel against an independent oracle: brute-force
+enumeration, per-subset ``codes.nullspace``, and the closed-form
+enumerator with the trace emission.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from itertools import product
 from math import gcd
 
 import numpy as np
 
-from .config import backend_name
 from .errors import BudgetExceeded
 from .galois import trace_kernel_logs
-from . import _kernels_np as npk
 
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    _HAVE_NUMBA = False
-
-
-def use_numba() -> bool:
-    name = backend_name()
-    if name == "numba" and not _HAVE_NUMBA:
-        raise RuntimeError("WORKBENCH_BACKEND=numba but numba is not importable")
-    return name == "numba"
+_CHUNK_ELEMS = 1 << 22
 
 
 def projective_count(q: int, k: int) -> int:
@@ -51,125 +38,7 @@ def projective_count(q: int, k: int) -> int:
     return (q**k - 1) // (q - 1)
 
 
-if _HAVE_NUMBA:
-
-    @njit(cache=True, nogil=True)
-    def _wdist_range_nb(base, scaled, add_tab, lo, hi, counts):  # pragma: no cover
-        # base: (n,) int32 codeword of the lead row; scaled: (kk, q, n) int32
-        # multiples of the free rows.  Enumerates free-digit odometer states
-        # with flat index in [lo, hi), digit 0 most significant.
-        kk = scaled.shape[0]
-        n = base.shape[0]
-        if kk == 0:
-            w = 0
-            for i in range(n):
-                if base[i] != 0:
-                    w += 1
-            counts[w] += 1
-            return
-        q = scaled.shape[1]
-        digits = np.zeros(kk, np.int64)
-        rem = lo
-        for t in range(kk):
-            pw = 1
-            for _ in range(kk - 1 - t):
-                pw *= q
-            digits[t] = rem // pw
-            rem -= digits[t] * pw
-        S = np.empty((kk, n), np.int32)  # S[kk-1] is never read back
-        done = 0
-        total = hi - lo
-        t = 0
-        while True:
-            w = 0
-            for u in range(t, kk):
-                row = scaled[u, digits[u]]
-                if u == 0:
-                    prev = base
-                else:
-                    prev = S[u - 1]
-                if u == kk - 1:
-                    for i in range(n):
-                        if add_tab[prev[i], row[i]] != 0:
-                            w += 1
-                else:
-                    for i in range(n):
-                        S[u, i] = add_tab[prev[i], row[i]]
-            counts[w] += 1
-            done += 1
-            if done >= total:
-                return
-            t = kk - 1
-            while digits[t] == q - 1:
-                digits[t] = 0
-                t -= 1
-            digits[t] += 1
-
-    @njit(cache=True, nogil=True)
-    def _scan_supports_nb(H, combos, mul_tab, add_tab, inv_tab, neg_tab, flags, nulls):  # pragma: no cover
-        # Gauss-Jordan elimination of each 4 x s column submatrix of H.
-        N, s = combos.shape
-        M = np.empty((4, s), np.int32)
-        pivcol = np.empty(4, np.int64)
-        for idx in range(N):
-            for r in range(4):
-                for c in range(s):
-                    M[r, c] = H[r, combos[idx, c]]
-            rank = 0
-            for r in range(4):
-                pivcol[r] = -1
-            for col in range(s):
-                prow = -1
-                for r in range(rank, 4):
-                    if M[r, col] != 0:
-                        prow = r
-                        break
-                if prow < 0:
-                    continue
-                if prow != rank:
-                    for c in range(s):
-                        tmp = M[rank, c]
-                        M[rank, c] = M[prow, c]
-                        M[prow, c] = tmp
-                pinv = inv_tab[M[rank, col]]
-                for c in range(s):
-                    M[rank, c] = mul_tab[M[rank, c], pinv]
-                for r in range(4):
-                    if r != rank and M[r, col] != 0:
-                        f = M[r, col]
-                        for c in range(s):
-                            M[r, c] = add_tab[M[r, c], neg_tab[mul_tab[f, M[rank, c]]]]
-                pivcol[rank] = col
-                rank += 1
-                if rank == 4:
-                    break
-            if rank == s:
-                flags[idx] = 0
-                continue
-            if rank < s - 1:
-                flags[idx] = 3
-                continue
-            free = -1
-            used = np.zeros(s, np.uint8)
-            for r in range(rank):
-                used[pivcol[r]] = 1
-            for c in range(s):
-                if used[c] == 0:
-                    free = c
-                    break
-            for c in range(s):
-                nulls[idx, c] = 0
-            nulls[idx, free] = 1
-            ok = True
-            for r in range(rank):
-                v = neg_tab[M[r, free]]
-                nulls[idx, pivcol[r]] = v
-                if v == 0:
-                    ok = False
-            flags[idx] = 1 if ok else 2
-
-
-def weight_counts(gen_matrix: np.ndarray, field, threads: int = 1) -> np.ndarray:
+def weight_counts(gen_matrix: np.ndarray, field) -> np.ndarray:
     """Exact counts (A_0..A_n) of the row span; rows must be GF(q)-independent."""
     G = np.ascontiguousarray(gen_matrix, dtype=np.int32)
     k, n = G.shape
@@ -178,44 +47,33 @@ def weight_counts(gen_matrix: np.ndarray, field, threads: int = 1) -> np.ndarray
     scaled = np.empty((k, q, n), dtype=np.int32)
     for j in range(k):
         scaled[j] = field.mul_arr(np.arange(q, dtype=np.int64)[:, None], G[j][None, :])
+    # projective messages: the first nonzero digit (row `lead`) is 1
+    proj = np.zeros(n + 1, dtype=np.int64)
+    for lead in range(k):
+        base = scaled[lead, 1]
+        free = scaled[lead + 1 :]
+        kk = free.shape[0]
+        t = 0
+        while t < kk and (q ** (t + 1)) * n <= _CHUNK_ELEMS:
+            t += 1
+        block = base[None, :]
+        for u in range(t):
+            block = add_tab[block[:, None, :], free[u][None, :, :]].reshape(-1, n)
+        rest = free[t:]
+        if rest.shape[0] == 0:
+            w = np.count_nonzero(block, axis=1)
+            proj += np.bincount(w, minlength=n + 1)
+            continue
+        for combo in product(range(q), repeat=rest.shape[0]):
+            vec = np.zeros(n, dtype=np.int32)
+            for c, row in zip(combo, rest):
+                vec = add_tab[vec, row[c]]
+            w = np.count_nonzero(add_tab[block, vec[None, :]], axis=1)
+            proj += np.bincount(w, minlength=n + 1)
     counts = np.zeros(n + 1, dtype=np.int64)
     counts[0] = 1
-    if not use_numba():
-        proj = npk.weight_counts_np(scaled, add_tab, q, n)
-        counts[1:] += (q - 1) * proj[1:]
-        return counts
-    proj = np.zeros(n + 1, dtype=np.int64)
-    jobs = []
-    for lead in range(k):
-        base = np.ascontiguousarray(scaled[lead, 1])
-        free = np.ascontiguousarray(scaled[lead + 1 :])
-        block = q ** (k - 1 - lead)
-        nchunks = min(threads, block) if threads > 1 else 1
-        bounds = np.linspace(0, block, nchunks + 1, dtype=np.int64)
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            if b > a:
-                jobs.append((base, free, int(a), int(b)))
-    if threads > 1 and len(jobs) > 1:
-        results = []
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futs = [
-                pool.submit(_run_range, base, free, add_tab, lo, hi, n)
-                for base, free, lo, hi in jobs
-            ]
-            results = [f.result() for f in futs]
-        for r in results:
-            proj += r
-    else:
-        for base, free, lo, hi in jobs:
-            proj += _run_range(base, free, add_tab, lo, hi, n)
     counts[1:] += (q - 1) * proj[1:]
     return counts
-
-
-def _run_range(base, free, add_tab, lo, hi, n):
-    local = np.zeros(n + 1, dtype=np.int64)
-    _wdist_range_nb(base, free, add_tab, lo, hi, local)
-    return local
 
 
 def trace_orbit_counts(big, q: int, n: int, h: int) -> np.ndarray:
@@ -274,10 +132,49 @@ def scan_supports(H: np.ndarray, combos: np.ndarray, field2) -> tuple[np.ndarray
     add_tab = np.ascontiguousarray(field2.add_table(), dtype=np.int32)
     inv_tab = np.ascontiguousarray(field2.inv_table(), dtype=np.int32)
     neg_tab = np.ascontiguousarray(field2.neg_table(), dtype=np.int32)
-    if use_numba():
-        _scan_supports_nb(H, combos, mul_tab, add_tab, inv_tab, neg_tab, flags, nulls)
-    else:
-        npk.scan_supports_np(H, combos, mul_tab, add_tab, neg_tab, flags, nulls)
+    A = H[:, combos].transpose(1, 0, 2)  # (N, 4, s)
+    rows4 = (0, 1, 2, 3)
+    memo: dict = {}
+    if s == 4:
+        det4 = _det(A, rows4, (0, 1, 2, 3), mul_tab, add_tab, neg_tab, memo)
+        flags[det4 != 0] = 0
+        sing = det4 == 0
+        # adjugate: cofactor vectors along each row are nullvectors
+        best = np.zeros((N, 4), dtype=np.int32)
+        have = np.zeros(N, dtype=bool)
+        any_cof = np.zeros(N, dtype=bool)
+        for i0 in (0, 1, 2, 3):
+            rows3 = tuple(r for r in rows4 if r != i0)
+            v = np.empty((N, 4), dtype=np.int32)
+            for j in range(4):
+                cols3 = tuple(c for c in range(4) if c != j)
+                minor = _det(A, rows3, cols3, mul_tab, add_tab, neg_tab, memo)
+                v[:, j] = neg_tab[minor] if (i0 + j) % 2 == 1 else minor
+            nz = (v != 0).any(axis=1)
+            any_cof |= nz
+            take = sing & nz & ~have
+            best[take] = v[take]
+            have |= take
+        flags[sing & ~any_cof] = 3
+        good = sing & any_cof
+        full = good & (best != 0).all(axis=1)
+        flags[full] = 1
+        flags[good & ~full] = 2
+        nulls[full] = best[full]
+    elif s == 5:
+        minors = np.empty((N, 5), dtype=np.int32)
+        for j in range(5):
+            cols4 = tuple(c for c in range(5) if c != j)
+            m = _det(A, rows4, cols4, mul_tab, add_tab, neg_tab, memo)
+            minors[:, j] = neg_tab[m] if j % 2 == 1 else m
+        rank4 = (minors != 0).any(axis=1)
+        flags[~rank4] = 3
+        full = rank4 & (minors != 0).all(axis=1)
+        flags[full] = 1
+        flags[rank4 & ~full] = 2
+        nulls[full] = minors[full]
+    else:  # pragma: no cover
+        raise ValueError("scan_supports handles 4 or 5 columns")
     # normalise flagged nullvectors to leading coefficient 1
     hit = flags == 1
     if hit.any():
@@ -285,6 +182,28 @@ def scan_supports(H: np.ndarray, combos: np.ndarray, field2) -> tuple[np.ndarray
         scale = inv_tab[lead].astype(np.int64)
         nulls[hit] = mul_tab[nulls[hit], scale[:, None]]
     return flags, nulls
+
+
+def _det(A, rows, cols, mul_tab, add_tab, neg_tab, memo):
+    """Vectorised determinant of A[:, rows][:, :, cols] by Laplace expansion.
+
+    Minors are cached in memo by (rows, cols), so every minor is computed
+    once however many expansions share it."""
+    key = (rows, cols)
+    if key in memo:
+        return memo[key]
+    if len(rows) == 1:
+        return A[:, rows[0], cols[0]]
+    r0 = rows[0]
+    acc = None
+    for j, c in enumerate(cols):
+        sub = _det(A, rows[1:], cols[:j] + cols[j + 1 :], mul_tab, add_tab, neg_tab, memo)
+        term = mul_tab[A[:, r0, c], sub]
+        if j % 2 == 1:
+            term = neg_tab[term]
+        acc = term if acc is None else add_tab[acc, term]
+    memo[key] = acc
+    return acc
 
 
 def check_budget(count: int, budget: int) -> None:

@@ -10,12 +10,11 @@ import argparse
 import json
 import sys
 
-from . import _kernels as kernels
 from . import designs as designs_mod
 from . import subfield as subfield_mod
 from . import verify as verify_mod
 from .codes import CodeSpec, bch_build, trace_dual
-from .config import RunConfig, default_budget
+from .config import default_budget
 from .cyclotomic import coset, coset_leaders
 from .errors import BudgetExceeded, Falsified, WorkbenchError
 from .galois import field_new
@@ -32,7 +31,8 @@ def _add_common(parser, suppress: bool) -> None:
     d = (lambda v: argparse.SUPPRESS) if suppress else (lambda v: v)
     parser.add_argument("--budget", type=int, default=d(None),
                         help="enumeration budget (default 2^26 or WORKBENCH_BUDGET)")
-    parser.add_argument("--threads", type=int, default=d(1))
+    parser.add_argument("--threads", type=int, default=d(1),
+                        help="accepted for compatibility; has no effect")
     parser.add_argument("--format", choices=("text", "json", "csv"), default=d("text"))
     parser.add_argument("--out", type=str, default=d(None), help="write output to file")
     parser.add_argument("--seed", type=int, default=d(0))
@@ -168,7 +168,7 @@ def _cmd_build(args) -> int:
 def _cmd_wdist(args) -> int:
     code = bch_build(_spec_from(args))
     target = code if args.side == "primal" else code.dual()
-    wd = weight_distribution(target, budget=args.budget, threads=args.threads)
+    wd = weight_distribution(target, budget=args.budget)
     if args.format == "json":
         _emit(wd.to_json(), args)
     elif args.format == "csv":
@@ -181,7 +181,7 @@ def _cmd_wdist(args) -> int:
 
 def _cmd_classify(args) -> int:
     code = bch_build(_spec_from(args))
-    cls = classify_code(code, budget=args.budget, threads=args.threads)
+    cls = classify_code(code, budget=args.budget)
     if args.format == "json":
         _emit(cls.to_json(), args)
     else:
@@ -219,9 +219,7 @@ def _cmd_design(args) -> int:
 def _cmd_subfield(args) -> int:
     if args.tables or args.q is None:
         labels = (args.label,) if args.label else None
-        reports = subfield_mod.report_tables(
-            budget=args.budget, threads=args.threads, labels=labels
-        )
+        reports = subfield_mod.report_tables(budget=args.budget, labels=labels)
         if args.format == "json":
             _emit(subfield_mod.reports_json(reports), args)
         elif args.format == "csv":
@@ -233,7 +231,7 @@ def _cmd_subfield(args) -> int:
         raise WorkbenchError("--t is required for a single subcode")
     spec = CodeSpec(q=args.q, n=args.q + 1, delta=3, h=args.h)
     sub = subfield_mod.subfield_subcode_bch(spec, args.t)
-    wd = weight_distribution(sub, budget=args.budget, threads=args.threads)
+    wd = weight_distribution(sub, budget=args.budget)
     if args.format == "json":
         payload = sub.to_json_dict()
         payload["d"] = wd.d()
@@ -247,7 +245,6 @@ def _cmd_verify(args) -> int:
     result = verify_mod.run_suite(
         args.theorem,
         budget=args.budget,
-        threads=args.threads,
         q=args.q,
         i=args.i,
         s=args.s,
@@ -288,18 +285,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        cfg = RunConfig(
-            budget=args.budget if args.budget is not None else default_budget(),
-            threads=args.threads,
-            output_format=args.format,
-            seed=args.seed,
-        )
-        kernels.use_numba()  # a forced backend that cannot run is a usage error
-    except (ValueError, RuntimeError) as exc:
+        if args.budget is None:
+            args.budget = default_budget()
+        if args.budget < 1:
+            raise ValueError("budget must be >= 1")
+        if args.threads < 1:
+            raise ValueError("threads must be >= 1")
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    args.budget = cfg.budget
-    args.threads = cfg.threads
     try:
         return _HANDLERS[args.command](args)
     except BudgetExceeded as exc:

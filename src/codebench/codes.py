@@ -24,7 +24,6 @@ from .errors import (
     DegenerateDimension,
     InvalidParameters,
     NotCoprime,
-    SpecMismatch,
 )
 from .galois import (
     Field,
@@ -283,25 +282,8 @@ class LinearCode:
             out = add_tab[out[:, None, :], mults[None, :, :]].reshape(-1, self.n)
         return out
 
-    def contains(self, word) -> bool:
-        word = np.asarray(word, dtype=np.int64)
-        if word.shape != (self.n,):
-            raise SpecMismatch("word length mismatch")
-        if self.gen_poly is not None:
-            f = Poly.make(self.field, word.tolist())
-            return (f % self.gen_poly).is_zero
-        H = self.check_matrix
-        f = self.field
-        for row in H:
-            acc = 0
-            for a, b in zip(row, word):
-                acc = f.add(acc, f.mul(int(a), int(b)))
-            if acc != 0:
-                return False
-        return True
-
-    def min_distance(self, budget: int | None = None, threads: int = 1) -> int:
-        return min_distance(self, budget=budget, threads=threads)
+    def min_distance(self, budget: int | None = None) -> int:
+        return min_distance(self, budget=budget)
 
     def to_json_dict(self) -> dict:
         return {
@@ -388,12 +370,12 @@ def dump_codewords(code: LinearCode, budget: int | None = None) -> str:
     return "\n".join(" ".join(map(str, row)) for row in words) + "\n"
 
 
-def min_distance(code: LinearCode, budget: int | None = None, threads: int = 1) -> int:
+def min_distance(code: LinearCode, budget: int | None = None) -> int:
     """Exact minimum distance via the cheaper of direct or dual-side
     enumeration (dual side goes through the MacWilliams transform)."""
     from .weights import weight_distribution
 
-    wd = weight_distribution(code, budget=budget, threads=threads)
+    wd = weight_distribution(code, budget=budget)
     d = wd.d()
     if d is None:
         raise InvalidParameters("zero code has no minimum distance")
@@ -516,7 +498,7 @@ class TraceDualSpec:
             np.take(table[mul_tab[self._bh[i]]], mul_tab[self._bh1[i]], axis=1, out=cols[i])
         return np.ascontiguousarray(cols.reshape(n, -1).T)
 
-    def weight_distribution(self, budget: int | None = None, threads: int = 1):
+    def weight_distribution(self, budget: int | None = None):
         """Exact distribution in two parts: the m-dimensional slice
         {c_(0,b)} through ``kernels.weight_counts``, and every a != 0
         through the g orbit representatives of ``kernels.trace_orbit_counts``.
@@ -526,7 +508,7 @@ class TraceDualSpec:
         budget = default_budget() if budget is None else budget
         kernels.check_budget(self.enumeration_cost(), budget)
         slice_rows = self.basis_matrix()[self.m :]
-        counts = kernels.weight_counts(slice_rows, self.field, threads=threads)
+        counts = kernels.weight_counts(slice_rows, self.field)
         counts += kernels.trace_orbit_counts(self.big, self.q, self.n, self.h)
         return WeightDistribution(
             n=self.n, q=self.q, k=2 * self.m, counts=tuple(int(c) for c in counts)

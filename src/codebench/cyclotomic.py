@@ -219,10 +219,6 @@ class Poly:
         return f"Poly({self.field!r}, {list(self.coeffs)})"
 
 
-def poly_divmod(f: Poly, g: Poly) -> tuple[Poly, Poly]:
-    return divmod(f, g)
-
-
 def poly_gcd(f: Poly, g: Poly) -> Poly:
     while not g.is_zero:
         f, g = g, f % g

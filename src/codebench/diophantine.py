@@ -234,25 +234,3 @@ def predict_case12(q: int, h: int, a: int, b: int) -> SolutionCount:
         target = ((q + 1) // 2 + r) % (q + 1)
     value = e if target % e == 0 else 0
     return SolutionCount(value=value, method="closed_form")
-
-
-def sweep_rows(q: int, h: int):
-    """Yield (a_rep, b_rep, N, predicted-or-None) over all nonzero pairs."""
-    counts = unit_solution_counts(q, h)
-    q2 = q * q
-    for a in range(q2):
-        for b in range(q2):
-            if a == 0 and b == 0:
-                continue
-            n_ab = int(counts[a * q2 + b])
-            pred: int | None = None
-            if (a == 0) != (b == 0):
-                pred = predict_case12(q, h, a, b).value
-            yield a, b, n_ab, pred
-
-
-def sweep_csv(q: int, h: int) -> str:
-    lines = ["a_rep,b_rep,N,predicted"]
-    for a, b, n_ab, pred in sweep_rows(q, h):
-        lines.append(f"{a},{b},{n_ab},{'' if pred is None else pred}")
-    return "\n".join(lines) + "\n"

@@ -427,14 +427,6 @@ def field_for_order(q: int) -> Field:
     return field_new(*prime_power(q))
 
 
-def field_from_json(text: str) -> Field:
-    data = json.loads(text)
-    f = field_new(int(data["p"]), int(data["m"]))
-    if list(f.modulus) != [int(c) for c in data["modulus"]]:
-        raise SpecMismatch("modulus does not match the canonical construction")
-    return f
-
-
 # ---------------------------------------------------------------------------
 # elements
 

@@ -174,7 +174,6 @@ def table_rows():
 
 def report_tables(
     budget: int | None = None,
-    threads: int = 1,
     labels: tuple[str, ...] | None = None,
     s_values: tuple[int, ...] | None = None,
     check_generic: bool = True,
@@ -200,7 +199,7 @@ def report_tables(
             generic = subfield_subcode_generic(parent, t)
             generic_match = same_row_space(generic.gen_matrix, sub.gen_matrix, sub.field)
         try:
-            wd, dual_wd = distribution_pair(sub, budget=budget, threads=threads)
+            wd, dual_wd = distribution_pair(sub, budget=budget)
             params = (sub.n, sub.k, wd.d())
             dual_params = (sub.n, sub.n - sub.k, dual_wd.d())
         except BudgetExceeded as exc:

@@ -125,7 +125,7 @@ def valid_instances(q: int) -> list[tuple[str, int, int]]:
 # parameters of the duals
 
 
-def verify_cor31(s: int, i: int, budget=None, threads=1) -> VerificationResult:
+def verify_cor31(s: int, i: int, budget=None) -> VerificationResult:
     """MDS family over GF(2^s): [q+1, q-3, 5] with dual [q+1, 4, q-2]."""
     q = 2**s
     res = VerificationResult("cor3.1", {"s": s, "i": i, "q": q})
@@ -135,14 +135,14 @@ def verify_cor31(s: int, i: int, budget=None, threads=1) -> VerificationResult:
     h = (q - 2**i) // 2
     code = bch_build(CodeSpec(q=q, n=q + 1, delta=3, h=h))
     res.check("dimension", q - 3, code.k)
-    cls = classify(code, budget=budget, threads=threads)
+    cls = classify(code, budget=budget)
     res.check("label", "MDS", cls.label)
     res.check("d", 5, cls.d)
     res.check("d_dual", q - 2, cls.d_dual)
     return res
 
 
-def _four_weight_suite(theorem: str, q: int, i: int, family: str, budget, threads,
+def _four_weight_suite(theorem: str, q: int, i: int, family: str, budget,
                        cross_checks: bool = True) -> VerificationResult:
     p, s = prime_power(q)
     h = family_offset(q, i, family)
@@ -151,7 +151,7 @@ def _four_weight_suite(theorem: str, q: int, i: int, family: str, budget, thread
     res = VerificationResult(theorem, {"q": q, "i": i, "family": family, "h": h})
     budget = default_budget() if budget is None else budget
     try:
-        report = verify_four_weight(q, h, budget=budget, threads=threads)
+        report = verify_four_weight(q, h, budget=budget)
     except BudgetExceeded:
         raise  # a refused enumeration has falsified nothing
     except WorkbenchError as exc:
@@ -185,26 +185,26 @@ def _four_weight_suite(theorem: str, q: int, i: int, family: str, budget, thread
     return res
 
 
-def verify_thm31(q: int, i: int, budget=None, threads=1) -> VerificationResult:
-    return _four_weight_suite("thm3.1", q, i, FAMILY_Q_MINUS_PI, budget, threads)
+def verify_thm31(q: int, i: int, budget=None) -> VerificationResult:
+    return _four_weight_suite("thm3.1", q, i, FAMILY_Q_MINUS_PI, budget)
 
 
-def verify_thm34(q: int, i: int, budget=None, threads=1) -> VerificationResult:
-    return _four_weight_suite("thm3.4", q, i, FAMILY_PI_MINUS_1, budget, threads)
+def verify_thm34(q: int, i: int, budget=None) -> VerificationResult:
+    return _four_weight_suite("thm3.4", q, i, FAMILY_PI_MINUS_1, budget)
 
 
-def verify_thm35(q: int, budget=None, threads=1) -> VerificationResult:
+def verify_thm35(q: int, budget=None) -> VerificationResult:
     """d(C_(q,q+1,3,h)) = 3 iff gcd(2h+1, q+1) > 1, for every 0 <= h <= q."""
     res = VerificationResult("thm3.5", {"q": q})
     for h in range(q + 1):
         code = bch_build(CodeSpec(q=q, n=q + 1, delta=3, h=h))
-        d = code.min_distance(budget=budget, threads=threads)
+        d = code.min_distance(budget=budget)
         expected = gcd(2 * h + 1, q + 1) > 1
         res.check(f"h={h}: d==3 iff gcd>1", expected, d == 3)
     return res
 
 
-def verify_thm36(q: int, i: int, family: str, budget=None, threads=1) -> VerificationResult:
+def verify_thm36(q: int, i: int, family: str, budget=None) -> VerificationResult:
     """AMDS family: [q+1, q-3, 4] with dual [q+1, 4, q-p^m], p^m >= 3."""
     p, s = prime_power(q)
     m = gcd(i, s)
@@ -216,7 +216,7 @@ def verify_thm36(q: int, i: int, family: str, budget=None, threads=1) -> Verific
         return res
     code = bch_build(CodeSpec(q=q, n=q + 1, delta=3, h=h))
     res.check("dimension", q - 3, code.k)
-    cls = classify(code, budget=budget, threads=threads)
+    cls = classify(code, budget=budget)
     res.check("d", 4, cls.d)
     res.check("d_dual", q - p_m, cls.d_dual)
     res.check("singleton defect", 1, cls.singleton_defect)
@@ -224,7 +224,7 @@ def verify_thm36(q: int, i: int, family: str, budget=None, threads=1) -> Verific
     return res
 
 
-def verify_cor32(s: int, i: int, family: str, budget=None, threads=1) -> VerificationResult:
+def verify_cor32(s: int, i: int, family: str, budget=None) -> VerificationResult:
     """NMDS family over GF(3^s), gcd(i, s) = 1."""
     q = 3**s
     res = VerificationResult("cor3.2", {"s": s, "i": i, "family": family, "q": q})
@@ -233,7 +233,7 @@ def verify_cor32(s: int, i: int, family: str, budget=None, threads=1) -> Verific
         return res
     h = family_offset(q, i, family)
     code = bch_build(CodeSpec(q=q, n=q + 1, delta=3, h=h))
-    cls = classify(code, budget=budget, threads=threads)
+    cls = classify(code, budget=budget)
     res.check("label", "NMDS", cls.label)
     res.check("d", 4, cls.d)
     res.check("d_dual", q - 3, cls.d_dual)
@@ -241,14 +241,14 @@ def verify_cor32(s: int, i: int, family: str, budget=None, threads=1) -> Verific
     return res
 
 
-def verify_cor33(s: int, budget=None, threads=1) -> VerificationResult:
+def verify_cor33(s: int, budget=None) -> VerificationResult:
     """The resolved conjecture: C_(3^s, 3^s+1, 3, 4) is NMDS for odd s."""
     q = 3**s
     res = VerificationResult("cor3.3", {"s": s, "q": q, "h": 4})
     if s % 2 == 0:
         res.record("s odd precondition", False, s)
         return res
-    inner = verify_cor32(s, 2, FAMILY_PI_MINUS_1, budget=budget, threads=threads)
+    inner = verify_cor32(s, 2, FAMILY_PI_MINUS_1, budget=budget)
     res.check("h = 4 is the (3^2-1)/2 offset", 4, family_offset(q, 2, FAMILY_PI_MINUS_1))
     res.assertions.extend(inner.assertions)
     return res
@@ -258,7 +258,7 @@ def verify_cor33(s: int, budget=None, threads=1) -> VerificationResult:
 # support designs
 
 
-def verify_thm41(q: int, i: int, family: str, budget=None, threads=1) -> VerificationResult:
+def verify_thm41(q: int, i: int, family: str, budget=None) -> VerificationResult:
     """Weight-4 words support a 3-(q+1, 4, p^m - 2) design; dual minimum
     words support a 3-(q+1, q-p^m, lambda) design; enumerator closed form."""
     p, s = prime_power(q)
@@ -273,7 +273,7 @@ def verify_thm41(q: int, i: int, family: str, budget=None, threads=1) -> Verific
     n = q + 1
     code = bch_build(CodeSpec(q=q, n=n, delta=3, h=h))
     # enumerator and A_4 through the dual side
-    dual_wd = trace_dual(q, h).weight_distribution(budget=budget, threads=threads)
+    dual_wd = trace_dual(q, h).weight_distribution(budget=budget)
     res.check("dual enumerator", enumerator_formula(q, p_m).counts, dual_wd.counts)
     primal_wd = macwilliams(dual_wd)
     a4 = primal_wd.counts[4]
@@ -293,7 +293,7 @@ def verify_thm41(q: int, i: int, family: str, budget=None, threads=1) -> Verific
     return res
 
 
-def verify_thm42(q: int, i: int, family: str, budget=None, threads=1) -> VerificationResult:
+def verify_thm42(q: int, i: int, family: str, budget=None) -> VerificationResult:
     """p=3, m=1: Steiner quadruple system from weight-4 words and the
     3-(q+1, 5, (q-3)(q-7)/2) design from weight-5 words."""
     p, s = prime_power(q)
@@ -317,7 +317,7 @@ def verify_thm42(q: int, i: int, family: str, budget=None, threads=1) -> Verific
     a5 = (q - 7) * (q - 3) * (q - 1) ** 2 * q * (q + 1) // 120
     res.check("b = A_5 / (q-1)", a5 // (q - 1), d5.b)
     # cross-check the A_5 closed form against MacWilliams when affordable
-    primal_wd = macwilliams(trace_dual(q, h).weight_distribution(budget=budget, threads=threads))
+    primal_wd = macwilliams(trace_dual(q, h).weight_distribution(budget=budget))
     res.check("A_5 from transform", a5, primal_wd.counts[5])
     if code.codeword_count() <= budget:
         sup5 = designs_mod.supports_of_weight(code, 5, budget=budget)
@@ -325,7 +325,7 @@ def verify_thm42(q: int, i: int, family: str, budget=None, threads=1) -> Verific
     return res
 
 
-def verify_thm43(q: int, i: int, family: str, budget=None, threads=1) -> VerificationResult:
+def verify_thm43(q: int, i: int, family: str, budget=None) -> VerificationResult:
     """Determinant-defined blocks equal the code-support blocks exactly."""
     h = family_offset(q, i, family)
     res = VerificationResult("thm4.3", {"q": q, "i": i, "family": family, "h": h})
@@ -353,7 +353,7 @@ def verify_thm43(q: int, i: int, family: str, budget=None, threads=1) -> Verific
 # subfield subcode tables
 
 
-def _verify_table_rows(theorem: str, label: str, budget, threads, s_filter=None) -> VerificationResult:
+def _verify_table_rows(theorem: str, label: str, budget, s_filter=None) -> VerificationResult:
     res = VerificationResult(theorem, {"family": label, "s": s_filter})
     budget = default_budget() if budget is None else budget
     rows = [
@@ -363,7 +363,6 @@ def _verify_table_rows(theorem: str, label: str, budget, threads, s_filter=None)
     ]
     reports = subfield_mod.report_tables(
         budget=budget,
-        threads=threads,
         labels=(label,),
         s_values=tuple(row[1] for row in rows),
         check_generic=True,
@@ -382,16 +381,16 @@ def _verify_table_rows(theorem: str, label: str, budget, threads, s_filter=None)
     return res
 
 
-def verify_thm51(s: int, budget=None, threads=1) -> VerificationResult:
-    return _verify_table_rows("thm5.1", "binary", budget, threads, s_filter=s)
+def verify_thm51(s: int, budget=None) -> VerificationResult:
+    return _verify_table_rows("thm5.1", "binary", budget, s_filter=s)
 
 
-def verify_thm52(s: int, budget=None, threads=1) -> VerificationResult:
-    return _verify_table_rows("thm5.2", "quaternary", budget, threads, s_filter=s)
+def verify_thm52(s: int, budget=None) -> VerificationResult:
+    return _verify_table_rows("thm5.2", "quaternary", budget, s_filter=s)
 
 
-def verify_thm53(s: int, budget=None, threads=1) -> VerificationResult:
-    return _verify_table_rows("thm5.3", "ternary", budget, threads, s_filter=s)
+def verify_thm53(s: int, budget=None) -> VerificationResult:
+    return _verify_table_rows("thm5.3", "ternary", budget, s_filter=s)
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +407,7 @@ def _random_code(rng, field, n: int, kmax: int):
     return LinearCode(field, n, R)
 
 
-def verify_lemmas(seed: int = 0, budget=None, threads=1) -> VerificationResult:
+def verify_lemmas(seed: int = 0, budget=None) -> VerificationResult:
     res = VerificationResult("lemmas", {"seed": seed})
     budget = default_budget() if budget is None else budget
     # gcd closed forms against euclidean gcd, exhaustively
@@ -471,12 +470,12 @@ def verify_lemmas(seed: int = 0, budget=None, threads=1) -> VerificationResult:
         code = _random_code(rng, field, n, kmax)
         if code is None or code.k == n:
             continue
-        counts = kernels.weight_counts(code.gen_matrix, field, threads=threads)
+        counts = kernels.weight_counts(code.gen_matrix, field)
         wd = WeightDistribution(n, q, code.k, tuple(int(c) for c in counts))
         if macwilliams(macwilliams(wd)).counts != wd.counts:
             ok_inv = False
         dcode = code.dual()
-        dcounts = kernels.weight_counts(dcode.gen_matrix, field, threads=threads)
+        dcounts = kernels.weight_counts(dcode.gen_matrix, field)
         dwd = WeightDistribution(n, q, dcode.k, tuple(int(c) for c in dcounts))
         if macwilliams(wd).counts != dwd.counts:
             ok_dual = False
@@ -507,7 +506,7 @@ SUITES = {
 }
 
 
-def run_suite(theorem: str, budget=None, threads=1, **params) -> VerificationResult:
+def run_suite(theorem: str, budget=None, **params) -> VerificationResult:
     if theorem not in SUITES:
         raise WorkbenchError(f"unknown theorem id {theorem!r}")
     fn, needed = SUITES[theorem]
@@ -515,4 +514,4 @@ def run_suite(theorem: str, budget=None, threads=1, **params) -> VerificationRes
     missing = [k for k in needed if k not in kwargs]
     if missing:
         raise WorkbenchError(f"{theorem} needs arguments: {', '.join(missing)}")
-    return fn(budget=budget, threads=threads, **kwargs)
+    return fn(budget=budget, **kwargs)

@@ -66,9 +66,7 @@ class WeightDistribution:
         return json.dumps(self.to_json_dict())
 
 
-def _enumerate(
-    code: LinearCode, budget: int | None, threads: int
-) -> tuple[WeightDistribution, bool]:
+def _enumerate(code: LinearCode, budget: int | None) -> tuple[WeightDistribution, bool]:
     """Count the cheapest affordable route; returns (counts, dual side?).
 
     Routes, in units charged against the budget:
@@ -98,10 +96,10 @@ def _enumerate(
             B = td.basis_matrix()
             in_dual = orthogonal(code.gen_matrix, B, code.field)
             if in_dual and rank(B, code.field) == code.n - code.k:
-                return td.weight_distribution(budget=budget, threads=threads), True
+                return td.weight_distribution(budget=budget), True
             continue
         counted = code if route == "direct" else code.dual()
-        counts = kernels.weight_counts(counted.gen_matrix, counted.field, threads=threads)
+        counts = kernels.weight_counts(counted.gen_matrix, counted.field)
         wd = WeightDistribution(code.n, code.q, counted.k, tuple(int(c) for c in counts))
         return wd, route == "dual"
     listed = ", ".join(f"{route}={cost}" for route, cost in costs.items())
@@ -109,23 +107,21 @@ def _enumerate(
 
 
 def weight_distribution(
-    source: LinearCode | TraceDualSpec,
-    budget: int | None = None,
-    threads: int = 1,
+    source: LinearCode | TraceDualSpec, budget: int | None = None
 ) -> WeightDistribution:
     """Exact weight distribution from the cheapest affordable enumeration
     (see ``_enumerate``), transformed back when the dual side was counted."""
     if isinstance(source, TraceDualSpec):
-        return source.weight_distribution(budget=budget, threads=threads)
-    counted, dual_side = _enumerate(source, budget, threads)
+        return source.weight_distribution(budget=budget)
+    counted, dual_side = _enumerate(source, budget)
     return macwilliams(counted) if dual_side else counted
 
 
 def distribution_pair(
-    code: LinearCode, budget: int | None = None, threads: int = 1
+    code: LinearCode, budget: int | None = None
 ) -> tuple[WeightDistribution, WeightDistribution]:
     """(code, dual) distributions from one enumeration and one transform."""
-    counted, dual_side = _enumerate(code, budget, threads)
+    counted, dual_side = _enumerate(code, budget)
     other = macwilliams(counted)
     return (other, counted) if dual_side else (counted, other)
 
@@ -170,12 +166,12 @@ class Classification:
         return json.dumps(self.to_json_dict())
 
 
-def classify(code: LinearCode, budget: int | None = None, threads: int = 1) -> Classification:
+def classify(code: LinearCode, budget: int | None = None) -> Classification:
     """Singleton classification from exact d and d_dual, both read off
     ``distribution_pair``: one enumeration serves both distances."""
     if code.k == 0 or code.k == code.n:
         raise InvalidParameters("classification needs 0 < k < n")
-    wd, dual_wd = distribution_pair(code, budget=budget, threads=threads)
+    wd, dual_wd = distribution_pair(code, budget=budget)
     d, ddual = wd.d(), dual_wd.d()
     defect = code.n - code.k + 1 - d
     dual_defect = code.k + 1 - ddual
@@ -215,7 +211,7 @@ def enumerator_formula(q: int, p_m: int) -> WeightDistribution:
     return WeightDistribution(n=n, q=q, k=4, counts=tuple(counts))
 
 
-def verify_four_weight(q: int, h: int, budget: int | None = None, threads: int = 1) -> dict:
+def verify_four_weight(q: int, h: int, budget: int | None = None) -> dict:
     """Check the dual of C_(q,q+1,3,h) is four-weight with support
     {q-p^m, q-1, q, q+1}; returns the counts and the formula comparison."""
     td = trace_dual(q, h)  # raises DegenerateDimension when the dual is not 4-dim
@@ -227,7 +223,7 @@ def verify_four_weight(q: int, h: int, budget: int | None = None, threads: int =
 
     m = gcd(i, s)
     p_m = p**m
-    wd = td.weight_distribution(budget=budget, threads=threads)
+    wd = td.weight_distribution(budget=budget)
     expected = {q - p_m, q - 1, q, q + 1}
     if wd.support() != expected:
         raise FourWeightViolation(

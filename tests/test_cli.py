@@ -1,4 +1,3 @@
-import importlib.util
 import json
 
 import pytest
@@ -189,12 +188,14 @@ def test_workbench_budget_env(monkeypatch):
 
 
 def test_cli_threads_smoke(capsys):
-    code1, out1 = run(capsys, "--format", "csv", "--threads", "3", "wdist",
-                      "--q", "9", "--h", "3", "--side", "dual")
-    code2, out2 = run(capsys, "--format", "csv", "wdist",
-                      "--q", "9", "--h", "3", "--side", "dual")
-    assert code1 == code2 == 0
-    assert out1 == out2
+    # --threads is accepted and changes nothing; the benchmark's dual-large
+    # argvs pass --threads 2
+    for argv in (["--format", "csv", "wdist", "--q", "9", "--h", "3", "--side", "dual"],
+                 ["verify", "thm3.1", "--q", "128", "--i", "1"]):
+        code1, out1 = run(capsys, *argv, "--threads", "2")
+        code2, out2 = run(capsys, *argv)
+        assert code1 == code2 == 0
+        assert out1 == out2, argv
 
 
 def test_cli_verify_thm41_instance(capsys):
@@ -219,32 +220,22 @@ def test_design_code_source(capsys):
     assert out.startswith("10 5 72\n")
 
 
-def test_run_config_validation():
-    from codebench.config import RunConfig
-
-    cfg = RunConfig()
-    assert (cfg.budget, cfg.threads, cfg.output_format, cfg.seed) == (1 << 26, 1, "text", 0)
-    with pytest.raises(ValueError):
-        RunConfig(threads=0)
-    with pytest.raises(ValueError):
-        RunConfig(budget=0)
-    with pytest.raises(ValueError):
-        RunConfig(output_format="xml")
-
-
 def test_cli_rejects_bad_thread_count(capsys):
     assert main(["--threads", "0", "field", "3", "2"]) == 2
-
-
-@pytest.mark.parametrize("backend", [
-    "fortran",
-    pytest.param("numba", marks=pytest.mark.skipif(
-        importlib.util.find_spec("numba") is not None, reason="numba is installed")),
-])
-def test_unusable_backend_exit2(backend, capsys, monkeypatch):
-    monkeypatch.setenv("WORKBENCH_BACKEND", backend)
-    code = main(["wdist", "--q", "9", "--h", "3", "--side", "dual"])
     captured = capsys.readouterr()
-    assert code == 2
     assert captured.out == ""
-    assert captured.err.startswith("error: WORKBENCH_BACKEND")
+    assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv, env", [
+    (["--budget", "0"], None),
+    ([], "0"),
+    ([], "abc"),
+], ids=["budget-0", "env-0", "env-abc"])
+def test_bad_budget_exit2(argv, env, capsys, monkeypatch):
+    if env is not None:
+        monkeypatch.setenv("WORKBENCH_BUDGET", env)
+    assert main([*argv, "field", "3", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")

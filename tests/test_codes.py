@@ -199,14 +199,6 @@ def test_code_json_and_dump():
     assert all(len(line.split()) == 10 for line in lines[:20])
 
 
-def test_contains():
-    code = bch_build(CodeSpec(q=9, n=10, delta=3, h=3))
-    assert code.contains(code.gen_matrix[0])
-    bad = code.gen_matrix[0].copy()
-    bad[0] = (bad[0] + 1) % 9
-    assert not code.contains(bad)
-
-
 def test_parity_check_rows_family2_order():
     # family 2 uses the row order (-(h+1), -h, h, h+1) on the circle
     from codebench.galois import unit_circle

@@ -11,7 +11,6 @@ from codebench.diophantine import (
     gcd_minus_plus,
     gcd_plus_plus,
     predict_case12,
-    sweep_csv,
     unit_solution_counts,
     zeros_Pa_brute,
 )
@@ -160,21 +159,6 @@ def test_predict_not_applicable():
         predict_case12(9, 3, 1, 1)
     with pytest.raises(NotApplicable):
         predict_case12(9, 3, 0, 0)
-
-
-def test_sweep_csv_format():
-    text = sweep_csv(9, 3)
-    lines = text.strip().split("\n")
-    assert lines[0] == "a_rep,b_rep,N,predicted"
-    assert len(lines) == 81 * 81  # header + (q^4 - 1) pairs
-    # single-nonzero rows carry a prediction, mixed rows leave it blank
-    for line in lines[1:200]:
-        a, b, n_ab, pred = line.split(",")
-        if (a == "0") != (b == "0"):
-            assert pred != ""
-            assert pred == n_ab
-        else:
-            assert pred == ""
 
 
 def test_unit_solution_value_sets_q8_both_i():

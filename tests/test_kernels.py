@@ -1,4 +1,3 @@
-import importlib.util
 import itertools
 
 import numpy as np
@@ -8,11 +7,6 @@ from codebench import _kernels as kernels
 from codebench.codes import CodeSpec, bch_build, nullspace, parity_check_rows, rref, trace_dual
 from codebench.galois import field_new, prime_power, trace_kernel_logs
 from codebench.weights import enumerator_formula
-
-HAVE_NUMBA = importlib.util.find_spec("numba") is not None
-needs_numba = pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-BACKENDS = [pytest.param("numba", marks=needs_numba), "numpy"]
-
 
 def brute_counts(G, field, n):
     counts = np.zeros(n + 1, dtype=np.int64)
@@ -42,9 +36,7 @@ def test_projective_count():
     assert kernels.projective_count(9, 0) == 0
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_weight_counts_matches_brute(backend, monkeypatch):
-    monkeypatch.setenv("WORKBENCH_BACKEND", backend)
+def test_weight_counts_matches_brute():
     rng = np.random.default_rng(11)
     for q in (2, 3, 4, 9):
         f = field_new(*prime_power(q))
@@ -55,37 +47,22 @@ def test_weight_counts_matches_brute(backend, monkeypatch):
             if R.shape[0] == 0:
                 continue
             got = kernels.weight_counts(R, f)
-            assert np.array_equal(got, brute_counts(R, f, n)), (backend, q)
+            assert np.array_equal(got, brute_counts(R, f, n)), q
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_weight_counts_zero_rows(backend, monkeypatch):
-    monkeypatch.setenv("WORKBENCH_BACKEND", backend)
+def test_weight_counts_zero_rows():
     f = field_new(2, 1)
     got = kernels.weight_counts(np.zeros((0, 5), dtype=np.int64), f)
     assert got.tolist() == [1, 0, 0, 0, 0, 0]
 
 
-def test_backends_agree_on_family_code(monkeypatch):
+def test_weight_counts_matches_closed_form_on_family_code():
     # dual of C_(16,17,3,6): h = (16 - 4)/2, so p^m = 4 in the closed form
     code = bch_build(CodeSpec(q=16, n=17, delta=3, h=6)).dual()
     closed = np.array(enumerator_formula(16, 4).counts, dtype=np.int64)
     emitted = np.bincount((trace_dual(16, 6).codewords() != 0).sum(axis=1), minlength=18)
     assert np.array_equal(closed, emitted)
-    results = {}
-    for backend in ("numba", "numpy") if HAVE_NUMBA else ("numpy",):
-        monkeypatch.setenv("WORKBENCH_BACKEND", backend)
-        results[backend] = kernels.weight_counts(code.gen_matrix, code.field)
-        assert np.array_equal(results[backend], closed), backend
-    if HAVE_NUMBA:
-        assert np.array_equal(results["numba"], results["numpy"])
-
-
-def test_threads_partition_is_invariant():
-    code = bch_build(CodeSpec(q=9, n=10, delta=3, h=3)).dual()
-    one = kernels.weight_counts(code.gen_matrix, code.field, threads=1)
-    four = kernels.weight_counts(code.gen_matrix, code.field, threads=4)
-    assert np.array_equal(one, four)
+    assert np.array_equal(kernels.weight_counts(code.gen_matrix, code.field), closed)
 
 
 def nullspace_oracle(H, combos, f2):
@@ -108,23 +85,20 @@ def nullspace_oracle(H, combos, f2):
     return flags, nulls
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("s", [4, 5])
-def test_scan_supports_backends_agree(backend, s, monkeypatch):
+def test_scan_supports_matches_nullspace(s):
     H, f2 = parity_check_rows(9, 3)
     combos = np.array(list(itertools.combinations(range(10), s)), dtype=np.int64)
     want_flags, want_nulls = nullspace_oracle(H, combos, f2)
     assert int((want_flags == 1).sum()) == {4: 30, 5: 72}[s]  # blocks of S(3,4,10) / weight-5 supports
-    monkeypatch.setenv("WORKBENCH_BACKEND", backend)
     flags, nulls = kernels.scan_supports(H, combos, f2)
     assert np.array_equal(flags, want_flags)
     hit = flags == 1
     assert np.array_equal(nulls[hit], want_nulls[hit])  # both normalised
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("s", [4, 5])
-def test_scan_supports_flag2_hand_built(backend, s, monkeypatch):
+def test_scan_supports_flag2_hand_built(s):
     # columns c, lam*c, e1, e2, e3, w, mu*c over GF(9): a subset holding two
     # multiples of c beside columns independent of c has a one-dimensional
     # nullspace supported on those two, so with a zero entry (flag 2); three
@@ -139,7 +113,6 @@ def test_scan_supports_flag2_hand_built(backend, s, monkeypatch):
     combos = np.array(list(itertools.combinations(range(H.shape[1]), s)), dtype=np.int64)
     want_flags, want_nulls = nullspace_oracle(H, combos, f2)
     assert set(want_flags.tolist()) == {4: {0, 2, 3}, 5: {1, 2, 3}}[s]
-    monkeypatch.setenv("WORKBENCH_BACKEND", backend)
     flags, nulls = kernels.scan_supports(H, combos, f2)
     assert np.array_equal(flags, want_flags)
     hit = flags == 1
@@ -160,11 +133,3 @@ def test_scan_supports_nullvectors_annihilate():
             for c, vv in zip(cols, v):
                 acc = f2.add(acc, f2.mul(int(H[r, c]), int(vv)))
             assert acc == 0
-
-
-def test_backend_env_validation(monkeypatch):
-    monkeypatch.setenv("WORKBENCH_BACKEND", "fortran")
-    from codebench.config import backend_name
-
-    with pytest.raises(ValueError):
-        backend_name()
