@@ -11,7 +11,6 @@ from .codes import (
     TraceDualSpec,
     bch_build,
     classify_h,
-    codeword_iter,
     dual,
     min_distance,
     parity_check_rows,

@@ -1,8 +1,8 @@
 """Command-line surface.
 
 Exit codes: 0 verified/success, 1 falsified assertion (witness printed),
-2 usage error, 3 budget exceeded.  All file output is UTF-8 with LF line
-endings; identical invocations produce byte-identical output.
+2 usage error, 3 budget or table cap exceeded.  All file output is UTF-8
+with LF line endings; identical invocations produce byte-identical output.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from . import verify as verify_mod
 from .codes import CodeSpec, bch_build, trace_dual
 from .config import default_budget
 from .cyclotomic import coset, coset_leaders
-from .errors import BudgetExceeded, Falsified, WorkbenchError
+from .errors import BudgetExceeded, Falsified, ResourceCap, WorkbenchError
 from .galois import field_new
 from .weights import classify as classify_code
 from .weights import weight_distribution
@@ -296,6 +296,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return _HANDLERS[args.command](args)
+    except ResourceCap as exc:
+        print(f"cap exceeded: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET

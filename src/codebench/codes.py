@@ -338,32 +338,6 @@ def dual(code: LinearCode) -> LinearCode:
     return code.dual()
 
 
-def codeword_iter(code: LinearCode, budget: int | None = None):
-    """Yield every codeword exactly once (all GF(q) row combinations)."""
-    budget = default_budget() if budget is None else budget
-    if code.codeword_count() > budget:
-        raise BudgetExceeded(
-            f"{code.codeword_count()} codewords exceed budget {budget}"
-        )
-    f = code.field
-    q, k, n = code.q, code.k, code.n
-    word = np.zeros(n, dtype=np.int64)
-    digits = [0] * k
-    while True:
-        yield word.copy()
-        t = k - 1
-        while t >= 0 and digits[t] == q - 1:
-            digits[t] = 0
-            t -= 1
-        if t < 0:
-            return
-        digits[t] += 1
-        word = np.zeros(n, dtype=np.int64)
-        for j in range(k):
-            if digits[j]:
-                word = f.add_arr(word, f.mul_arr(digits[j], code.gen_matrix[j]))
-
-
 def dump_codewords(code: LinearCode, budget: int | None = None) -> str:
     """One codeword per line, space-separated integer representations."""
     words = code.codewords(budget=budget)

@@ -13,6 +13,11 @@ class BudgetExceeded(WorkbenchError):
     """An enumeration or table would exceed the configured budget."""
 
 
+class ResourceCap(BudgetExceeded):
+    """A field or dense table would exceed a fixed size cap that no
+    budget lifts."""
+
+
 class SpecMismatch(WorkbenchError):
     """Operands belong to different field constructions."""
 

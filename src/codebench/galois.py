@@ -22,11 +22,11 @@ from math import isqrt
 import numpy as np
 
 from .errors import (
-    BudgetExceeded,
     DivisionByZero,
     NotInSubfield,
     NotPrime,
     NotSquareField,
+    ResourceCap,
     SpecMismatch,
 )
 
@@ -210,7 +210,7 @@ class Field:
             raise ValueError("extension degree must be >= 1")
         q = p**m
         if q > TABLE_BUDGET:
-            raise BudgetExceeded(q)
+            raise ResourceCap(f"field of order {q} exceeds {TABLE_BUDGET}")
         self.p, self.m, self.q = p, m, q
         self.generator_index = 1
         self.modulus = lex_smallest_primitive_modulus(p, m)
@@ -339,7 +339,7 @@ class Field:
     def _dense(self, name: str, build) -> np.ndarray:
         if name not in self._tables:
             if self.q > _SMALL_TABLE_MAX:
-                raise BudgetExceeded(
+                raise ResourceCap(
                     f"dense {name} table for q={self.q} exceeds {_SMALL_TABLE_MAX}"
                 )
             self._tables[name] = build()

@@ -1,11 +1,11 @@
 """Subfield subcodes of the length-(q+1) family codes, two ways.
 
-The generic route intersects the parent code with the subfield copy by
-solving a GF(p)-linear system (each coordinate contributes the digit
-equations of Frobenius^t(x) - x = 0); the structural route builds the
-small-field BCH code of the same length and offset directly.  The two
-must produce the same row space, and both are checked against the
-published parameter tables.
+The generic route solves H c^T = 0 for c over GF(p^t), H a basis of the
+parent's dual, as one GF(p)-linear system: the unknowns are the base-p
+digits of the coordinates of c, the equations the base-p digits of the
+entries of H c^T.  The structural route builds the small-field BCH code
+of the same length and offset directly.  The two must produce the same
+row space, and both are checked against the published parameter tables.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import CodeSpec, LinearCode, bch_build, rref, same_row_space
+from .codes import CodeSpec, LinearCode, bch_build, nullspace, rref, same_row_space
 from .config import default_budget
 from .cyclotomic import coset
 from .errors import BudgetExceeded, InvalidParameters
@@ -44,52 +44,14 @@ class SubcodeReport:
         }
 
 
-def _digits_of(reps: np.ndarray, p: int, s: int) -> np.ndarray:
-    """Base-p digit matrix, one column per digit, low digit first."""
-    reps = np.asarray(reps, dtype=np.int64)
-    out = np.empty(reps.shape + (s,), dtype=np.int64)
-    t = reps.copy()
-    for d in range(s):
-        out[..., d] = t % p
-        t //= p
-    return out
-
-
-def _nullspace_mod_p(A: np.ndarray, p: int) -> np.ndarray:
-    """Right-nullspace basis of A over the prime field, one vector per row."""
-    A = A % p
-    rows, cols = A.shape
-    A = A.copy()
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        hit = np.flatnonzero(A[r:, c])
-        if hit.size == 0:
-            continue
-        pr = r + hit[0]
-        if pr != r:
-            A[[r, pr]] = A[[pr, r]]
-        A[r] = A[r] * pow(int(A[r, c]), -1, p) % p
-        other = np.flatnonzero(A[:, c])
-        for i in other:
-            if i != r:
-                A[i] = (A[i] - A[i, c] * A[r]) % p
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    for idx, fcol in enumerate(free):
-        basis[idx, fcol] = 1
-        for rr, pcol in enumerate(pivots):
-            basis[idx, pcol] = (-A[rr, fcol]) % p
-    return basis
-
-
 def subfield_subcode_generic(code: LinearCode, t: int) -> LinearCode:
     """Codewords of `code` with every coordinate in the subfield of order
-    p^t, as a code over the canonical GF(p^t)."""
+    p^t, as a code over the canonical GF(p^t).
+
+    With H a basis of the dual, these are the c in GF(p^t)^n with
+    H c^T = 0.  The unknowns are the t base-p digits of each c_i; the
+    equations are the s base-p digits of each entry of H c^T, which are
+    GF(p)-linear in the unknowns: an (n-k)s x nt system over GF(p)."""
     F = code.field
     p, s = F.p, F.m
     if s % t != 0:
@@ -98,34 +60,18 @@ def subfield_subcode_generic(code: LinearCode, t: int) -> LinearCode:
     if t == s:
         return LinearCode(K, code.n, code.gen_matrix, gen_poly=code.gen_poly,
                           family=code.family, spec=code.spec)
-    emb = subfield_embedding(F, K)
-    k, n = code.k, code.n
-    # unknowns: digits of the k message symbols; constraints: digits of
-    # frob^t(c_i) - c_i per coordinate
-    A = np.zeros((n * s, k * s), dtype=np.int64)
-    basis_elems = [F.alpha_pow(d) if d else 1 for d in range(s)]
-    pt = p**t
-    for j in range(k):
-        for d in range(s):
-            e = basis_elems[d] if d else 1
-            col = j * s + d
-            contrib = F.mul_arr(e, code.gen_matrix[j])
-            diff = F.sub_arr(F.pow_arr(contrib, pt), contrib)
-            A[:, col] = _digits_of(diff, p, s).reshape(-1)
-    null = _nullspace_mod_p(A, p)
-    rows = []
-    powers = p ** np.arange(s, dtype=np.int64)
-    for vec in null:
-        msg = (vec.reshape(k, s) * powers).sum(axis=1)
-        word = np.zeros(n, dtype=np.int64)
-        for j in range(k):
-            if msg[j]:
-                word = F.add_arr(word, F.mul_arr(int(msg[j]), code.gen_matrix[j]))
-        rows.append(emb.project_arr(word))
-    if not rows:
-        return LinearCode(K, n, np.zeros((0, n), dtype=np.int64))
-    R, pivots = rref(np.array(rows, dtype=np.int64), K)
-    return LinearCode(K, n, R)
+    n = code.n
+    H = nullspace(code.gen_matrix, F)
+    # beta[e]: the image in F of the e-th power basis element of K
+    powers = p ** np.arange(t, dtype=np.int64)
+    beta = subfield_embedding(F, K).embed_arr(powers)
+    # digits[r, i, e, d]: base-p digit d of H[r, i] * beta[e]
+    digits = F.mul_arr(H[:, :, None], beta)[..., None] // p ** np.arange(s) % p
+    # rows (r, d) are the equations, columns (i, e) the unknowns
+    A = digits.transpose(0, 3, 1, 2).reshape(-1, n * t)
+    null = nullspace(A, field_new(p, 1))
+    words = null.reshape(-1, n, t) @ powers
+    return LinearCode(K, n, rref(words, K)[0])
 
 
 def subfield_subcode_bch(spec: CodeSpec, t: int) -> LinearCode:

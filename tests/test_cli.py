@@ -143,6 +143,17 @@ def test_budget_exceeded_exit3(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ("design", "--q", "81", "--h", "39", "--weight", "4"),  # dense GF(6561) tables
+    ("verify", "thm4.1", "--q", "49", "--i", "1", "--family", "q-minus-pi"),
+])
+def test_table_cap_exit3(argv, capsys):
+    assert main(list(argv)) == 3
+    err = capsys.readouterr().err
+    assert "cap exceeded:" in err
+    assert "budget exceeded" not in err
+
+
 def test_trace_dual_budget_charge(capsys):
     # h = 31, g = gcd(65, 63 * 31) = 1: the orbit route is charged (g+1) q^2
     charge = 2 * 64**2

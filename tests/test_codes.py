@@ -9,7 +9,6 @@ from codebench.codes import (
     LinearCode,
     bch_build,
     classify_h,
-    codeword_iter,
     distinct_row_keys,
     dump_codewords,
     dual,
@@ -80,8 +79,8 @@ def test_dual_of_full_space_is_zero_code():
     full = LinearCode(f, 4, np.eye(4, dtype=np.int64))
     z = dual(full)
     assert z.k == 0
-    words = list(codeword_iter(z))
-    assert len(words) == 1 and not words[0].any()
+    words = z.codewords()
+    assert words.shape == (1, 4) and not words.any()
 
 
 def test_min_distances():
@@ -104,20 +103,18 @@ def test_min_distance_criterion_q4():
         assert (d == 3) == (gcd(2 * h + 1, q + 1) > 1), h
 
 
-def test_codeword_iter_counts():
+def test_codewords_distinct_and_heavy():
     code = bch_build(CodeSpec(q=9, n=10, delta=3, h=3)).dual()
-    words = list(codeword_iter(code))
-    assert len(words) == 9**4
-    seen = {tuple(w.tolist()) for w in words[:500]}
-    assert len(seen) == 500
+    words = code.codewords()
+    assert words.shape == (9**4, 10)
+    assert len(distinct_row_keys(words, 9)) == 9**4
     d = min_distance(code)
-    assert all((w != 0).sum() >= d for w in words[1:200])
+    weights = (words != 0).sum(axis=1)
+    assert (weights[weights > 0] >= d).all() and (weights == 0).sum() == 1
 
 
 def test_codeword_budget():
     code = bch_build(CodeSpec(q=9, n=10, delta=3, h=3))
-    with pytest.raises(BudgetExceeded):
-        list(codeword_iter(code, budget=100))
     with pytest.raises(BudgetExceeded):
         code.codewords(budget=100)
     with pytest.raises(BudgetExceeded):

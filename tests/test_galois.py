@@ -9,6 +9,7 @@ from codebench.errors import (
     NotInSubfield,
     NotPrime,
     NotSquareField,
+    ResourceCap,
     SpecMismatch,
 )
 from codebench.galois import (
@@ -332,6 +333,11 @@ def test_construction_errors():
     with pytest.raises(NotPrime):
         field_new(4, 1)
     with pytest.raises(BudgetExceeded):
+        field_new(2, 25)
+
+
+def test_field_size_cap_is_resource_cap():
+    with pytest.raises(ResourceCap, match="field of order 33554432 exceeds"):
         field_new(2, 25)
 
 

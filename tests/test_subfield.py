@@ -1,7 +1,23 @@
+import numpy as np
 import pytest
 
-from codebench.codes import CodeSpec, bch_build, same_row_space
+from codebench.codes import (
+    CodeSpec,
+    LinearCode,
+    bch_build,
+    nullspace,
+    rank,
+    rref,
+    same_row_space,
+)
 from codebench.errors import InvalidParameters
+from codebench.galois import (
+    field_for_order,
+    field_new,
+    prime_power,
+    subfield_embedding,
+    subfield_members,
+)
 from codebench.subfield import (
     dimension_by_cosets,
     report_csv,
@@ -10,8 +26,165 @@ from codebench.subfield import (
     reports_json,
     subfield_subcode_bch,
     subfield_subcode_generic,
+    table_rows,
 )
 from codebench.weights import macwilliams, weight_distribution
+
+
+# ---------------------------------------------------------------------------
+# reference implementations: an elimination of its own over GF(p), and the
+# subcode as the messages whose codewords are fixed by Frobenius^t
+
+
+def _digits_of(reps: np.ndarray, p: int, s: int) -> np.ndarray:
+    """Base-p digit matrix, one column per digit, low digit first."""
+    reps = np.asarray(reps, dtype=np.int64)
+    out = np.empty(reps.shape + (s,), dtype=np.int64)
+    t = reps.copy()
+    for d in range(s):
+        out[..., d] = t % p
+        t //= p
+    return out
+
+
+def _nullspace_mod_p(A: np.ndarray, p: int) -> np.ndarray:
+    """Right-nullspace basis of A over the prime field, one vector per row."""
+    A = A % p
+    rows, cols = A.shape
+    A = A.copy()
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        hit = np.flatnonzero(A[r:, c])
+        if hit.size == 0:
+            continue
+        pr = r + hit[0]
+        if pr != r:
+            A[[r, pr]] = A[[pr, r]]
+        A[r] = A[r] * pow(int(A[r, c]), -1, p) % p
+        other = np.flatnonzero(A[:, c])
+        for i in other:
+            if i != r:
+                A[i] = (A[i] - A[i, c] * A[r]) % p
+        pivots.append(c)
+        r += 1
+    free = [c for c in range(cols) if c not in pivots]
+    basis = np.zeros((len(free), cols), dtype=np.int64)
+    for idx, fcol in enumerate(free):
+        basis[idx, fcol] = 1
+        for rr, pcol in enumerate(pivots):
+            basis[idx, pcol] = (-A[rr, fcol]) % p
+    return basis
+
+
+def _subcode_by_frobenius(code: LinearCode, t: int) -> LinearCode:
+    F = code.field
+    p, s = F.p, F.m
+    K = field_new(p, t)
+    if t == s:
+        return LinearCode(K, code.n, code.gen_matrix, gen_poly=code.gen_poly,
+                          family=code.family, spec=code.spec)
+    emb = subfield_embedding(F, K)
+    k, n = code.k, code.n
+    # unknowns: digits of the k message symbols; constraints: digits of
+    # frob^t(c_i) - c_i per coordinate
+    A = np.zeros((n * s, k * s), dtype=np.int64)
+    basis_elems = [F.alpha_pow(d) if d else 1 for d in range(s)]
+    pt = p**t
+    for j in range(k):
+        for d in range(s):
+            e = basis_elems[d] if d else 1
+            col = j * s + d
+            contrib = F.mul_arr(e, code.gen_matrix[j])
+            diff = F.sub_arr(F.pow_arr(contrib, pt), contrib)
+            A[:, col] = _digits_of(diff, p, s).reshape(-1)
+    null = _nullspace_mod_p(A, p)
+    rows = []
+    powers = p ** np.arange(s, dtype=np.int64)
+    for vec in null:
+        msg = (vec.reshape(k, s) * powers).sum(axis=1)
+        word = np.zeros(n, dtype=np.int64)
+        for j in range(k):
+            if msg[j]:
+                word = F.add_arr(word, F.mul_arr(int(msg[j]), code.gen_matrix[j]))
+        rows.append(emb.project_arr(word))
+    if not rows:
+        return LinearCode(K, n, np.zeros((0, n), dtype=np.int64))
+    R, pivots = rref(np.array(rows, dtype=np.int64), K)
+    return LinearCode(K, n, R)
+
+
+def _prime_field_matrices(p: int, seed: int):
+    rng = np.random.default_rng(seed)
+    yield np.zeros((4, 7), dtype=np.int64)
+    for rows, cols in [(5, 9), (9, 5), (6, 6), (3, 12), (12, 3)]:
+        A = rng.integers(0, p, size=(rows, cols))
+        yield A
+        # rank-deficient: every row a combination of the first two
+        mix = rng.integers(0, p, size=(rows, 2))
+        yield mix @ A[:2] % p
+        # zero rows scattered through
+        Z = A.copy()
+        Z[rng.random(rows) < 0.4] = 0
+        yield Z
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_prime_field_nullspace_matches_reference(p):
+    Fp = field_new(p, 1)
+    for A in _prime_field_matrices(p, seed=p):
+        got = nullspace(A, Fp)
+        assert np.array_equal(got, _nullspace_mod_p(A, p)), A
+        assert not (A @ got.T % p).any()
+
+
+def _random_code(F, t: int, n: int, k: int, rng) -> LinearCode:
+    """A full-rank [n, k] code over F, not cyclic, whose first k // 2 rows
+    lie in the subfield of order p^t."""
+    sub = subfield_members(F, F.p**t)
+    while True:
+        G = rng.integers(0, F.q, size=(k, n))
+        G[: k // 2] = rng.choice(sub, size=(k // 2, n))
+        if rank(G, F) == k:
+            return LinearCode(F, n, G)
+
+
+_PROPER = [(q, t) for q in (4, 8, 16, 64, 9, 27, 25)
+           for t in range(1, prime_power(q)[1]) if prime_power(q)[1] % t == 0]
+
+
+@pytest.mark.parametrize("q,t", _PROPER)
+def test_generic_subcode_matches_frobenius_reference(q, t):
+    F = field_for_order(q)
+    rng = np.random.default_rng(q * 10 + t)
+    codes = [LinearCode(F, 6, np.zeros((0, 6), dtype=np.int64)),
+             _random_code(F, t, 7, 7, rng)]
+    for n, k in [(8, 4), (9, 6), (10, 5), (7, 2)]:
+        codes.append(_random_code(F, t, n, k, rng))
+    for code in codes:
+        got = subfield_subcode_generic(code, t)
+        ref = _subcode_by_frobenius(code, t)
+        assert got.field is ref.field
+        assert np.array_equal(got.gen_matrix, ref.gen_matrix), (code.n, code.k)
+        assert got.k >= code.k // 2  # the subfield rows stay
+    assert codes[0].k == 0 and subfield_subcode_generic(codes[0], t).k == 0
+    assert subfield_subcode_generic(codes[1], t).k == 7
+
+
+_PARENTS = sorted({(q, h) for _, _, _, q, h, *_ in table_rows()})
+
+
+@pytest.mark.parametrize("q,h", _PARENTS)
+def test_generic_subcode_matches_frobenius_reference_on_table_parents(q, h):
+    parent = bch_build(CodeSpec(q=q, n=q + 1, delta=3, h=h))
+    s = prime_power(q)[1]
+    for t in range(1, s):
+        if s % t == 0:
+            got = subfield_subcode_generic(parent, t)
+            ref = _subcode_by_frobenius(parent, t)
+            assert np.array_equal(got.gen_matrix, ref.gen_matrix), t
 
 
 def test_identity_subcode():
