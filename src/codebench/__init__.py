@@ -19,6 +19,7 @@ from .codes import (
 from .config import default_budget
 from .cyclotomic import CyclotomicCoset, Poly, coset, coset_leaders, minimal_poly
 from .designs import (
+    CyclicBlocks,
     Design,
     design_from_blocks,
     steiner_check,

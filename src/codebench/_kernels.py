@@ -14,7 +14,10 @@ Three kernels dominate every long run:
 * ``scan_supports`` — for 4- or 5-column submatrices of a 4-row parity
   matrix over GF(q^2), classify the nullspace and extract the unique
   projective nullvector where it exists, through vectorised adjugate
-  minors instead of per-subset elimination.
+  minors instead of per-subset elimination.  The minors are computed on
+  logs through two arrays of 4(q^2-1)+1 entries built from the log/Zech
+  arrays, in chunks of subsets, with no dense table, so it runs over
+  GF(q^2) for every q (GF(6561) at q = 81).
 
 The tests check each kernel against an independent oracle: brute-force
 enumeration, per-subset ``codes.nullspace``, and the closed-form
@@ -113,79 +116,113 @@ def trace_orbit_counts(big, q: int, n: int, h: int) -> np.ndarray:
     return hist * (order // orbits)
 
 
+class _Logs:
+    """GF(Q) elements as logs of alpha, with zero as z = 2(Q-1), for
+    products, negatives and sums that are one integer add and one or two
+    gathers each, through two arrays of 4(Q-1)+1 entries built from the
+    field's log/Zech arrays (no dense Q x Q table):
+
+    * ``red`` reduces a sum of two logs: r mod (Q-1) below z, else z;
+    * ``zt``, indexed by d + z with d = log b - log a, is the Zech array
+      extended so that a + b = red[log a + zt[d + z]] also when a or b is
+      zero: d < -(Q-1) (a = 0) gives log b, d > Q-1 (b = 0) gives log a,
+      and a vanishing sum lands in [z, 4(Q-1)], which ``red`` maps to z.
+    """
+
+    def __init__(self, field):
+        o = field.q - 1
+        self.o, self.z = o, 2 * o
+        self.field = field
+        r = np.arange(4 * o + 1, dtype=np.int64)
+        self.red = np.where(r < self.z, r % o, self.z)
+        d = r - self.z  # log b - log a
+        zt = np.where(d < 0, d, 0)  # a = 0: log a + zt = log b; b = 0: log a
+        both = np.abs(d) < o
+        zech = field.zech[d[both] % o]
+        zt[both] = np.where(zech < 0, self.z, zech)
+        self.zt = zt
+        self.neg_off = 0 if field.p == 2 else o // 2
+
+    def of(self, reps) -> np.ndarray:
+        reps = np.asarray(reps, dtype=np.int64)
+        return np.where(reps == 0, self.z, self.field.log[reps])
+
+    def mul(self, a, b):
+        return self.red[a + b]
+
+    def add(self, a, b):
+        return self.red[a + self.zt[b - a + self.z]]
+
+    def neg(self, a):
+        return self.red[a + self.neg_off] if self.neg_off else a
+
+
 def scan_supports(H: np.ndarray, combos: np.ndarray, field2) -> tuple[np.ndarray, np.ndarray]:
     """Classify null(H[:, combo]) for each combo.
 
     Returns (flags, nulls).  Flag meanings: 0 trivial nullspace, 1 unique
     projective nullvector with all entries nonzero (nulls row holds it,
     normalised to leading coefficient 1), 2 unique nullvector with a zero
-    entry, 3 nullspace dimension >= 2.
+    entry, 3 nullspace dimension >= 2.  The minors are computed on logs
+    (see ``_Logs``), in chunks of combos.
     """
-    H = np.ascontiguousarray(H, dtype=np.int32)
     combos = np.ascontiguousarray(combos, dtype=np.int64)
     N, s = combos.shape
+    if s not in (4, 5):
+        raise ValueError("scan_supports handles 4 or 5 columns")
     flags = np.zeros(N, dtype=np.int8)
     nulls = np.zeros((N, s), dtype=np.int32)
-    if N == 0:
-        return flags, nulls
-    mul_tab = np.ascontiguousarray(field2.mul_table(), dtype=np.int32)
-    add_tab = np.ascontiguousarray(field2.add_table(), dtype=np.int32)
-    inv_tab = np.ascontiguousarray(field2.inv_table(), dtype=np.int32)
-    neg_tab = np.ascontiguousarray(field2.neg_table(), dtype=np.int32)
-    A = H[:, combos].transpose(1, 0, 2)  # (N, 4, s)
-    rows4 = (0, 1, 2, 3)
-    memo: dict = {}
-    if s == 4:
-        det4 = _det(A, rows4, (0, 1, 2, 3), mul_tab, add_tab, neg_tab, memo)
-        flags[det4 != 0] = 0
-        sing = det4 == 0
-        # adjugate: cofactor vectors along each row are nullvectors
-        best = np.zeros((N, 4), dtype=np.int32)
-        have = np.zeros(N, dtype=bool)
-        any_cof = np.zeros(N, dtype=bool)
-        for i0 in (0, 1, 2, 3):
-            rows3 = tuple(r for r in rows4 if r != i0)
-            v = np.empty((N, 4), dtype=np.int32)
-            for j in range(4):
-                cols3 = tuple(c for c in range(4) if c != j)
-                minor = _det(A, rows3, cols3, mul_tab, add_tab, neg_tab, memo)
-                v[:, j] = neg_tab[minor] if (i0 + j) % 2 == 1 else minor
-            nz = (v != 0).any(axis=1)
-            any_cof |= nz
-            take = sing & nz & ~have
-            best[take] = v[take]
-            have |= take
-        flags[sing & ~any_cof] = 3
-        good = sing & any_cof
-        full = good & (best != 0).all(axis=1)
-        flags[full] = 1
-        flags[good & ~full] = 2
-        nulls[full] = best[full]
-    elif s == 5:
-        minors = np.empty((N, 5), dtype=np.int32)
-        for j in range(5):
-            cols4 = tuple(c for c in range(5) if c != j)
-            m = _det(A, rows4, cols4, mul_tab, add_tab, neg_tab, memo)
-            minors[:, j] = neg_tab[m] if j % 2 == 1 else m
-        rank4 = (minors != 0).any(axis=1)
-        flags[~rank4] = 3
-        full = rank4 & (minors != 0).all(axis=1)
-        flags[full] = 1
-        flags[rank4 & ~full] = 2
-        nulls[full] = minors[full]
-    else:  # pragma: no cover
-        raise ValueError("scan_supports handles 4 or 5 columns")
-    # normalise flagged nullvectors to leading coefficient 1
-    hit = flags == 1
-    if hit.any():
-        lead = nulls[hit, 0].astype(np.int64)
-        scale = inv_tab[lead].astype(np.int64)
-        nulls[hit] = mul_tab[nulls[hit], scale[:, None]]
+    logs = _Logs(field2)
+    LH = logs.of(H)
+    step = max(1, _CHUNK_ELEMS // 64)
+    for lo in range(0, N, step):
+        A = LH[:, combos[lo : lo + step]].transpose(1, 0, 2)  # (chunk, 4, s)
+        flags[lo : lo + step], nulls[lo : lo + step] = _classify(A, logs)
     return flags, nulls
 
 
-def _det(A, rows, cols, mul_tab, add_tab, neg_tab, memo):
-    """Vectorised determinant of A[:, rows][:, :, cols] by Laplace expansion.
+def _classify(A: np.ndarray, logs: _Logs) -> tuple[np.ndarray, np.ndarray]:
+    """(flags, nulls) of ``scan_supports`` for one chunk of 4 x s log matrices."""
+    N, _, s = A.shape
+    z = logs.z
+    flags = np.zeros(N, dtype=np.int8)
+    rows4 = (0, 1, 2, 3)
+    memo: dict = {}
+    if s == 4:
+        sing = _det(A, rows4, rows4, logs, memo) == z
+        # adjugate: cofactor vectors along each row are nullvectors
+        best = np.full((N, 4), z, dtype=np.int64)
+        have = np.zeros(N, dtype=bool)
+        for i0 in rows4:
+            rows3 = tuple(r for r in rows4 if r != i0)
+            v = np.empty((N, 4), dtype=np.int64)
+            for j in range(4):
+                minor = _det(A, rows3, tuple(c for c in rows4 if c != j), logs, memo)
+                v[:, j] = logs.neg(minor) if (i0 + j) % 2 == 1 else minor
+            take = sing & (v != z).any(axis=1) & ~have
+            best[take] = v[take]
+            have |= take
+        flags[sing & ~have] = 3
+        vec = best
+    else:
+        vec = np.empty((N, 5), dtype=np.int64)
+        for j in range(5):
+            m = _det(A, rows4, tuple(c for c in range(5) if c != j), logs, memo)
+            vec[:, j] = logs.neg(m) if j % 2 == 1 else m
+        have = (vec != z).any(axis=1)  # rank 4
+        flags[~have] = 3
+    full = have & (vec != z).all(axis=1)
+    flags[full] = 1
+    flags[have & ~full] = 2
+    # nullvectors normalised to leading coefficient 1
+    nulls = np.zeros((N, s), dtype=np.int32)
+    nulls[full] = logs.field.exp[(vec[full] - vec[full, :1]) % logs.o]
+    return flags, nulls
+
+
+def _det(A, rows, cols, logs, memo):
+    """Vectorised determinant (as a log) of A[:, rows][:, :, cols] by
+    Laplace expansion.
 
     Minors are cached in memo by (rows, cols), so every minor is computed
     once however many expansions share it."""
@@ -197,11 +234,11 @@ def _det(A, rows, cols, mul_tab, add_tab, neg_tab, memo):
     r0 = rows[0]
     acc = None
     for j, c in enumerate(cols):
-        sub = _det(A, rows[1:], cols[:j] + cols[j + 1 :], mul_tab, add_tab, neg_tab, memo)
-        term = mul_tab[A[:, r0, c], sub]
+        sub = _det(A, rows[1:], cols[:j] + cols[j + 1 :], logs, memo)
+        term = logs.mul(A[:, r0, c], sub)
         if j % 2 == 1:
-            term = neg_tab[term]
-        acc = term if acc is None else add_tab[acc, term]
+            term = logs.neg(term)
+        acc = term if acc is None else logs.add(acc, term)
     memo[key] = acc
     return acc
 

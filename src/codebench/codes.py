@@ -205,6 +205,15 @@ def same_row_space(a: np.ndarray, b: np.ndarray, field: Field) -> bool:
     return rank(stacked, field) == ra
 
 
+def require_cyclic(mat: np.ndarray, field: Field) -> None:
+    """Prove that the row space of mat is closed under the cyclic shift
+    i -> i+1 mod n of its columns (so is its nullspace, and with it the
+    supports of the code that mat generates or checks); raise
+    InvalidParameters if it is not."""
+    if not same_row_space(np.roll(mat, 1, axis=1), mat, field):
+        raise InvalidParameters("the row space is not closed under the cyclic shift")
+
+
 # ---------------------------------------------------------------------------
 # linear codes
 
@@ -452,6 +461,28 @@ class TraceDualSpec:
         """(g+1) q^m: q^m words per orbit representative plus at most q^m
         for the slice a = 0."""
         return (self.orbit_count() + 1) * self.big.q
+
+    def through_zero_supports(self, k: int) -> np.ndarray:
+        """Support rows (booleans, one per word, repeats kept) of the
+        weight-k words among the q^(2m-1) words with c_(a,b)[0] = 1.
+
+        c_(a,b)[0] = Tr(a + b), so these are the words with u = a + b in
+        Tr^-1(1) and any b.  Tr is GF(q)-linear, so c_(a,b)[i] =
+        Tr(u gamma^(h i)) - Tr(b d_i) with d_i = gamma^(h i) - gamma^((h+1) i),
+        and coordinate i is zero exactly when Tr(u gamma^(h i)) = Tr(b d_i).
+        Both sides are traces of log/Zech products over (elements x n)
+        arrays; the words are compared a few values of u at a time."""
+        big, n = self.big, self.n
+        reps = np.arange(big.q, dtype=np.int64)
+        tr = trace_arr(big, reps, self.q)
+        left = tr[big.mul_arr(np.flatnonzero(tr == 1)[:, None], self._bh)]
+        right = tr[big.mul_arr(reps[:, None], big.sub_arr(self._bh, self._bh1))]
+        step = max(1, (1 << 22) // right.size)
+        out = [np.zeros((0, n), dtype=bool)]
+        for lo in range(0, len(left), step):
+            nz = (left[lo : lo + step, None, :] != right[None, :, :]).reshape(-1, n)
+            out.append(nz[np.count_nonzero(nz, axis=1) == k])
+        return np.concatenate(out)
 
     def codewords(self, budget: int | None = None) -> np.ndarray:
         """All q^(2m) dual codewords, row a * q^m + b holding c_(a,b).

@@ -144,14 +144,41 @@ def test_budget_exceeded_exit3(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ("design", "--q", "81", "--h", "39", "--weight", "4"),  # dense GF(6561) tables
-    ("verify", "thm4.1", "--q", "49", "--i", "1", "--family", "q-minus-pi"),
+    ("verify", "cor3.3", "--s", "7"),  # the dense GF(2187) add table of weight_counts
+    ("field", "2", "25"),  # GF(2^25) is above the field-size cap
 ])
 def test_table_cap_exit3(argv, capsys):
     assert main(list(argv)) == 3
     err = capsys.readouterr().err
     assert "cap exceeded:" in err
     assert "budget exceeded" not in err
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("argv", [
+    ("thm4.1", "--q", "81", "--i", "1", "--family", "q-minus-pi"),
+    ("thm4.2", "--q", "81", "--i", "1", "--family", "q-minus-pi"),
+    ("thm4.3", "--q", "81", "--i", "1", "--family", "q-minus-pi"),
+    ("thm4.1", "--q", "49", "--i", "1", "--family", "q-minus-pi"),
+    ("thm4.3", "--q", "49", "--i", "1", "--family", "q-minus-pi"),
+])
+def test_verify_designs_q49_q81(argv, capsys):
+    code, out = run(capsys, "verify", *argv)
+    assert code == 0
+    assert "[FAIL]" not in out
+    assert out.endswith("VERIFIED\n")
+
+
+@pytest.mark.slow
+def test_design_q81_weight4_equals_determinant_blocks(capsys):
+    from codebench.designs import weight4_blocks_det
+
+    code, out = run(capsys, "design", "--q", "81", "--h", "39", "--weight", "4")
+    assert code == 0
+    lines = out.strip().split("\n")
+    assert lines[0] == "82 4 22140"
+    blocks = [tuple(map(int, line.split())) for line in lines[1:]]
+    assert blocks == weight4_blocks_det(81, 39)
 
 
 def test_trace_dual_budget_charge(capsys):

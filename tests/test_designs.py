@@ -1,3 +1,4 @@
+import re
 from itertools import combinations
 from math import comb
 
@@ -6,8 +7,12 @@ import pytest
 
 from codebench import designs
 from codebench.codes import CodeSpec, LinearCode, bch_build, trace_dual
+from codebench import _kernels as kernels
+from codebench.codes import parity_check_rows
 from codebench.designs import (
+    CyclicBlocks,
     design_from_blocks,
+    ksubsets,
     steiner_check,
     supports_of_weight,
     verify_design,
@@ -299,3 +304,185 @@ def test_supports_from_words_first_seen_order_and_multiplicity():
     assert "support (0, 3) carried by 1 codewords" in str(exc.value)
     sup = supports_of_weight(words[:2], 2, n_points=4, q=3)
     assert sup.multiset == {(1, 2): 2} and sup.blocks == ((1, 2),)
+
+
+@pytest.mark.parametrize("through0", [False, True])
+def test_ksubsets_matches_itertools(through0):
+    for n in range(13):
+        for k in range(n + 2):
+            want = [c for c in combinations(range(n), k) if not through0 or 0 in c]
+            got = ksubsets(n, k, through0=through0)
+            assert got.shape == (len(want), k), (n, k)
+            assert list(map(tuple, got.tolist())) == want, (n, k)
+
+
+def test_rank_route_needs_delta_3():
+    # delta = 4 codes of length q+1 used to reach the rank route, which
+    # assumes the 4-row parity matrix of a delta = 3 code
+    for h in range(10):
+        code = bch_build(q=9, n=10, delta=4, h=h)
+        for k in (4, 5):
+            with pytest.raises(BudgetExceeded, match="no structural construction applies"):
+                supports_of_weight(code, k, budget=100)
+
+
+def rotations(hits, n):
+    """Every block H + c mod n of a set of hits, as sorted tuples."""
+    return sorted({tuple(sorted((x + c) % n for x in h)) for h in hits for c in range(n)})
+
+
+def full_scan_supports(q, h, k):
+    """Oracle for the through-0 rank route: every k-subset scanned."""
+    H, f2 = parity_check_rows(q, h)
+    combos = ksubsets(q + 1, k)
+    flags, _ = kernels.scan_supports(H, combos, f2)
+    if (flags == 3).any():
+        return "nullity >= 2"
+    return tuple(map(tuple, combos[flags == 1].tolist()))
+
+
+def rank_outcome(q, h, k):
+    try:
+        return designs._rank_supports(q, h, k)
+    except InvalidParameters as exc:
+        assert "nullity >= 2" in str(exc)
+        return "nullity >= 2"
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27])
+def test_rotated_rank_supports_equal_full_scan(q):
+    for _family, _i, h in valid_instances(q):
+        for k in (4, 5):
+            full = full_scan_supports(q, h, k)
+            got = rank_outcome(q, h, k)
+            assert got == full, (q, h, k)
+            if isinstance(got, CyclicBlocks):
+                assert list(got) == list(full) and len(got) * k == len(got.hits) * (q + 1)
+        code = bch_build(CodeSpec(q=q, n=q + 1, delta=3, h=h))
+        assert supports_of_weight(code, 4, budget=comb(q, 3)).blocks == full_scan_supports(q, h, 4)
+
+
+def test_rank_route_charges_subsets_through_zero():
+    code = bch_build(CodeSpec(q=16, n=17, delta=3, h=6))
+    with pytest.raises(BudgetExceeded):
+        supports_of_weight(code, 4, budget=comb(16, 3) - 1)
+    assert supports_of_weight(code, 4, budget=comb(16, 3)).b == 340
+    with pytest.raises(BudgetExceeded):
+        weight5_blocks_rank(27, 12, budget=comb(27, 4) - 1)
+    assert len(weight5_blocks_rank(27, 12, budget=comb(27, 4))) == 78624
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27])
+def test_trace_supports_equal_word_supports(q):
+    for _family, _i, h in valid_instances(q):
+        td = trace_dual(q, h)
+        words = td.codewords()
+        for k in np.unique(np.count_nonzero(words, axis=1)):
+            if k == 0:
+                continue
+            try:
+                want = designs._supports_from_words(words, int(k), q, q + 1).blocks
+            except MultiplicityNotQMinus1:
+                # the through-0 route names a support and its full multiplicity
+                with pytest.raises(MultiplicityNotQMinus1) as exc:
+                    supports_of_weight(td, int(k))
+                supp, mult = re.match(r"support \((.*)\) carried by (\d+) ", str(exc.value)).groups()
+                supp = [int(x) for x in supp.split(",")]
+                nonzero = words != 0
+                on = (nonzero.sum(axis=1) == k) & nonzero[:, supp].all(axis=1)
+                assert int(mult) == int(on.sum()) != q - 1, (q, h, k)
+                continue
+            got = supports_of_weight(td, int(k))
+            assert isinstance(got.blocks, CyclicBlocks)
+            assert got.blocks == want and list(got.blocks) == list(want), (q, h, k)
+
+
+def test_trace_route_charges_words_through_zero():
+    td = trace_dual(9, 3)
+    with pytest.raises(BudgetExceeded):
+        supports_of_weight(td, 6, budget=9**3 - 1)
+    assert supports_of_weight(td, 6, budget=9**3).b == 30
+
+
+def test_rank_route_needs_cyclic_parity_matrix(monkeypatch):
+    # swapping two columns of the parity matrix breaks the shift symmetry
+    H, f2 = parity_check_rows(9, 3)
+    swapped = H[:, [0, 2, 1, *range(3, 10)]]
+    monkeypatch.setattr(designs, "parity_check_rows", lambda q, h: (swapped, f2))
+    code = bch_build(CodeSpec(q=9, n=10, delta=3, h=3))
+    with pytest.raises(InvalidParameters, match="cyclic shift"):
+        supports_of_weight(code, 4, budget=10_000)
+    with pytest.raises(InvalidParameters, match="cyclic shift"):
+        weight5_blocks_rank(9, 3)
+
+
+def test_trace_route_needs_cyclic_code(monkeypatch):
+    # the trace code with two coordinates swapped is not cyclic: without
+    # the proof the rotated supports would differ from its actual ones
+    td = trace_dual(9, 3)
+    perm = [0, 2, 1, *range(3, 10)]
+    td._bh, td._bh1 = td._bh[perm], td._bh1[perm]
+    want = designs._supports_from_words(td.codewords(), 6, 9, 10).blocks
+    with pytest.raises(InvalidParameters, match="cyclic shift"):
+        supports_of_weight(td, 6)
+    monkeypatch.setattr(designs, "require_cyclic", lambda mat, field: None)
+    assert supports_of_weight(td, 6).blocks != want
+
+
+def test_cyclic_blocks_sequence():
+    hits = np.array([[0, 1, 2], [0, 1, 3], [0, 2, 3]])
+    blocks = CyclicBlocks(hits, 4)
+    want = rotations(hits.tolist(), 4)
+    assert len(blocks) == len(want) == 4 and list(blocks) == want
+    assert [blocks[i] for i in range(-4, 4)] == want + want
+    assert blocks == tuple(want) and tuple(want) == blocks and blocks != want[:3]
+    with pytest.raises(IndexError):
+        blocks[4]
+    assert CyclicBlocks(np.zeros((0, 3), dtype=np.int64), 7) == ()
+    # {0, 1} alone rotates to three blocks of Z_4 under c <= n-1-max H,
+    # but 1 * 4 / 2 = 2 pass through 0: the set is not rotation-closed
+    with pytest.raises(InvalidParameters, match="not rotation-closed"):
+        CyclicBlocks(np.array([[0, 1]]), 4)
+    # hits must start at 0, increase, lie in range(n), and be distinct rows
+    # in lexicographic order (the last two satisfy b k = hits n)
+    for bad in ([[1, 2]], [[0, 2, 1]], [[0, 4]], [[0, 3], [0, 1]], [[0, 2], [0, 2]]):
+        with pytest.raises(InvalidParameters, match="lexicographic order"):
+            CyclicBlocks(np.array(bad), 4)
+
+
+def test_verify_design_through_zero_matches_full_count_on_random_sets():
+    rng = np.random.default_rng(11)
+    raised = regular = 0
+    for _ in range(300):
+        n = int(rng.integers(4, 13))
+        k = int(rng.integers(2, n))
+        t = int(rng.integers(1, k))
+        through0 = ksubsets(n, k, through0=True)
+        picked = through0[rng.random(len(through0)) < rng.choice([0.05, 0.3, 1.0])]
+        full = rotations(picked.tolist(), n)
+        hits = np.array([blk for blk in full if blk[0] == 0], dtype=np.int64).reshape(-1, k)
+        blocks = CyclicBlocks(hits, n)
+        assert list(blocks) == full
+        got = outcome(verify_design, blocks, n, t)
+        assert got == outcome(verify_design, full, n, t) == outcome(dict_design_counts, full, n, t)
+        raised += isinstance(got[0], str)
+        regular += not isinstance(got[0], str) and got != (0, 0)
+    assert raised > 40 and regular > 40
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27])
+def test_verify_design_through_zero_matches_full_count_on_code_designs(q):
+    p, _ = prime_power(q)
+    for _family, _i, h in valid_instances(q):
+        code = bch_build(CodeSpec(q=q, n=q + 1, delta=3, h=h))
+        td = trace_dual(q, h)
+        dmin = int(np.flatnonzero(td.weight_distribution().counts[1:])[0]) + 1
+        sets = [designs._rank_supports(q, h, 4, check_code=code), supports_of_weight(td, dmin).blocks]
+        if p == 3:
+            sets.append(weight5_blocks_rank(q, h))
+        for blocks in sets:
+            assert isinstance(blocks, CyclicBlocks)
+            full = list(blocks)
+            for t in range(1, min(blocks.k, 5)):
+                got = outcome(verify_design, blocks, q + 1, t)
+                assert got == outcome(verify_design, full, q + 1, t), (q, h, blocks.k, t)
