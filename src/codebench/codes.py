@@ -89,30 +89,33 @@ def classify_h(q: int, h: int) -> tuple[str, int | None]:
 
 
 def rref(mat: np.ndarray, field: Field) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form; returns (R, pivot column list)."""
-    R = np.array(mat, dtype=np.int64)
-    rows, cols = R.shape
+    """Reduced row echelon form; returns (R, pivot column list).
+
+    The matrix is converted to logs once and eliminated on logs (see
+    ``Field``): each pivot clears its column in every other row with one
+    ``mul_logs`` and one ``add_logs``, a few integer adds and gathers."""
+    L = field.log[np.asarray(mat, dtype=np.int64)]
+    rows, cols = L.shape
+    z, o = field.log_zero, field.q - 1
     pivots: list[int] = []
     r = 0
     for c in range(cols):
         if r == rows:
             break
-        pr = None
-        for i in range(r, rows):
-            if R[i, c] != 0:
-                pr = i
-                break
-        if pr is None:
+        nz = np.flatnonzero(L[r:, c] != z)
+        if len(nz) == 0:
             continue
-        if pr != r:
-            R[[r, pr]] = R[[pr, r]]
-        R[r] = field.mul_arr(R[r], field.inv(int(R[r, c])))
-        for i in range(rows):
-            if i != r and R[i, c] != 0:
-                R[i] = field.add_arr(R[i], field.neg_arr(field.mul_arr(R[r], int(R[i, c]))))
+        if nz[0]:
+            L[[r, r + nz[0]]] = L[[r + nz[0], r]]
+        L[r] = field.mul_logs(L[r], -L[r, c] % o)
+        rest = np.flatnonzero(L[:, c] != z)
+        rest = rest[rest != r]
+        # every row i in rest at once: row i -= L[i, c] * row r
+        factors = (L[rest, c : c + 1] + field.log_neg_one) % o
+        L[rest] = field.add_logs(L[rest], field.mul_logs(L[r], factors))
         pivots.append(c)
         r += 1
-    return R[: len(pivots)], pivots
+    return field.exp[L[:r]], pivots
 
 
 def rank(mat: np.ndarray, field: Field) -> int:
@@ -125,10 +128,8 @@ def nullspace(mat: np.ndarray, field: Field) -> np.ndarray:
     cols = mat.shape[1]
     free = [c for c in range(cols) if c not in pivots]
     basis = np.zeros((len(free), cols), dtype=np.int64)
-    for idx, fcol in enumerate(free):
-        basis[idx, fcol] = 1
-        for r, pcol in enumerate(pivots):
-            basis[idx, pcol] = field.neg(int(R[r, fcol]))
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = field.neg_arr(R[:, free].T)
     return basis
 
 

@@ -99,7 +99,14 @@ class CyclicBlocks(Sequence):
         for c in range(self.n):
             yield from map(tuple, (self.hits[top < self.n - c] + c).tolist())
 
-    def __getitem__(self, i: int) -> tuple[int, ...]:
+    def __getitem__(self, i):
+        if isinstance(i, slice):  # as tuple(self)[i], iterating only over the span
+            picks = range(self._b)[i]
+            if not picks:
+                return ()
+            lo, hi = min(picks[0], picks[-1]), max(picks[0], picks[-1])
+            span = tuple(islice(self, lo, hi + 1))
+            return tuple(span[j - lo] for j in picks)
         i = range(self._b)[i]
         top = self.hits[:, -1]
         for c in range(self.n):
@@ -396,18 +403,18 @@ def weight4_blocks_det(q: int, h: int, budget: int | None = None) -> list[tuple[
     """4-subsets {x,y,z,w} of U_(q+1) with singular matrix of rows
     (1, u, u^(p^i), u^(p^i+1)), as coordinate indices via u = beta^index.
 
-    The four 3 x 3 cofactors of every 3-subset are computed at once, and
-    the cofactor-expanded quartic f(w) is evaluated for every 3-subset
-    and every w on the circle, so every block surfaces from each of its
-    triples; the dedup to a set is exact.
+    The four 3 x 3 cofactors of every 3-subset are computed at once, on
+    logs by ``kernels._det``, and the cofactor-expanded quartic f(w) is
+    evaluated on logs for every 3-subset and every w on the circle, so
+    every block surfaces from each of its triples; the dedup to a set is
+    exact.  Charged the C(n,3) n (triple, w) pairs it evaluates.
     """
     budget = default_budget() if budget is None else budget
     td = trace_dual(q, h)  # validates dimension; supplies family and i
     if td.i is None:
         raise InvalidParameters(f"h={h} is in neither family for q={q}")
     n = q + 1
-    if comb(n, 4) > budget:
-        raise BudgetExceeded(f"C({n},4) exceeds budget {budget}")
+    kernels.check_budget(comb(n, 3) * n, budget)
     p, s = prime_power(q)
     pi = p**td.i
     f2 = field_for_order(q * q)
@@ -426,27 +433,20 @@ def weight4_blocks_det(q: int, h: int, budget: int | None = None) -> list[tuple[
 def _quartic_zero_blocks(f2, rows: np.ndarray, triples: np.ndarray) -> np.ndarray:
     """Sorted 4-subsets {x, y, z, w}, one row per triple (x, y, z) and zero
     w outside it of the quartic f(w) = det[rows at x, y, z, w]."""
-    x, y, z = triples.T
-    mul, add = f2.mul_arr, f2.add_arr
-
-    def det3(r0, r1, r2):
-        # minor of rows r0, r1, r2 at the columns x, y, z of every triple
-        a, b, c = rows[r0], rows[r1], rows[r2]
-        pos = add(add(mul(mul(a[x], b[y]), c[z]), mul(mul(a[y], b[z]), c[x])),
-                  mul(mul(a[z], b[x]), c[y]))
-        neg = add(add(mul(mul(a[z], b[y]), c[x]), mul(mul(a[x], b[z]), c[y])),
-                  mul(mul(a[y], b[x]), c[z]))
-        return f2.sub_arr(pos, neg)[:, None]
-
+    L = f2.log[rows]
+    A = L[:, triples].transpose(1, 0, 2)  # (triples, 4, 3) logs
+    memo: dict = {}
     # f(w) = sum_j D_j w^(e_j) for every triple (rows) and w (columns), by
     # cofactor expansion along the w column: +d3*w^(pi+1) -d2*w^pi +d1*w -d0
-    d0, d1, d2, d3 = det3(1, 2, 3), det3(0, 2, 3), det3(0, 1, 3), det3(0, 1, 2)
-    _, u, u_pi, u_pi1 = rows
-    vals = add(
-        add(mul(d3, u_pi1), f2.neg_arr(mul(d2, u_pi))),
-        add(mul(d1, u), f2.neg_arr(d0)),
+    d0, d1, d2, d3 = (
+        kernels._det(A, tuple(r for r in range(4) if r != j), (0, 1, 2), f2, memo)[:, None]
+        for j in range(4)
     )
-    t_idx, w = np.nonzero(vals == 0)
+    _, u, u_pi, u_pi1 = L
+    mul, add, neg = f2.mul_logs, f2.add_logs, f2.neg_logs
+    vals = add(add(mul(d3, u_pi1), neg(mul(d2, u_pi))), add(mul(d1, u), neg(d0)))
+    t_idx, w = np.nonzero(vals == f2.log_zero)
+    x, y, z = triples.T
     new = (w != x[t_idx]) & (w != y[t_idx]) & (w != z[t_idx])
     return np.sort(np.column_stack([triples[t_idx[new]], w[new]]), axis=1)
 

@@ -5,13 +5,14 @@ polynomial-basis coordinates, low degree first.  The modulus is always the
 lexicographically smallest primitive monic polynomial of degree m over
 GF(p) (coefficients compared low-degree-first as base-p digits), so alpha,
 the residue class of x, is a primitive element and every golden value
-
 downstream is reproducible.  For prime fields the modulus is ``x - a`` with
 ``a`` the smallest primitive root mod p, so alpha is that root.
 
-Arithmetic runs on log/antilog tables plus Zech logarithms, making every
-scalar operation O(1) lookups; vectorised variants operate on numpy arrays
-of element representations.
+All arithmetic runs on one set of arrays per field: log, antilog and Zech
+logarithms, each defined on every input with zero as a sentinel log (see
+``Field``).  Scalar ops, array ops on representations, ops on logs (for
+``codes.rref`` and the kernels) and the cached dense tables are each an
+expression over them, with no branch on zero.
 """
 from __future__ import annotations
 
@@ -188,7 +189,23 @@ def _build_exp_chain(p: int, m: int, q: int, modulus: tuple[int, ...]) -> np.nda
 
 
 class Field:
-    """A concrete GF(p^m); immutable once constructed, shareable freely."""
+    """A concrete GF(p^m); immutable once constructed, shareable freely.
+
+    All arithmetic runs on three int32 arrays that are total, so zero takes
+    no branch.  With o = q - 1 and the zero sentinel z = 2o:
+
+    * ``log[x]`` is the discrete log of x to base alpha, and z for x = 0;
+    * ``exp[i]`` is alpha^(i mod o) for i < z and 0 for z <= i <= 4o, so a
+      product is ``exp[log a + log b]`` even when a or b is zero;
+    * ``zech[log b - log a + z]`` is log(1 + b/a) for a, b != 0, with a
+      vanishing sum at z, so that log a + zech[...] lands at or above z;
+      it is log b - log a below index o (a = 0) and 0 above index 3o
+      (b = 0), so a + b = ``exp[log a + zech[log b - log a + z]]`` for all
+      a and b.
+
+    A log domain value is a log in [0, o) or z; ``log[exp[i]]`` reduces
+    any index 0 <= i <= 4o to one, which the ``*_logs`` ops use.
+    """
 
     __slots__ = (
         "p",
@@ -199,7 +216,8 @@ class Field:
         "exp",
         "log",
         "zech",
-        "_neg_offset",
+        "log_zero",
+        "log_neg_one",
         "_tables",
     )
 
@@ -214,65 +232,49 @@ class Field:
         self.p, self.m, self.q = p, m, q
         self.generator_index = 1
         self.modulus = lex_smallest_primitive_modulus(p, m)
-        base = _build_exp_chain(p, m, q, self.modulus)
-        # doubled antilog table: exp[i + j] valid for i, j < q - 1 without mod
-        self.exp = np.concatenate([base, base])
-        self.log = np.full(q, -1, dtype=np.int64)
-        self.log[base] = np.arange(q - 1, dtype=np.int64)
-        # zech[k] = log(1 + alpha^k); -1 where the sum is zero
+        base = _build_exp_chain(p, m, q, self.modulus).astype(np.int32)
+        o = q - 1
+        z = self.log_zero = 2 * o  # q <= TABLE_BUDGET keeps 4o below 2^31
+        self.log_neg_one = 0 if p == 2 else o // 2
+        self.exp = np.zeros(4 * o + 1, dtype=np.int32)
+        self.exp[:o] = self.exp[o:z] = base
+        self.log = np.empty(q, dtype=np.int32)
+        self.log[0] = z
+        self.log[base] = np.arange(o, dtype=np.int32)
+        # log(1 + alpha^k) for k < o: add 1 to the constant digit
         d0 = base % p
-        plus_one = base - d0 + (d0 + 1) % p
-        self.zech = self.log[plus_one]
-        self._neg_offset = 0 if p == 2 else (q - 1) // 2
+        base += (d0 + 1) % p - d0
+        self.zech = np.zeros(4 * o + 1, dtype=np.int32)
+        self.zech[:o] = np.arange(-z, -o, dtype=np.int32)
+        self.zech[o + 1 : z] = self.log[base[1:]]
+        self.zech[z : 3 * o] = self.log[base]
         self._tables: dict[str, np.ndarray] = {}
 
     # -- scalar arithmetic on integer representations ----------------------
 
     def add(self, x: int, y: int) -> int:
-        if x == 0:
-            return int(y)
-        if y == 0:
-            return int(x)
-        i = self.log[x]
-        d = self.log[y] - i
-        if d < 0:
-            d += self.q - 1
-        z = self.zech[d]
-        if z < 0:
-            return 0
-        return int(self.exp[i + z])
+        lx = self.log[x]
+        return int(self.exp[lx + self.zech[self.log[y] - lx + self.log_zero]])
 
     def neg(self, x: int) -> int:
-        if x == 0 or self.p == 2:
-            return int(x)
-        return int(self.exp[self.log[x] + self._neg_offset])
+        return int(self.exp[self.log[x] + self.log_neg_one])
 
     def sub(self, x: int, y: int) -> int:
         return self.add(x, self.neg(y))
 
     def mul(self, x: int, y: int) -> int:
-        if x == 0 or y == 0:
-            return 0
         return int(self.exp[self.log[x] + self.log[y]])
 
     def inv(self, x: int) -> int:
         if x == 0:
             raise DivisionByZero("inverse of zero")
-        lg = self.log[x]
-        return int(self.exp[(self.q - 1 - lg) % (self.q - 1)])
+        return int(self.exp[self.q - 1 - self.log[x]])
 
     def div(self, x: int, y: int) -> int:
         return self.mul(x, self.inv(y))
 
     def pow(self, x: int, e: int) -> int:
-        if x == 0:
-            if e > 0:
-                return 0
-            if e == 0:
-                return 1
-            raise DivisionByZero("negative power of zero")
-        e %= self.q - 1  # reduce first: log * e must stay within int64
-        return int(self.exp[(self.log[x] * e) % (self.q - 1)])
+        return int(self.pow_arr(x, e))
 
     def frob(self, x: int, j: int = 1) -> int:
         return self.pow(x, self.p**j)
@@ -286,53 +288,42 @@ class Field:
         return int(self.log[x])
 
     # -- vectorised arithmetic on arrays of representations ----------------
+    # (ndarray.take gathers through int32 indices faster than a[idx] does)
 
     def add_arr(self, a, b) -> np.ndarray:
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        a, b = np.broadcast_arrays(a, b)
-        out = np.where(a == 0, b, a).copy()
-        mask = (a != 0) & (b != 0)
-        if mask.any():
-            i = self.log[a[mask]]
-            d = self.log[b[mask]] - i
-            d[d < 0] += self.q - 1
-            z = self.zech[d]
-            out[mask] = np.where(z < 0, 0, self.exp[i + np.maximum(z, 0)])
-        return out
+        la, lb = self.log.take(a), self.log.take(b)
+        return self.exp.take(la + self.zech.take(lb - la + self.log_zero))
 
     def neg_arr(self, a) -> np.ndarray:
-        a = np.asarray(a, dtype=np.int64)
-        if self.p == 2:
-            return a.copy()
-        out = a.copy()
-        mask = a != 0
-        out[mask] = self.exp[self.log[a[mask]] + self._neg_offset]
-        return out
+        return self.exp.take(self.log.take(a) + self.log_neg_one)
 
     def sub_arr(self, a, b) -> np.ndarray:
-        return self.add_arr(a, self.neg_arr(np.asarray(b, dtype=np.int64)))
+        return self.add_arr(a, self.neg_arr(b))
 
     def mul_arr(self, a, b) -> np.ndarray:
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        a, b = np.broadcast_arrays(a, b)
-        out = np.zeros(a.shape, dtype=np.int64)
-        mask = (a != 0) & (b != 0)
-        if mask.any():
-            out[mask] = self.exp[self.log[a[mask]] + self.log[b[mask]]]
-        return out
+        return self.exp.take(self.log.take(a) + self.log.take(b))
 
     def pow_arr(self, a, e: int) -> np.ndarray:
-        a = np.asarray(a, dtype=np.int64)
-        out = np.zeros(a.shape, dtype=np.int64)
-        mask = a != 0
+        """a^e elementwise; 0^0 = 1, and a negative power of 0 raises."""
+        la = self.log.take(a).astype(np.int64)
+        if e < 0 and (la == self.log_zero).any():
+            raise DivisionByZero("negative power of zero")
         if e == 0:
-            out[:] = 1
-            return out
-        e %= self.q - 1
-        out[mask] = self.exp[(self.log[a[mask]] * e) % (self.q - 1)] if e else 1
-        return out
+            return np.ones(np.shape(la), dtype=np.int32)
+        o = self.q - 1
+        # e reduced into [1, o] keeps x^e = 1 at x != 0; z maps to z
+        return self.exp.take(la * ((e - 1) % o + 1) % o + la // o * o)
+
+    # -- the same ops on log domain values (see the class docstring) ---------
+
+    def mul_logs(self, la, lb) -> np.ndarray:
+        return self.log.take(self.exp.take(la + lb))
+
+    def add_logs(self, la, lb) -> np.ndarray:
+        return self.log.take(self.exp.take(la + self.zech.take(lb - la + self.log_zero)))
+
+    def neg_logs(self, la) -> np.ndarray:
+        return self.log.take(self.exp.take(la + self.log_neg_one))
 
     # -- cached dense tables for kernel use ---------------------------------
 
@@ -347,29 +338,25 @@ class Field:
 
     def add_table(self) -> np.ndarray:
         def build():
-            r = np.arange(self.q, dtype=np.int64)
-            return self.add_arr(r[:, None], r[None, :]).astype(np.int32)
+            r = np.arange(self.q)
+            return self.add_arr(r[:, None], r[None, :])
 
         return self._dense("add", build)
 
     def mul_table(self) -> np.ndarray:
         def build():
-            r = np.arange(self.q, dtype=np.int64)
-            return self.mul_arr(r[:, None], r[None, :]).astype(np.int32)
+            r = np.arange(self.q)
+            return self.mul_arr(r[:, None], r[None, :])
 
         return self._dense("mul", build)
 
     def neg_table(self) -> np.ndarray:
-        def build():
-            return self.neg_arr(np.arange(self.q, dtype=np.int64)).astype(np.int32)
-
-        return self._dense("neg", build)
+        return self._dense("neg", lambda: self.neg_arr(np.arange(self.q)))
 
     def inv_table(self) -> np.ndarray:
         def build():
             t = np.zeros(self.q, dtype=np.int32)
-            lg = np.arange(1, self.q, dtype=np.int64)
-            t[1:] = self.exp[(self.q - 1 - self.log[lg]) % (self.q - 1)]
+            t[1:] = self.exp[self.q - 1 - self.log[1:]]
             return t
 
         return self._dense("inv", build)

@@ -142,8 +142,7 @@ def verify_cor31(s: int, i: int, budget=None) -> VerificationResult:
     return res
 
 
-def _four_weight_suite(theorem: str, q: int, i: int, family: str, budget,
-                       cross_checks: bool = True) -> VerificationResult:
+def _four_weight_suite(theorem: str, q: int, i: int, family: str, budget) -> VerificationResult:
     p, s = prime_power(q)
     h = family_offset(q, i, family)
     m = gcd(i, s)
@@ -160,7 +159,7 @@ def _four_weight_suite(theorem: str, q: int, i: int, family: str, budget,
     res.check("weights", sorted({q - p_m, q - 1, q, q + 1}), report["weights"])
     if p_m >= 3:
         res.check("enumerator matches closed form", True, report["formula_match"])
-    if not cross_checks or q > 32:
+    if q > 32:
         return res
     # injectivity and set equality with the algebraic dual
     td = trace_dual(q, h)

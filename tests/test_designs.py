@@ -212,6 +212,13 @@ def test_budget_errors():
         weight4_blocks_det(9, 3, budget=10)
 
 
+def test_weight4_blocks_det_charges_triple_w_pairs():
+    # q = 9: C(10, 3) triples times 10 points w = 1200 evaluations
+    with pytest.raises(BudgetExceeded, match="1200 items exceeds budget 1199"):
+        weight4_blocks_det(9, 3, budget=1199)
+    assert weight4_blocks_det(9, 3, budget=1200) == weight4_blocks_det(9, 3)
+
+
 @pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27])
 def test_weight4_blocks_det_matches_scalar_oracle(q):
     for _family, _i, h in valid_instances(q):
@@ -439,6 +446,7 @@ def test_cyclic_blocks_sequence():
     with pytest.raises(IndexError):
         blocks[4]
     assert CyclicBlocks(np.zeros((0, 3), dtype=np.int64), 7) == ()
+    assert CyclicBlocks(np.zeros((0, 3), dtype=np.int64), 7)[1:] == ()
     # {0, 1} alone rotates to three blocks of Z_4 under c <= n-1-max H,
     # but 1 * 4 / 2 = 2 pass through 0: the set is not rotation-closed
     with pytest.raises(InvalidParameters, match="not rotation-closed"):
@@ -448,6 +456,16 @@ def test_cyclic_blocks_sequence():
     for bad in ([[1, 2]], [[0, 2, 1]], [[0, 4]], [[0, 3], [0, 1]], [[0, 2], [0, 2]]):
         with pytest.raises(InvalidParameters, match="lexicographic order"):
             CyclicBlocks(np.array(bad), 4)
+
+
+def test_cyclic_blocks_slices_like_a_tuple():
+    # the Fano plane as the rotations of {0, 1, 3}, {0, 2, 6} and {0, 4, 5}
+    blocks = CyclicBlocks(np.array([[0, 1, 3], [0, 2, 6], [0, 4, 5]]), 7)
+    want = tuple(blocks)
+    assert blocks[1:3] == ((0, 2, 6), (0, 4, 5)) == want[1:3]
+    for i, j, k in [(None, None, None), (-3, None, None), (None, -2, None), (-100, 100, 2),
+                    (None, None, -1), (5, 1, -2), (-1, -8, -3), (3, 3, None), (6, 2, None)]:
+        assert blocks[i:j:k] == want[i:j:k], (i, j, k)
 
 
 def test_verify_design_through_zero_matches_full_count_on_random_sets():
