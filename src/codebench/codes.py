@@ -149,54 +149,6 @@ def orthogonal(a: np.ndarray, b: np.ndarray, field: Field) -> bool:
     return True
 
 
-def row_keys(words: np.ndarray, q: int) -> np.ndarray:
-    """Rows of base-q digits packed into int64 keys, d digits per key for the
-    largest d with q^d <= 2^63: an exact injective encoding, not a hash.
-
-    The most significant digit comes first, so key rows compare
-    lexicographically exactly as the digit rows do."""
-    d = 1
-    while q ** (d + 1) <= 2**63:
-        d += 1
-    rows, n = words.shape
-    keys = np.empty((-(-n // d), rows), dtype=np.int64)
-    for c, lo in enumerate(range(0, n, d)):
-        block = words[:, lo : lo + d]
-        weights = q ** np.arange(block.shape[1] - 1, -1, -1, dtype=np.int64)
-        keys[c] = np.einsum("ij,j->i", block, weights)
-    return keys.T
-
-
-def group_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(order, starts): a stable lexicographic sort of the key rows and the
-    positions in it where each run of equal rows begins.
-
-    Rows are sorted by their leading key; only the runs that share one
-    are ordered again by whole rows with ``np.lexsort``."""
-    order = np.argsort(keys[:, 0], kind="stable")
-    if keys.shape[1] > 1:
-        lead = keys[order, 0]
-        same = lead[1:] == lead[:-1]
-        tied = np.zeros(len(order), dtype=bool)
-        tied[1:] |= same
-        tied[:-1] |= same
-        pos = np.flatnonzero(tied)
-        sub = order[pos]
-        order[pos] = sub[np.lexsort(keys[sub].T[::-1])]
-    ordered = keys[order]
-    new = np.ones(len(order), dtype=bool)
-    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    return order, np.flatnonzero(new)
-
-
-def distinct_row_keys(words: np.ndarray, q: int) -> np.ndarray:
-    """The distinct rows of words, as sorted packed keys (see ``row_keys``);
-    two arrays hold the same set of rows iff these are equal."""
-    keys = row_keys(words, q)
-    order, starts = group_rows(keys)
-    return keys[order[starts]]
-
-
 def same_row_space(a: np.ndarray, b: np.ndarray, field: Field) -> bool:
     ra = rank(a, field)
     rb = rank(b, field)

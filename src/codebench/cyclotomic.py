@@ -161,11 +161,6 @@ class Poly:
         f = self.field
         return Poly.make(f, [f.mul(c, x) for x in self.coeffs])
 
-    def shift(self, j: int) -> "Poly":
-        if self.is_zero:
-            return self
-        return Poly(field=self.field, coeffs=(0,) * j + self.coeffs)
-
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
         self._check(other)
         if other.is_zero:

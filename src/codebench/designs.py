@@ -23,11 +23,9 @@ from . import _kernels as kernels
 from .codes import (
     LinearCode,
     TraceDualSpec,
-    group_rows,
     orthogonal,
     parity_check_rows,
     require_cyclic,
-    row_keys,
     trace_dual,
 )
 from .config import default_budget
@@ -216,11 +214,13 @@ def supports_of_weight(
 def _group_supports(rows: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """(supports, mults): the distinct rows of a boolean array of weight-k
     rows, as sorted point rows in order of first appearance, and how many
-    rows share each."""
-    # one key column is the support bitmask itself while n <= 63
-    order, starts = group_rows(row_keys(rows, 2))
-    first = order[starts]  # the sort is stable: each support's first row
-    mults = np.diff(starts, append=len(order))
+    rows share each.
+
+    Each row is packed into one byte string; ``np.unique`` sorts them
+    stably, so the index it returns is each support's first row."""
+    packed = np.packbits(rows, axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first, mults = np.unique(keys, return_index=True, return_counts=True)
     seen = np.argsort(first)
     return np.nonzero(rows[first[seen]])[1].reshape(len(seen), k), mults[seen]
 
@@ -464,6 +464,5 @@ def weight5_blocks_rank(q: int, h: int, budget: int | None = None) -> CyclicBloc
     if td.i is None or p != 3 or gcd(td.i, s) != 1:
         raise InvalidParameters("weight-5 construction needs the p=3, m=1 family")
     n = q + 1
-    if comb(n - 1, 4) > budget:
-        raise BudgetExceeded(f"C({n - 1},4) exceeds budget {budget}")
+    kernels.check_budget(comb(n - 1, 4), budget)
     return _rank_supports(q, h, 5)

@@ -276,9 +276,6 @@ class Field:
     def pow(self, x: int, e: int) -> int:
         return int(self.pow_arr(x, e))
 
-    def frob(self, x: int, j: int = 1) -> int:
-        return self.pow(x, self.p**j)
-
     def alpha_pow(self, e: int) -> int:
         return int(self.exp[e % (self.q - 1)])
 

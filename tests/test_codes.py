@@ -9,13 +9,11 @@ from codebench.codes import (
     LinearCode,
     bch_build,
     classify_h,
-    distinct_row_keys,
     dump_codewords,
     dual,
     min_distance,
     nullspace,
     parity_check_rows,
-    row_keys,
     rref,
     same_row_space,
     trace_dual,
@@ -107,7 +105,7 @@ def test_codewords_distinct_and_heavy():
     code = bch_build(CodeSpec(q=9, n=10, delta=3, h=3)).dual()
     words = code.codewords()
     assert words.shape == (9**4, 10)
-    assert len(distinct_row_keys(words, 9)) == 9**4
+    assert len(np.unique(words, axis=0)) == 9**4
     d = min_distance(code)
     weights = (words != 0).sum(axis=1)
     assert (weights[weights > 0] >= d).all() and (weights == 0).sum() == 1
@@ -216,43 +214,6 @@ def test_generator_matrices_have_full_rank():
         assert rref(code.gen_matrix, code.field)[0].shape[0] == code.k
         d = code.dual()
         assert rref(d.gen_matrix, d.field)[0].shape[0] == d.k
-
-
-def test_distinct_row_keys_count_duplicates_like_unique():
-    rng = np.random.default_rng(3)
-    for q, n in [(2, 70), (3, 9), (27, 28)]:
-        words = rng.integers(0, q, size=(400, n))
-        words = np.vstack([words, words[rng.integers(0, 400, size=300)], words[:5]])
-        unique = np.unique(words, axis=0)
-        assert len(unique) < len(words)
-        assert np.array_equal(distinct_row_keys(words, q), row_keys(unique, q)), (q, n)
-
-
-def test_row_keys_need_three_columns_at_q32_n33():
-    # 12 base-32 digits fill 60 bits, so 33 coordinates take 3 keys
-    rng = np.random.default_rng(4)
-    words = rng.integers(0, 32, size=(500, 33))
-    words[:, 0] = 31  # top digits of the widest key
-    words = np.vstack([words, words[::3]])
-    keys = row_keys(words, 32)
-    assert keys.shape == (len(words), 3) and keys.min() >= 0
-    distinct = distinct_row_keys(words, 32)
-    unique = np.unique(words, axis=0)
-    assert len(distinct) == len(unique)
-    assert np.array_equal(distinct, row_keys(unique, 32))  # same order too
-
-
-def test_distinct_row_keys_tell_apart_sets_differing_in_last_coordinate():
-    rng = np.random.default_rng(5)
-    for q, n in [(32, 33), (27, 28), (2, 64)]:
-        a = np.unique(rng.integers(0, q, size=(300, n)), axis=0)
-        b = a.copy()
-        b[17, -1] = (b[17, -1] + 1) % q
-        same_as_unique = np.array_equal(np.unique(a, axis=0), np.unique(b, axis=0))
-        same_as_keys = np.array_equal(distinct_row_keys(a, q), distinct_row_keys(b, q))
-        assert same_as_keys == same_as_unique
-        assert not same_as_keys, (q, n)
-        assert np.array_equal(distinct_row_keys(a, q), distinct_row_keys(a[::-1], q))
 
 
 @pytest.mark.parametrize("q,h", [(4, 1), (8, 3), (8, 2), (9, 3), (9, 1)])

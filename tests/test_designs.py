@@ -313,6 +313,29 @@ def test_supports_from_words_first_seen_order_and_multiplicity():
     assert sup.multiset == {(1, 2): 2} and sup.blocks == ((1, 2),)
 
 
+def test_group_supports_match_dict_oracle():
+    # n = 70 packs into nine bytes
+    rng = np.random.default_rng(6)
+    n, k = 70, 5
+    base = np.zeros((40, n), dtype=bool)
+    for row in base:
+        row[rng.choice(n, size=k, replace=False)] = True
+    base[:2] = False
+    base[:2, [0, 10, 20, 30]] = True
+    base[0, 68] = base[1, 69] = True  # apart only in the last packed byte
+    rows = np.vstack([base, base[rng.integers(0, 40, size=60)], base[:3]])
+    rows = rows[rng.permutation(len(rows))]
+    oracle: dict[tuple[int, ...], int] = {}
+    for row in rows:
+        key = tuple(np.flatnonzero(row).tolist())
+        oracle[key] = oracle.get(key, 0) + 1
+    supports, mults = designs._group_supports(rows, k)
+    assert list(map(tuple, supports.tolist())) == list(oracle)
+    assert mults.tolist() == list(oracle.values())
+    supports, mults = designs._group_supports(np.zeros((0, n), dtype=bool), k)
+    assert supports.shape == (0, k) and len(mults) == 0
+
+
 @pytest.mark.parametrize("through0", [False, True])
 def test_ksubsets_matches_itertools(through0):
     for n in range(13):

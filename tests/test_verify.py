@@ -1,5 +1,10 @@
+import tracemalloc
+
+import numpy as np
 import pytest
 
+from codebench.cli import main
+from codebench.codes import TraceDualSpec
 from codebench.errors import WorkbenchError
 from codebench.verify import (
     family_offset,
@@ -7,6 +12,8 @@ from codebench.verify import (
     valid_instances,
     verify_cor32,
     verify_cor33,
+    verify_thm31,
+    verify_thm34,
     verify_thm36,
     verify_thm42,
 )
@@ -74,3 +81,57 @@ def test_result_serialization():
     assert payload["theorem"] == "cor3.1"
     assert all(set(a) == {"name", "passed", "expected", "actual"}
                for a in payload["assertions"])
+
+
+def _change_last_nonzero_entry(words):
+    # the dual's pivots are its first 4 coordinates, an information set of
+    # every cyclic [n, 4] code, so the last one is no pivot
+    r = np.flatnonzero(words[:, -1])[0]
+    words[r, -1] = words[r, -1] % 8 + 1
+
+
+def _repeat_row_3(words):
+    words[7] = words[3]
+
+
+def _swap_rows_0_1(words):
+    words[[0, 1]] = words[[1, 0]]
+
+
+@pytest.mark.parametrize("corrupt,failing", [
+    (_change_last_nonzero_entry, ["trace image equals algebraic dual"]),
+    (_repeat_row_3, ["trace image size", "trace image equals algebraic dual",
+                     "wt(c_(a,b)) = q+1 - N(a,b) for all (a,b)"]),
+    (_swap_rows_0_1, ["wt(c_(a,b)) = q+1 - N(a,b) for all (a,b)"]),
+])
+def test_four_weight_suite_flags_corrupted_trace_words(monkeypatch, corrupt, failing):
+    codewords = TraceDualSpec.codewords
+
+    def corrupted(self, budget=None):
+        words = codewords(self, budget=budget)
+        corrupt(words)
+        return words
+
+    monkeypatch.setattr(TraceDualSpec, "codewords", corrupted)
+    assert [a.name for a in verify_thm31(9, 1).failures()] == failing
+
+
+def test_four_weight_suite_at_q32(capsys):
+    # 2^20 words, the largest size the suite cross-checks word by word
+    assert main(["verify", "thm3.1", "--q", "32", "--i", "1"]) == 0
+    assert "trace image equals algebraic dual" in capsys.readouterr().out
+
+
+def test_four_weight_suite_memory_at_q27():
+    q = 27
+    assert verify_thm34(q, 1).ok  # warms the field caches
+    tracemalloc.start()
+    try:
+        assert verify_thm34(q, 1).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    words_bytes = q**4 * (q + 1) * 4
+    # the trace and dual words, chunked comparisons; a third q^4 x n array
+    # (one-step gather of the dual words) would reach about 3.4 x
+    assert peak < 2.75 * words_bytes, peak / words_bytes
