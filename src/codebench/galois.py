@@ -8,17 +8,27 @@ the residue class of x, is a primitive element and every golden value
 downstream is reproducible.  For prime fields the modulus is ``x - a`` with
 ``a`` the smallest primitive root mod p, so alpha is that root.
 
+The search (``lex_smallest_primitive_modulus``) takes the candidates in
+lexicographic chunks, drops those that fail the norm or the no-root
+condition, and tests the rest at once: a batched square-and-multiply in
+numpy for odd p, carry-less arithmetic on Python ints for p = 2.  The
+antilog chain doubles a block of powers per step: by a matrix over GF(p)
+for odd p, by one table lookup per byte for p = 2.  ``Field`` checks that
+the chain runs through every nonzero element once.
+
 All arithmetic runs on one set of arrays per field: log, antilog and Zech
 logarithms, each defined on every input with zero as a sentinel log (see
 ``Field``).  Scalar ops, array ops on representations, ops on logs (for
 ``codes.rref`` and the kernels) and the cached dense tables are each an
-expression over them, with no branch on zero.
+expression over them, with no branch on zero.  ``field_new`` caches the
+fields it builds, dropping the least recently used past a byte bound.
 """
 from __future__ import annotations
 
 import json
+from collections import OrderedDict
 from dataclasses import dataclass
-from math import isqrt
+from math import gcd, isqrt
 
 import numpy as np
 
@@ -26,6 +36,7 @@ from .errors import (
     DivisionByZero,
     NotInSubfield,
     NotPrime,
+    NotPrimitiveRoot,
     NotSquareField,
     ResourceCap,
     SpecMismatch,
@@ -71,48 +82,13 @@ def prime_power(q: int) -> tuple[int, int]:
 
 # ---------------------------------------------------------------------------
 # canonical modulus search
-
-
-def _poly_mulmod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int]:
-    m = len(mod) - 1
-    res = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                res[i + j] = (res[i + j] + ca * cb) % p
-    for i in range(len(res) - 1, m - 1, -1):
-        c = res[i]
-        if c:
-            for j in range(m + 1):
-                res[i - m + j] = (res[i - m + j] - c * mod[j]) % p
-    res = res[:m]
-    res.extend([0] * (m - len(res)))
-    return res
-
-
-def _x_pow_mod(e: int, mod: list[int], p: int) -> list[int]:
-    m = len(mod) - 1
-    result = [1] + [0] * (m - 1)
-    base = _poly_mulmod([0, 1], [1], mod, p)
-    while e:
-        if e & 1:
-            result = _poly_mulmod(result, base, mod, p)
-        base = _poly_mulmod(base, base, mod, p)
-        e >>= 1
-    return result
-
-
-def _is_primitive_modulus(mod: list[int], p: int) -> bool:
-    # x must be a unit with multiplicative order exactly p^m - 1; that order
-    # forces irreducibility, so no separate irreducibility test is needed.
-    if mod[0] == 0:
-        return False
-    m = len(mod) - 1
-    group = p**m - 1
-    one = [1] + [0] * (m - 1)
-    if _x_pow_mod(group, mod, p) != one:
-        return False
-    return all(_x_pow_mod(group // f, mod, p) != one for f in factorize(group))
+#
+# x is primitive modulo a monic f of degree m exactly when x^E = 1 for
+# E = p^m - 1 and x^(E/r) != 1 for every prime r | E (Lidl & Niederreiter,
+# Thm 3.16); that order forces irreducibility.  Two necessary conditions
+# are cheap and drop most candidates first: the norm (-1)^m f(0) of a
+# primitive root is a primitive root of GF(p) (Thm 3.18), and an
+# irreducible f of degree m >= 2 has no root in GF(p).
 
 
 def smallest_primitive_root(p: int) -> int:
@@ -124,22 +100,125 @@ def smallest_primitive_root(p: int) -> int:
     raise AssertionError("no primitive root found")  # pragma: no cover
 
 
+def _candidate_chunks(p: int, m: int):
+    """Digit rows (f_0..f_(m-1), low degree first) of the monic degree-m
+    candidates that pass both cheap filters, in lexicographic order, in
+    chunks of candidates that double from 16; only one chunk is held."""
+    g = smallest_primitive_root(p)
+    is_root = np.zeros(p, dtype=bool)  # primitive roots of GF(p)
+    is_root[[pow(g, k, p) for k in range(1, p) if gcd(k, p - 1) == 1]] = True
+    x = np.arange(1, p, dtype=np.int64)
+    powers = np.ones((m + 1, p - 1), dtype=np.int64)  # x^i mod p, i <= m
+    for i in range(1, m + 1):
+        powers[i] = powers[i - 1] * x % p
+    weights = p ** np.arange(m, dtype=np.int64)
+    cap = max(16, (1 << 20) // p)  # bounds the (chunk, p) evaluation
+    lo, size, total = 0, 16, p**m
+    while lo < total:
+        c = np.arange(lo, min(lo + size, total), dtype=np.int64)
+        digits = c[:, None] // weights % p
+        digits = digits[is_root[(-1) ** m * digits[:, 0] % p]]
+        values = (digits @ powers[:m] + powers[m]) % p  # f(x), x != 0
+        yield digits[values.all(axis=1)]
+        lo += len(c)
+        size = min(2 * size, cap)
+
+
+def _primitive_rows(digits: np.ndarray, p: int, exps: list[int]) -> np.ndarray:
+    """For each candidate row f (digits of f_0..f_(m-1)), whether x^e = 1
+    modulo f for the first exponent in exps and for none of the others:
+    one batched square-and-multiply over every (candidate, exponent) pair,
+    each following its own exponent's bits, most significant first."""
+    s, m = digits.shape
+    nbits = max(exps).bit_length()
+    bits = np.array([[e >> k & 1 for k in range(nbits - 1, -1, -1)] for e in exps], dtype=bool)
+    # red[c, k] holds the digits of x^k mod f_c for k <= 2m - 2
+    red = np.zeros((s, 2 * m - 1, m), dtype=np.int64)
+    red[:, np.arange(m), np.arange(m)] = 1
+    red[:, m] = -digits % p
+    for k in range(m + 1, 2 * m - 1):
+        red[:, k, 1:] = red[:, k - 1, :-1]
+        red[:, k] = (red[:, k] + red[:, k - 1, -1:] * red[:, m]) % p
+    conv = np.zeros((m, m, 2 * m - 1), dtype=np.int64)  # i + j = k
+    conv[np.arange(m)[:, None], np.arange(m), np.arange(m)[:, None] + np.arange(m)] = 1
+    conv = conv.reshape(m * m, 2 * m - 1)
+    n_exp = len(exps)
+    r = np.zeros((s, n_exp, m), dtype=np.int64)
+    r[..., 0] = 1
+    for step in bits.T:
+        sq = (r[..., :, None] * r[..., None, :]).reshape(s, n_exp, m * m) @ conv % p
+        r = sq @ red % p
+        shifted = np.zeros_like(r)
+        shifted[..., 1:] = r[..., :-1]
+        xr = (shifted + r[..., -1:] * red[:, None, m]) % p
+        r = np.where(step[None, :, None], xr, r)
+    is_one = (r[..., 0] == 1) & ~r[..., 1:].any(axis=-1)
+    return is_one[:, 0] & ~is_one[:, 1:].any(axis=1)
+
+
+def _gf2_is_primitive(f: int, m: int, exps: list[int]) -> bool:
+    """The same test for one f over GF(2), on Python ints: f has bit k set
+    for the coefficient of x^k (x^m included); squaring is carry-less."""
+    for k, e in enumerate(exps):
+        r = 1
+        for bit in bin(e)[2:]:
+            r = int("0".join(bin(r)[2:]), 2)  # r^2 spreads the bits
+            if bit == "1":
+                r <<= 1
+            while r.bit_length() > m:
+                r ^= f << (r.bit_length() - 1 - m)
+        if (r == 1) != (k == 0):
+            return False
+    return True
+
+
 def lex_smallest_primitive_modulus(p: int, m: int) -> tuple[int, ...]:
     if m == 1:
         return ((-smallest_primitive_root(p)) % p, 1)
-    for c in range(p**m):
-        digits, t = [], c
-        for _ in range(m):
-            digits.append(t % p)
-            t //= p
-        mod = digits + [1]
-        if _is_primitive_modulus(mod, p):
-            return tuple(mod)
+    group = p**m - 1
+    exps = [group] + [group // r for r in factorize(group)]
+    for digits in _candidate_chunks(p, m):
+        if p == 2:
+            for row in digits:
+                f = int(row @ (1 << np.arange(m))) | 1 << m
+                if _gf2_is_primitive(f, m, exps):
+                    return tuple(int(c) for c in row) + (1,)
+        elif len(digits):
+            hits = np.flatnonzero(_primitive_rows(digits, p, exps))
+            if len(hits):
+                return tuple(int(c) for c in digits[hits[0]]) + (1,)
     raise AssertionError("no primitive polynomial found")  # pragma: no cover
 
 
 # ---------------------------------------------------------------------------
 # field construction
+
+
+def _gf2_exp_chain(m: int, q: int, modulus: tuple[int, ...]) -> np.ndarray:
+    """exp for p = 2 by doubling: exp[L:2L] = exp[:L] alpha^L.  That product
+    is GF(2)-linear in the bits of exp[:L], so it is the xor of one lookup
+    per byte j of each power, in the 256-entry table T_j[v] = v x^(8j) alpha^L
+    (the table-driven CRC idiom)."""
+    mod = sum(c << i for i, c in enumerate(modulus))
+    exp = np.empty(q - 1, dtype="<i4")  # little-endian, so byte j is column j
+    exp[0] = 1
+    L = 1
+    while L < q - 1:
+        cnt = min(L, q - 1 - L)
+        digits = exp[:cnt].view(np.uint8).reshape(cnt, 4)
+        seg = exp[L : L + cnt]
+        seg[:] = 0
+        v = int(exp[L - 1])
+        for j in range((m + 7) // 8):
+            table = np.zeros(256, dtype="<i4")
+            for b in range(8):
+                v <<= 1  # v = x^(8j+b) alpha^L
+                if v >> m:
+                    v ^= mod
+                table[1 << b : 2 << b] = table[: 1 << b] ^ v
+            seg ^= table.take(digits[:, j])
+        L += cnt
+    return exp
 
 
 def _build_exp_chain(p: int, m: int, q: int, modulus: tuple[int, ...]) -> np.ndarray:
@@ -149,29 +228,20 @@ def _build_exp_chain(p: int, m: int, q: int, modulus: tuple[int, ...]) -> np.nda
     multiplying by alpha^L is the m x m matrix A_L whose row d holds the
     digits of x^d alpha^L (mod the modulus), so a block of L consecutive
     powers times A_L mod p is the next block.  Blocks double up to about
-    sqrt(q), then step through the rest of the group.
+    sqrt(q), then step through the rest of the group.  For p = 2 see
+    ``_gf2_exp_chain``.
     """
-    exp = np.empty(q - 1, dtype=np.int64)
     if m == 1:
         a = smallest_primitive_root(p)
+        exp = np.empty(q - 1, dtype=np.int64)
         x = 1
         for i in range(q - 1):
             exp[i] = x
             x = x * a % p
         return exp
     if p == 2:
-        # digits are bits: multiply-by-x is a shift and conditional xor
-        mod_int = 0
-        for i, c in enumerate(modulus):
-            mod_int |= c << i
-        mod_int &= q - 1  # drop the monic leading term
-        x = 1
-        for i in range(q - 1):
-            exp[i] = x
-            x <<= 1
-            if x & q:
-                x = (x ^ mod_int) & (q - 1)
-        return exp
+        return _gf2_exp_chain(m, q, modulus)
+    exp = np.empty(q - 1, dtype=np.int64)
     A = np.zeros((m, m), dtype=np.int64)
     A[np.arange(m - 1), np.arange(1, m)] = 1
     A[m - 1] = [(-c) % p for c in modulus[:m]]  # x^m reduced mod the modulus
@@ -232,7 +302,7 @@ class Field:
         self.p, self.m, self.q = p, m, q
         self.generator_index = 1
         self.modulus = lex_smallest_primitive_modulus(p, m)
-        base = _build_exp_chain(p, m, q, self.modulus).astype(np.int32)
+        base = _build_exp_chain(p, m, q, self.modulus).astype(np.int32, copy=False)
         o = q - 1
         z = self.log_zero = 2 * o  # q <= TABLE_BUDGET keeps 4o below 2^31
         self.log_neg_one = 0 if p == 2 else o // 2
@@ -240,14 +310,23 @@ class Field:
         self.exp[:o] = self.exp[o:z] = base
         self.log = np.empty(q, dtype=np.int32)
         self.log[0] = z
-        self.log[base] = np.arange(o, dtype=np.int32)
+        powers = np.arange(o, dtype=np.int32)
+        np.put(self.log, base, powers)
+        # the chain must run through every nonzero element once: a repeat
+        # leaves its earlier power unread, a zero overwrites log[0]
+        if self.log[0] != z or not np.array_equal(self.log.take(base), powers):
+            raise NotPrimitiveRoot(f"x is not primitive modulo {self.modulus} over GF({p})")
+        del powers
         # log(1 + alpha^k) for k < o: add 1 to the constant digit
-        d0 = base % p
-        base += (d0 + 1) % p - d0
+        if p == 2:
+            base ^= 1
+        else:
+            d0 = base % p
+            base += (d0 + 1) % p - d0
         self.zech = np.zeros(4 * o + 1, dtype=np.int32)
         self.zech[:o] = np.arange(-z, -o, dtype=np.int32)
-        self.zech[o + 1 : z] = self.log[base[1:]]
-        self.zech[z : 3 * o] = self.log[base]
+        self.log.take(base, out=self.zech[z : 3 * o])
+        self.zech[o + 1 : z] = self.zech[z + 1 : 3 * o]
         self._tables: dict[str, np.ndarray] = {}
 
     # -- scalar arithmetic on integer representations ----------------------
@@ -396,15 +475,43 @@ class Field:
         return json.dumps(self.to_json_dict())
 
 
-_FIELD_CACHE: dict[tuple[int, int], Field] = {}
+# The caches keep built fields and embeddings, least recently used field
+# first, and drop fields (with the embeddings that reference them) once
+# their arrays exceed _CACHE_BYTES.  The bound holds the largest field the
+# size cap admits (36 bytes per element) with two embeddings into it (8 bytes
+# per element each), so the fields of one command are not dropped while it
+# runs; a dropped field that is asked for again is rebuilt.
+_CACHE_BYTES = 1 << 30
+_FIELD_CACHE: OrderedDict[tuple[int, int], Field] = OrderedDict()
+
+
+def _cache_bytes() -> int:
+    """Bytes of the arrays that the field and embedding caches hold."""
+    fields = (
+        f.exp.nbytes + f.log.nbytes + f.zech.nbytes + sum(t.nbytes for t in f._tables.values())
+        for f in _FIELD_CACHE.values()
+    )
+    embeds = (e._embed.nbytes + e._project.nbytes for e in _EMBED_CACHE.values())
+    return sum(fields) + sum(embeds)
+
+
+def _trim_caches() -> None:
+    while len(_FIELD_CACHE) > 1 and _cache_bytes() > _CACHE_BYTES:
+        _, old = _FIELD_CACHE.popitem(last=False)
+        for key in [k for k, e in _EMBED_CACHE.items() if old in (e.big, e.small)]:
+            del _EMBED_CACHE[key]
 
 
 def field_new(p: int, m: int) -> Field:
     """Construct (or fetch the cached) canonical GF(p^m)."""
     key = (p, m)
-    if key not in _FIELD_CACHE:
-        _FIELD_CACHE[key] = Field(p, m)
-    return _FIELD_CACHE[key]
+    field = _FIELD_CACHE.get(key)
+    if field is None:
+        field = _FIELD_CACHE[key] = Field(p, m)
+        _trim_caches()
+    else:
+        _FIELD_CACHE.move_to_end(key)
+    return field
 
 
 def field_for_order(q: int) -> Field:
@@ -617,9 +724,11 @@ _EMBED_CACHE: dict[tuple[int, int, int], SubfieldEmbedding] = {}
 
 def subfield_embedding(big: Field, small: Field) -> SubfieldEmbedding:
     key = (big.p, big.m, small.m)
-    if key not in _EMBED_CACHE:
-        _EMBED_CACHE[key] = SubfieldEmbedding(big, small)
-    return _EMBED_CACHE[key]
+    emb = _EMBED_CACHE.get(key)
+    if emb is None:
+        emb = _EMBED_CACHE[key] = SubfieldEmbedding(big, small)
+        _trim_caches()
+    return emb
 
 
 def subfield_members(field: Field, q: int) -> np.ndarray:

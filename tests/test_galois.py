@@ -1,24 +1,33 @@
 import itertools
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 
+from codebench import galois
 from codebench.errors import (
     BudgetExceeded,
     DivisionByZero,
     NotInSubfield,
     NotPrime,
+    NotPrimitiveRoot,
     NotSquareField,
     ResourceCap,
     SpecMismatch,
 )
 from codebench.galois import (
     _build_exp_chain,
+    _cache_bytes,
+    _candidate_chunks,
+    _gf2_is_primitive,
+    _primitive_rows,
+    factorize,
     field_new,
     is_prime,
     lex_smallest_primitive_modulus,
     prime_power,
     rel_trace,
+    smallest_primitive_root,
     subfield_embedding,
     subfield_members,
     trace_arr,
@@ -124,6 +133,154 @@ def test_exp_chain_matches_per_element_loop(p, m):
     modulus = lex_smallest_primitive_modulus(p, m)
     want = _exp_chain_per_element(p, m, q, modulus)
     assert _build_exp_chain(p, m, q, modulus).tolist() == want
+
+
+# the scalar modulus search and the p = 2 bit loop that the batched search
+# and the doubling chain replaced, kept as their oracles
+
+
+def _x_pow_mod(e, mod, p):
+    m = len(mod) - 1
+    result = [1] + [0] * (m - 1)
+    base = _naive_mulmod([0, 1], [1], mod, p)
+    while e:
+        if e & 1:
+            result = _naive_mulmod(result, base, mod, p)
+        base = _naive_mulmod(base, base, mod, p)
+        e >>= 1
+    return result
+
+
+def _is_primitive_modulus(mod, p):
+    if mod[0] == 0:
+        return False
+    m = len(mod) - 1
+    group = p**m - 1
+    one = [1] + [0] * (m - 1)
+    if _x_pow_mod(group, mod, p) != one:
+        return False
+    return all(_x_pow_mod(group // f, mod, p) != one for f in factorize(group))
+
+
+def _candidates(p, m):
+    # monic degree-m polynomials, low-degree-first digits, lexicographic
+    for c in range(p**m):
+        yield [c // p**i % p for i in range(m)] + [1]
+
+
+def _scalar_modulus(p, m):
+    if m == 1:
+        return ((-smallest_primitive_root(p)) % p, 1)
+    return tuple(next(mod for mod in _candidates(p, m) if _is_primitive_modulus(mod, p)))
+
+
+def _gf2_bit_loop(m, q, modulus):
+    mod_int = sum(c << i for i, c in enumerate(modulus)) & (q - 1)
+    exp, x = [], 1
+    for _ in range(q - 1):
+        exp.append(x)
+        x <<= 1
+        if x & q:
+            x = (x ^ mod_int) & (q - 1)
+    return exp
+
+
+SMALL_FIELDS = [(p, m) for p in range(2, 3**8 + 1) if is_prime(p)
+                for m in range(1, 14) if p**m <= 3**8]
+
+
+def test_batched_search_matches_scalar_search_small_fields():
+    assert len(SMALL_FIELDS) == 893
+    for p, m in SMALL_FIELDS:
+        assert lex_smallest_primitive_modulus(p, m) == _scalar_modulus(p, m), (p, m)
+
+
+@pytest.mark.parametrize("m", range(2, 25))
+def test_binary_search_matches_scalar_search(m):
+    assert lex_smallest_primitive_modulus(2, m) == _scalar_modulus(2, m)
+
+
+# the odd-characteristic fields above GF(3^8) that the slow CLI tests build
+@pytest.mark.parametrize("p,m", [(3, 12), (3, 14)])
+def test_search_matches_scalar_search_on_cli_fields(p, m):
+    assert lex_smallest_primitive_modulus(p, m) == _scalar_modulus(p, m)
+
+
+PREFILTER_FIELDS = [(p, m) for p in range(2, 28) if is_prime(p)
+                    for m in range(2, 10) if p**m <= 3**6]
+
+
+@pytest.mark.parametrize("p,m", PREFILTER_FIELDS)
+def test_prefilters_match_brute_force(p, m):
+    # candidates survive exactly when (-1)^m f(0) has order p - 1 and f has
+    # no root in GF(p); every primitive modulus survives
+    roots = {g for g in range(1, p) if len({pow(g, k, p) for k in range(p - 1)}) == p - 1}
+    want, primitive = [], []
+    for mod in _candidates(p, m):
+        norm_ok = (-1) ** m * mod[0] % p in roots
+        no_root = all(sum(c * x**i for i, c in enumerate(mod)) % p for x in range(p))
+        if norm_ok and no_root:
+            want.append(mod[:m])
+        if _is_primitive_modulus(mod, p):
+            primitive.append(mod[:m])
+    got = np.concatenate(list(_candidate_chunks(p, m))).tolist()
+    assert got == want
+    assert set(map(tuple, primitive)) <= set(map(tuple, got))
+
+
+@pytest.mark.parametrize("p,m", PREFILTER_FIELDS)
+def test_batched_test_matches_scalar_test_on_every_survivor(p, m):
+    group = p**m - 1
+    exps = [group] + [group // r for r in factorize(group)]
+    rows = np.concatenate(list(_candidate_chunks(p, m)))
+    want = [_is_primitive_modulus(row.tolist() + [1], p) for row in rows]
+    if p == 2:
+        got = [_gf2_is_primitive(int(row @ (1 << np.arange(m))) | 1 << m, m, exps) for row in rows]
+    else:
+        got = _primitive_rows(rows, p, exps).tolist()
+    assert got == want
+    assert any(want)
+
+
+@pytest.mark.parametrize("m", list(range(2, 21)) + [
+    pytest.param(22, marks=pytest.mark.slow),
+    pytest.param(24, marks=pytest.mark.slow),
+])
+def test_doubling_chain_matches_bit_loop(m):
+    q = 2**m
+    modulus = lex_smallest_primitive_modulus(2, m)
+    assert _build_exp_chain(2, m, q, modulus).tolist() == _gf2_bit_loop(m, q, modulus)
+
+
+@pytest.mark.parametrize("p,m,modulus", [
+    (2, 2, (0, 0, 1)),  # x^2: x is nilpotent, the chain reaches 0
+    (2, 4, (1, 1, 1, 1, 1)),  # irreducible, x of order 5
+    (2, 6, (1, 1, 1, 0, 1, 0, 1)),  # irreducible, x of order 21
+    (3, 2, (1, 0, 1)),  # irreducible, x of order 4
+    (3, 2, (0, 0, 1)),  # x^2
+    (5, 3, (1, 1, 1, 1)),  # (x + 1)(x^2 + 1)
+])
+def test_field_refuses_non_primitive_modulus(p, m, modulus, monkeypatch):
+    monkeypatch.setattr(galois, "_FIELD_CACHE", OrderedDict())
+    monkeypatch.setattr(galois, "lex_smallest_primitive_modulus", lambda p, m: modulus)
+    with pytest.raises(NotPrimitiveRoot, match="not primitive"):
+        field_new(p, m)
+    assert not galois._FIELD_CACHE
+
+
+def test_field_cache_drops_least_recently_used_past_its_bound(monkeypatch):
+    monkeypatch.setattr(galois, "_FIELD_CACHE", OrderedDict())
+    monkeypatch.setattr(galois, "_EMBED_CACHE", {})
+    monkeypatch.setattr(galois, "_CACHE_BYTES", 200 << 20)
+    small = field_new(2, 11)
+    big = field_new(2, 22)  # 36 bytes per element: 144 MiB
+    subfield_embedding(big, small)  # 8 bytes per element of GF(2^22)
+    assert field_new(2, 11) is small  # now more recently used than GF(2^22)
+    assert _cache_bytes() <= galois._CACHE_BYTES
+    field_new(3, 13)  # 55 MiB more: GF(2^22) and its embedding must go
+    assert _cache_bytes() <= galois._CACHE_BYTES
+    assert list(galois._FIELD_CACHE) == [(2, 11), (3, 13)]
+    assert galois._EMBED_CACHE == {}
 
 
 def test_prime_field_uses_smallest_primitive_root():
