@@ -144,6 +144,7 @@ def test_budget_exceeded_exit3(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ("wdist", "--q", "2187", "--h", "1", "--n", "4"),  # the dense GF(2187) add table of weight_counts
     ("field", "2", "25"),  # GF(2^25) is above the field-size cap
 ])
 def test_table_cap_exit3(argv, capsys):
