@@ -8,10 +8,10 @@ Three kernels dominate every long run:
   digits fold into chunked codeword blocks that gather through the dense
   add table.
 * ``trace_orbit_counts`` — exact weight distribution of the two-term
-  trace code words c_(a,b) over GF(q^m): for a != 0 one orbit
+  trace code words c_(a,b) with a != 0 over GF(q^m), one orbit
   representative of a per class of the weight-preserving scalar/shift
-  group, then the slice a = 0, on the field's log/Zech arrays and the
-  logs of ker Tr, with no dense table.
+  group, on the field's log/Zech arrays and the logs of ker Tr, with no
+  dense table.
 * ``scan_supports`` — for 4- or 5-column submatrices of a 4-row parity
   matrix over GF(q^2), classify the nullspace and extract the unique
   projective nullvector where it exists, through vectorised adjugate
@@ -83,22 +83,20 @@ def weight_counts(gen_matrix: np.ndarray, field) -> np.ndarray:
 
 
 def trace_orbit_counts(big, q: int, n: int, h: int) -> np.ndarray:
-    """Exact counts (A_0..A_n) over all the words c_(a,b) of the trace code
-    c_(a,b)[i] = Tr(a gamma^(h i) + b gamma^((h+1) i)), i < n, where
+    """Exact counts (A_0..A_n) over the words c_(a,b), a != 0, of the trace
+    code c_(a,b)[i] = Tr(a gamma^(h i) + b gamma^((h+1) i)), i < n, where
     big = GF(q^m), Tr is the trace onto GF(q) and gamma = alpha^e,
     e = (q^m-1)/n, has order n.
 
     Scalars lambda in GF(q)* and the cyclic shift by t map (a, b) to
     (lambda a gamma^(h t), lambda b gamma^((h+1) t)) and keep the weight.
-    On a != 0 they generate the subgroup of index g = gcd((q^m-1)/(q-1), e h)
+    On a they generate the subgroup of index g = gcd((q^m-1)/(q-1), e h)
     of GF(q^m)*, so a = alpha^r, r < g, represents the g orbits, each of
     (q^m-1)/g elements.  For one representative, coordinate i of c_(a,b)
     is zero exactly when b lies on the hyperplane
     B_i = (K - a gamma^(h i)) gamma^(-(h+1) i), K = ker Tr.  Counting for
     every b the hyperplanes through it gives the weights of all q^m words
     c_(a,b) from n (q^(m-1) - 1) Zech lookups, one per nonzero k in K.
-    The slice a = 0 is the same count on B_i = K gamma^(-(h+1) i), where
-    the point b = 0, on every B_i, is the zero word.
     """
     order = big.q - 1
     e = order // n
@@ -117,20 +115,7 @@ def trace_orbit_counts(big, q: int, n: int, h: int) -> np.ndarray:
         zeros = np.bincount(logs.ravel(), minlength=order + 1)
         zeros += np.bincount(line0, minlength=order + 1)
         hist += np.bincount(n - zeros, minlength=n + 1)
-    hist *= order // orbits
-    hist += _slice_counts(big, n, e * (h + 1) % order, kernel_logs)
-    return hist
-
-
-def _slice_counts(big, n: int, step: int, kernel_logs: np.ndarray) -> np.ndarray:
-    """Counts (A_0..A_n) of the q^m words c_(0,b): for b != 0, coordinate
-    i is zero when log b lies in kernel_logs - step i; b = 0 has weight 0."""
-    order = big.q - 1
-    i = np.arange(n, dtype=np.int64)
-    zeros = np.bincount(((kernel_logs[None, :] - step * i[:, None]) % order).ravel(), minlength=order)
-    hist = np.bincount(n - zeros, minlength=n + 1)
-    hist[0] += 1
-    return hist
+    return hist * (order // orbits)
 
 
 def scan_supports(H: np.ndarray, combos: np.ndarray, field2) -> tuple[np.ndarray, np.ndarray]:

@@ -411,8 +411,8 @@ class TraceDualSpec:
         return gcd(order // (self.q - 1), order // self.n * self.h % order)
 
     def enumeration_cost(self) -> int:
-        """(g+1) q^m: q^m words per orbit representative and q^m for the
-        slice a = 0."""
+        """(g+1) q^m: q^m words per orbit representative plus at most q^m
+        for the slice a = 0."""
         return (self.orbit_count() + 1) * self.big.q
 
     def through_zero_supports(self, k: int) -> np.ndarray:
@@ -457,14 +457,17 @@ class TraceDualSpec:
         return np.ascontiguousarray(cols.reshape(n, -1).T)
 
     def weight_distribution(self, budget: int | None = None):
-        """Exact distribution from ``kernels.trace_orbit_counts``: every
-        a != 0 through the g orbit representatives, then the slice a = 0.
+        """Exact distribution in two parts: the m-dimensional slice
+        {c_(0,b)} through ``kernels.weight_counts``, and every a != 0
+        through the g orbit representatives of ``kernels.trace_orbit_counts``.
         Charged ``enumeration_cost()`` = (g+1) q^m against the budget."""
         from .weights import WeightDistribution
 
         budget = default_budget() if budget is None else budget
         kernels.check_budget(self.enumeration_cost(), budget)
-        counts = kernels.trace_orbit_counts(self.big, self.q, self.n, self.h)
+        slice_rows = self.basis_matrix()[self.m :]
+        counts = kernels.weight_counts(slice_rows, self.field)
+        counts += kernels.trace_orbit_counts(self.big, self.q, self.n, self.h)
         return WeightDistribution(
             n=self.n, q=self.q, k=2 * self.m, counts=tuple(int(c) for c in counts)
         )

@@ -20,13 +20,11 @@ All arithmetic runs on one set of arrays per field: log, antilog and Zech
 logarithms, each defined on every input with zero as a sentinel log (see
 ``Field``).  Scalar ops, array ops on representations, ops on logs (for
 ``codes.rref`` and the kernels) and the cached dense tables are each an
-expression over them, with no branch on zero.  ``field_new`` caches the
-fields it builds, dropping the least recently used past a byte bound.
+expression over them, with no branch on zero.
 """
 from __future__ import annotations
 
 import json
-from collections import OrderedDict
 from dataclasses import dataclass
 from math import gcd, isqrt
 
@@ -475,43 +473,15 @@ class Field:
         return json.dumps(self.to_json_dict())
 
 
-# The caches keep built fields and embeddings, least recently used field
-# first, and drop fields (with the embeddings that reference them) once
-# their arrays exceed _CACHE_BYTES.  The bound holds the largest field the
-# size cap admits (36 bytes per element) with two embeddings into it (8 bytes
-# per element each), so the fields of one command are not dropped while it
-# runs; a dropped field that is asked for again is rebuilt.
-_CACHE_BYTES = 1 << 30
-_FIELD_CACHE: OrderedDict[tuple[int, int], Field] = OrderedDict()
-
-
-def _cache_bytes() -> int:
-    """Bytes of the arrays that the field and embedding caches hold."""
-    fields = (
-        f.exp.nbytes + f.log.nbytes + f.zech.nbytes + sum(t.nbytes for t in f._tables.values())
-        for f in _FIELD_CACHE.values()
-    )
-    embeds = (e._embed.nbytes + e._project.nbytes for e in _EMBED_CACHE.values())
-    return sum(fields) + sum(embeds)
-
-
-def _trim_caches() -> None:
-    while len(_FIELD_CACHE) > 1 and _cache_bytes() > _CACHE_BYTES:
-        _, old = _FIELD_CACHE.popitem(last=False)
-        for key in [k for k, e in _EMBED_CACHE.items() if old in (e.big, e.small)]:
-            del _EMBED_CACHE[key]
+_FIELD_CACHE: dict[tuple[int, int], Field] = {}
 
 
 def field_new(p: int, m: int) -> Field:
     """Construct (or fetch the cached) canonical GF(p^m)."""
     key = (p, m)
-    field = _FIELD_CACHE.get(key)
-    if field is None:
-        field = _FIELD_CACHE[key] = Field(p, m)
-        _trim_caches()
-    else:
-        _FIELD_CACHE.move_to_end(key)
-    return field
+    if key not in _FIELD_CACHE:
+        _FIELD_CACHE[key] = Field(p, m)
+    return _FIELD_CACHE[key]
 
 
 def field_for_order(q: int) -> Field:
@@ -724,11 +694,9 @@ _EMBED_CACHE: dict[tuple[int, int, int], SubfieldEmbedding] = {}
 
 def subfield_embedding(big: Field, small: Field) -> SubfieldEmbedding:
     key = (big.p, big.m, small.m)
-    emb = _EMBED_CACHE.get(key)
-    if emb is None:
-        emb = _EMBED_CACHE[key] = SubfieldEmbedding(big, small)
-        _trim_caches()
-    return emb
+    if key not in _EMBED_CACHE:
+        _EMBED_CACHE[key] = SubfieldEmbedding(big, small)
+    return _EMBED_CACHE[key]
 
 
 def subfield_members(field: Field, q: int) -> np.ndarray:

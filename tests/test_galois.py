@@ -1,5 +1,4 @@
 import itertools
-from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -17,7 +16,6 @@ from codebench.errors import (
 )
 from codebench.galois import (
     _build_exp_chain,
-    _cache_bytes,
     _candidate_chunks,
     _gf2_is_primitive,
     _primitive_rows,
@@ -200,7 +198,7 @@ def test_binary_search_matches_scalar_search(m):
     assert lex_smallest_primitive_modulus(2, m) == _scalar_modulus(2, m)
 
 
-# the odd-characteristic fields above GF(3^8) that the slow CLI tests build
+# the odd-characteristic fields above GF(3^8) that the CLI tests build
 @pytest.mark.parametrize("p,m", [(3, 12), (3, 14)])
 def test_search_matches_scalar_search_on_cli_fields(p, m):
     assert lex_smallest_primitive_modulus(p, m) == _scalar_modulus(p, m)
@@ -261,26 +259,11 @@ def test_doubling_chain_matches_bit_loop(m):
     (5, 3, (1, 1, 1, 1)),  # (x + 1)(x^2 + 1)
 ])
 def test_field_refuses_non_primitive_modulus(p, m, modulus, monkeypatch):
-    monkeypatch.setattr(galois, "_FIELD_CACHE", OrderedDict())
+    monkeypatch.setattr(galois, "_FIELD_CACHE", {})
     monkeypatch.setattr(galois, "lex_smallest_primitive_modulus", lambda p, m: modulus)
     with pytest.raises(NotPrimitiveRoot, match="not primitive"):
         field_new(p, m)
     assert not galois._FIELD_CACHE
-
-
-def test_field_cache_drops_least_recently_used_past_its_bound(monkeypatch):
-    monkeypatch.setattr(galois, "_FIELD_CACHE", OrderedDict())
-    monkeypatch.setattr(galois, "_EMBED_CACHE", {})
-    monkeypatch.setattr(galois, "_CACHE_BYTES", 200 << 20)
-    small = field_new(2, 11)
-    big = field_new(2, 22)  # 36 bytes per element: 144 MiB
-    subfield_embedding(big, small)  # 8 bytes per element of GF(2^22)
-    assert field_new(2, 11) is small  # now more recently used than GF(2^22)
-    assert _cache_bytes() <= galois._CACHE_BYTES
-    field_new(3, 13)  # 55 MiB more: GF(2^22) and its embedding must go
-    assert _cache_bytes() <= galois._CACHE_BYTES
-    assert list(galois._FIELD_CACHE) == [(2, 11), (3, 13)]
-    assert galois._EMBED_CACHE == {}
 
 
 def test_prime_field_uses_smallest_primitive_root():
