@@ -33,7 +33,7 @@ from math import gcd
 
 import numpy as np
 
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, count_text
 from .galois import trace_kernel_logs
 
 _CHUNK_ELEMS = 1 << 22
@@ -205,4 +205,4 @@ def _det(A, rows, cols, field, memo):
 
 def check_budget(count: int, budget: int) -> None:
     if count > budget:
-        raise BudgetExceeded(f"enumeration of {count} items exceeds budget {budget}")
+        raise BudgetExceeded(f"enumeration of {count_text(count)} items exceeds budget {budget}")

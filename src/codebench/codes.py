@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 
 import numpy as np
@@ -24,6 +25,7 @@ from .errors import (
     DegenerateDimension,
     InvalidParameters,
     NotCoprime,
+    count_text,
 )
 from .galois import (
     Field,
@@ -233,7 +235,7 @@ class LinearCode:
         budget = default_budget() if budget is None else budget
         if self.codeword_count() > budget:
             raise BudgetExceeded(
-                f"{self.codeword_count()} codewords exceed budget {budget}"
+                f"{count_text(self.codeword_count())} codewords exceed budget {budget}"
             )
         add_tab = self.field.add_table()
         out = np.zeros((1, self.n), dtype=np.int32)
@@ -437,24 +439,29 @@ class TraceDualSpec:
             out.append(nz[np.count_nonzero(nz, axis=1) == k])
         return np.concatenate(out)
 
-    def codewords(self, budget: int | None = None) -> np.ndarray:
-        """All q^(2m) dual codewords, row a * q^m + b holding c_(a,b).
+    @cached_property
+    def _trace_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        reps = np.arange(self.big.q, dtype=np.int64)
+        zeros = np.zeros_like(reps)
+        dtype = self.field.word_dtype
+        return self._words(reps, zeros).astype(dtype), self._words(zeros, reps).astype(dtype)
 
-        With T[x, y] = Tr(x + y) in canonical GF(q), coordinate i of c_(a,b)
-        is T[a gamma^(h i), b gamma^((h+1) i)], so column i, read as a
-        q^m x q^m array over (a, b), is T with its rows and columns permuted
-        by multiplication with gamma^(h i) and gamma^((h+1) i)."""
+    def codeword_block(self, lo: int, hi: int) -> np.ndarray:
+        """The words c_(a,b) for lo <= a < hi and every b, row (a - lo) q^m + b
+        holding c_(a,b), as ``Field.word_dtype`` over canonical GF(q).
+
+        Tr is additive, so c_(a,b) = TA[a] + TB[b] over GF(q), where
+        TA[a, i] = Tr(a gamma^(h i)) and TB[b, i] = Tr(b gamma^((h+1) i)) are
+        two q^m x n tables built once per instance."""
+        ta, tb = self._trace_tables
+        return self.field.add_words(ta[lo:hi, None, :], tb[None, :, :]).reshape(-1, self.n)
+
+    def codewords(self, budget: int | None = None) -> np.ndarray:
+        """All q^(2m) dual codewords, row a * q^m + b holding c_(a,b)
+        (``codeword_block`` over every a)."""
         budget = default_budget() if budget is None else budget
-        big, n = self.big, self.n
-        kernels.check_budget(big.q**2, budget)
-        mul_tab = big.mul_table()
-        reps = np.arange(big.q, dtype=np.int64)
-        tr = self.embedding.project_table()[trace_arr(big, reps, self.q)]
-        table = tr.astype(np.int32)[big.add_table()]
-        cols = np.empty((n, big.q, big.q), dtype=np.int32)
-        for i in range(n):
-            np.take(table[mul_tab[self._bh[i]]], mul_tab[self._bh1[i]], axis=1, out=cols[i])
-        return np.ascontiguousarray(cols.reshape(n, -1).T)
+        kernels.check_budget(self.big.q**2, budget)
+        return self.codeword_block(0, self.big.q)
 
     def weight_distribution(self, budget: int | None = None):
         """Exact distribution in two parts: the m-dimensional slice

@@ -34,6 +34,7 @@ from .errors import (
     InvalidParameters,
     MultiplicityNotQMinus1,
     NotRegular,
+    count_text,
 )
 from .galois import field_for_order, prime_power, subfield_embedding, unit_circle
 
@@ -206,7 +207,7 @@ def supports_of_weight(
         blocks = _rank_supports(code.q, spec.h, k, check_code=code)
         return SupportCount(q=code.q, k=k, n_points=code.n, blocks=blocks)
     raise BudgetExceeded(
-        f"{code.codeword_count()} codewords exceed budget {budget} and no "
+        f"{count_text(code.codeword_count())} codewords exceed budget {budget} and no "
         f"structural construction applies for k={k}"
     )
 

@@ -1,6 +1,19 @@
 """Exception hierarchy for the workbench."""
 
 
+def count_text(n: int) -> str:
+    """A count for an error message: in full below 10^50, else as its first
+    six digits and decimal exponent, d.ddddde+E (truncated), because str()
+    of an int with more than 4300 digits raises ValueError."""
+    if n < 10**50:
+        return str(n)
+    e = (n.bit_length() - 1) * 30102 // 100000  # at most floor(log10 n)
+    while 10 ** (e + 1) <= n:
+        e += 1
+    lead = str(n // 10 ** (e - 5))
+    return f"{lead[0]}.{lead[1:]}e+{e}"
+
+
 class WorkbenchError(Exception):
     """Base class for all workbench errors."""
 

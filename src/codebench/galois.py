@@ -399,6 +399,22 @@ class Field:
     def neg_logs(self, la) -> np.ndarray:
         return self.log.take(self.exp.take(la + self.log_neg_one))
 
+    # -- addition on stored codewords ------------------------------------------
+
+    @property
+    def word_dtype(self) -> np.dtype:
+        """The smallest unsigned dtype that holds q^2 - 1, so that it holds
+        the index x q + y of ``add_words`` as well as every element."""
+        return np.min_scalar_type(self.q * self.q - 1)
+
+    def add_words(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """a + b elementwise on arrays of ``word_dtype``, keeping the dtype:
+        XOR of the digit vectors for p = 2, else one gather of the flat
+        dense add table at a q + b."""
+        if self.p == 2:
+            return a ^ b
+        return self.add_table().astype(a.dtype).ravel().take(a * self.q + b)
+
     # -- cached dense tables for kernel use ---------------------------------
 
     def _dense(self, name: str, build) -> np.ndarray:

@@ -13,6 +13,7 @@ from math import gcd
 
 import numpy as np
 
+from . import _kernels as kernels
 from . import designs as designs_mod
 from . import diophantine as dio
 from . import subfield as subfield_mod
@@ -143,6 +144,46 @@ def verify_cor31(s: int, i: int, budget=None) -> VerificationResult:
     return res
 
 
+_CHUNK_ELEMS = 1 << 20  # word entries per chunk of the trace image checks
+
+
+def _trace_image_checks(q: int, h: int, counts: np.ndarray, budget) -> tuple[int, bool, bool]:
+    """(size of the trace image, whether it equals the algebraic dual,
+    whether wt(c_(a,b)) = q+1 - N(a,b) for all (a, b)) over the q^4 trace
+    words, generated and checked a few values of a at a time.
+
+    With the dual's generator matrix in RREF as R, pivot columns P, a trace
+    word's digits m at P name the one dual word it can equal: word
+    m_0 q + m_1 of the q^2 words of R[:2] plus word m_2 q + m_3 of those of
+    R[2:].  The image has q^4 words when the names are a permutation of
+    range(q^4), and equals the dual when every word also equals its twin."""
+    td = trace_dual(q, h)
+    dual = bch_build(CodeSpec(q=q, n=q + 1, delta=3, h=h)).dual()
+    field, n, q2 = dual.field, dual.n, q * q
+    R, pivots = rref(dual.gen_matrix, field)
+    top_words, bottom_words = (
+        LinearCode(field, n, rows).codewords(budget=budget).astype(field.word_dtype)
+        for rows in (R[:2], R[2:])
+    )
+    names = np.empty(q2 * q2, dtype=np.int64)
+    equal = weights_ok = True
+    step = max(1, _CHUNK_ELEMS // (q2 * n))
+    for lo in range(0, q2, step):
+        words = td.codeword_block(lo, lo + step)
+        rows = slice(lo * q2, lo * q2 + len(words))
+        digits = words[:, pivots]
+        top = digits[:, 0] * q + digits[:, 1]
+        bottom = digits[:, 2] * q + digits[:, 3]
+        np.add(top * np.int64(q2), bottom, out=names[rows])
+        twins = field.add_words(top_words.take(top, axis=0), bottom_words.take(bottom, axis=0))
+        equal = equal and np.array_equal(twins, words)
+        weights_ok = weights_ok and np.array_equal(
+            np.count_nonzero(words, axis=1), (q + 1) - counts[rows]
+        )
+    hits = np.bincount(names, minlength=q2 * q2)
+    return int(np.count_nonzero(hits)), bool((hits == 1).all()) and equal, weights_ok
+
+
 def _four_weight_suite(theorem: str, q: int, i: int, family: str, budget) -> VerificationResult:
     p, s = prime_power(q)
     h = family_offset(q, i, family)
@@ -162,35 +203,12 @@ def _four_weight_suite(theorem: str, q: int, i: int, family: str, budget) -> Ver
         res.check("enumerator matches closed form", True, report["formula_match"])
     if q > 32:
         return res
-    # injectivity and set equality with the algebraic dual.  Built from the
-    # RREF basis, dual word number sum m_j q^(3-j) carries its message m at
-    # the pivot columns, so a trace word's pivot digits name the one dual
-    # word it must equal.
-    td = trace_dual(q, h)
-    words = td.codewords(budget=budget)
-    dual = bch_build(CodeSpec(q=q, n=q + 1, delta=3, h=h)).dual()
-    R, pivots = rref(dual.gen_matrix, dual.field)
-    idx = words[:, pivots] @ q ** np.arange(len(pivots) - 1, -1, -1)
-    hits = np.bincount(idx, minlength=q**4)
-    res.check("trace image size", q**4, int(np.count_nonzero(hits)))
-    dual_words = LinearCode(dual.field, dual.n, R).codewords(budget=budget)
-    step = 1 << 16  # rows per comparison, so no third q^4 x n array is made
-    res.record(
-        "trace image equals algebraic dual",
-        bool((hits == 1).all())
-        and all(
-            np.array_equal(dual_words[idx[lo : lo + step]], words[lo : lo + step])
-            for lo in range(0, len(words), step)
-        ),
-    )
-    del dual_words  # freed before the weight identity allocates its arrays
-    # weight identity wt(c_(a,b)) = q+1 - N(a,b), exhaustively
+    kernels.check_budget(q**4, budget)  # every trace word is enumerated
     counts = dio.unit_solution_counts(q, h)
-    wts = np.count_nonzero(words, axis=1)
-    res.record(
-        "wt(c_(a,b)) = q+1 - N(a,b) for all (a,b)",
-        bool(np.array_equal(wts, (q + 1) - counts)),
-    )
+    size, equal, weights_ok = _trace_image_checks(q, h, counts, budget)
+    res.check("trace image size", q**4, size)
+    res.record("trace image equals algebraic dual", equal)
+    res.record("wt(c_(a,b)) = q+1 - N(a,b) for all (a,b)", weights_ok)
     nonzero = np.ones(len(counts), dtype=bool)
     nonzero[0] = False  # (a, b) = (0, 0)
     allowed = {0, 1, 2, p_m + 1}
@@ -469,8 +487,6 @@ def verify_lemmas(seed: int = 0, budget=None) -> VerificationResult:
     res.record(f"all_zeros_Pa equals brute force on {len(picked)} full cases", ok)
     # MacWilliams involution on random small codes; both sides enumerated
     # directly so the transform comparison stays independent
-    from . import _kernels as kernels
-
     rng = np.random.default_rng(seed + 1)
     checked = 0
     ok_inv = ok_dual = True

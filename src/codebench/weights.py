@@ -20,6 +20,7 @@ from .errors import (
     FourWeightViolation,
     InvalidParameters,
     NonIntegerResult,
+    count_text,
 )
 from .galois import prime_power
 
@@ -102,7 +103,7 @@ def _enumerate(code: LinearCode, budget: int | None) -> tuple[WeightDistribution
         counts = kernels.weight_counts(counted.gen_matrix, counted.field)
         wd = WeightDistribution(code.n, code.q, counted.k, tuple(int(c) for c in counts))
         return wd, route == "dual"
-    listed = ", ".join(f"{route}={cost}" for route, cost in costs.items())
+    listed = ", ".join(f"{route}={count_text(cost)}" for route, cost in costs.items())
     raise BudgetExceeded(f"min({listed}) exceeds budget {budget}")
 
 

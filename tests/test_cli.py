@@ -3,6 +3,7 @@ import json
 import pytest
 
 from codebench.cli import main
+from codebench.errors import count_text
 
 
 def run(capsys, *argv):
@@ -141,6 +142,25 @@ def test_verify_trace_orbit_instances(argv, capsys):
 def test_budget_exceeded_exit3(capsys):
     code, _ = run(capsys, "--budget", "100", "wdist", "--q", "9", "--h", "3")
     assert code == 3
+
+
+@pytest.mark.parametrize("argv,count", [
+    # the [2188, 2182] code has about 10^7284 projective messages and the
+    # [2188, 2184] code 10^7294 words, more digits than str() of an int allows
+    (("wdist", "--q", "2187", "--h", "1", "--delta", "4"), "min(direct=1.62328e+7284, dual="),
+    (("build", "2187", "2188", "3", "1", "--words"), "1.69723e+7294 codewords"),
+], ids=["wdist", "build-words"])
+def test_budget_exceeded_exit3_for_huge_counts(argv, count, capsys):
+    assert main(list(argv)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("budget exceeded: ")
+    assert count in err
+
+
+def test_count_text_switches_to_an_exponent_at_10_pow_50():
+    assert count_text(10**50 - 1) == "9" * 50
+    assert count_text(10**50) == "1.00000e+50"
+    assert count_text(10**7000 - 1) == "9.99999e+6999"
 
 
 @pytest.mark.parametrize("argv", [

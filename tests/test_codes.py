@@ -20,7 +20,8 @@ from codebench.codes import (
 )
 from codebench.diophantine import count_unit_solutions
 from codebench.errors import BudgetExceeded, DegenerateDimension, NotCoprime
-from codebench.galois import field_new, subfield_embedding
+from codebench.galois import field_new, subfield_embedding, trace_arr
+from codebench.verify import valid_instances
 
 
 def test_bch_dimensions():
@@ -231,3 +232,25 @@ def test_trace_codewords_equal_codeword_sampled_q27():
     rng = np.random.default_rng(6)
     for a, b in rng.integers(0, 729, size=(500, 2)).tolist():
         assert np.array_equal(words[a * 729 + b], td.codeword(a, b)), (a, b)
+
+
+def _big_table_codewords(td):
+    """The dense-table builder: with T[x, y] = Tr(x + y) in canonical GF(q),
+    column i of the words, read as a q^m x q^m array over (a, b), is T with
+    its rows and columns permuted by gamma^(h i) and gamma^((h+1) i)."""
+    big, n = td.big, td.n
+    mul_tab = big.mul_table()
+    reps = np.arange(big.q, dtype=np.int64)
+    tr = td.embedding.project_table()[trace_arr(big, reps, td.q)]
+    table = tr.astype(np.int32)[big.add_table()]
+    cols = np.empty((n, big.q, big.q), dtype=np.int32)
+    for i in range(n):
+        np.take(table[mul_tab[td._bh[i]]], mul_tab[td._bh1[i]], axis=1, out=cols[i])
+    return np.ascontiguousarray(cols.reshape(n, -1).T)
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 32])
+def test_trace_codewords_equal_big_table_builder(q):
+    for _family, _i, h in valid_instances(q):
+        td = trace_dual(q, h)
+        assert np.array_equal(td.codewords(), _big_table_codewords(td)), (q, h)

@@ -3,9 +3,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from codebench import diophantine as dio
+from codebench import verify
 from codebench.cli import main
-from codebench.codes import TraceDualSpec
+from codebench.codes import CodeSpec, LinearCode, TraceDualSpec, bch_build, rref, trace_dual
 from codebench.errors import WorkbenchError
+from codebench.galois import Field
 from codebench.verify import (
     family_offset,
     run_suite,
@@ -105,15 +108,104 @@ def _swap_rows_0_1(words):
     (_swap_rows_0_1, ["wt(c_(a,b)) = q+1 - N(a,b) for all (a,b)"]),
 ])
 def test_four_weight_suite_flags_corrupted_trace_words(monkeypatch, corrupt, failing):
-    codewords = TraceDualSpec.codewords
+    block = TraceDualSpec.codeword_block
 
-    def corrupted(self, budget=None):
-        words = codewords(self, budget=budget)
-        corrupt(words)
+    def corrupted(self, lo, hi):
+        words = block(self, lo, hi)
+        if lo == 0:  # at q = 9 the first chunk holds every word
+            corrupt(words)
         return words
 
-    monkeypatch.setattr(TraceDualSpec, "codewords", corrupted)
+    monkeypatch.setattr(TraceDualSpec, "codeword_block", corrupted)
     assert [a.name for a in verify_thm31(9, 1).failures()] == failing
+
+
+CROSS_CHECKS = (
+    "trace image size",
+    "trace image equals algebraic dual",
+    "wt(c_(a,b)) = q+1 - N(a,b) for all (a,b)",
+)
+
+
+def _materialised_cross_checks(q, h, words):
+    """The three cross-checks on the whole word set: the algebraic dual's
+    q^4 words are built from its RREF basis R, so row sum m_j q^(3-j) holds
+    message m and carries it at the pivot columns, and each trace word's
+    pivot digits index the dual word it must equal."""
+    dual = bch_build(CodeSpec(q=q, n=q + 1, delta=3, h=h)).dual()
+    R, pivots = rref(dual.gen_matrix, dual.field)
+    idx = words[:, pivots] @ q ** np.arange(len(pivots) - 1, -1, -1)
+    hits = np.bincount(idx, minlength=q**4)
+    size = int(np.count_nonzero(hits))
+    dual_words = LinearCode(dual.field, dual.n, R).codewords()
+    step = 1 << 16
+    equal = bool((hits == 1).all()) and all(
+        np.array_equal(dual_words[idx[lo : lo + step]], words[lo : lo + step])
+        for lo in range(0, len(words), step)
+    )
+    counts = dio.unit_solution_counts(q, h)
+    weights_ok = bool(np.array_equal(np.count_nonzero(words, axis=1), (q + 1) - counts))
+    return [(CROSS_CHECKS[0], size == q**4, size), (CROSS_CHECKS[1], equal, None),
+            (CROSS_CHECKS[2], weights_ok, None)]
+
+
+def _streamed_cross_checks(q, i, family):
+    res = verify._four_weight_suite("thm", q, i, family, None)
+    return [(a.name, a.passed, a.actual) for a in res.assertions if a.name in CROSS_CHECKS]
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 32])
+def test_streamed_cross_checks_equal_materialised_ones(q):
+    for family, i, h in valid_instances(q):
+        want = _materialised_cross_checks(q, h, trace_dual(q, h).codewords())
+        assert _streamed_cross_checks(q, i, family) == want, (q, i, family)
+
+
+def _change_pivot_entry(words, r):
+    words[r, 0] = words[r, 0] % 8 + 1
+
+
+def _change_last_entry(words, r):
+    words[r, -1] = (words[r, -1] + 1) % 9
+
+
+def _repeat_first_row(words, r):
+    words[r] = words[1]
+
+
+def _swap_with_first_chunk(words, r):
+    words[[2, r]] = words[[r, 2]]
+
+
+@pytest.mark.parametrize("corrupt", [
+    _change_pivot_entry, _change_last_entry, _repeat_first_row, _swap_with_first_chunk,
+])
+def test_streamed_cross_checks_see_corruption_past_the_first_chunk(monkeypatch, corrupt):
+    q, i, family = 9, 1, "q-minus-pi"
+    h = family_offset(q, i, family)
+    q2 = q * q
+    # two values of a per chunk; row r = 13 q^2 + 5 lies in the seventh chunk
+    monkeypatch.setattr(verify, "_CHUNK_ELEMS", 2 * q2 * (q + 1))
+    words = trace_dual(q, h).codewords()
+    corrupt(words, 13 * q2 + 5)
+    monkeypatch.setattr(TraceDualSpec, "codeword_block",
+                        lambda self, lo, hi: words[lo * q2 : min(hi, q2) * q2].copy())
+    got = _streamed_cross_checks(q, i, family)
+    assert got == _materialised_cross_checks(q, h, words)
+    assert not all(passed for _, passed, _ in got)
+
+
+def test_cross_checks_build_no_dense_table_of_the_big_field(monkeypatch):
+    for name in ("add_table", "mul_table"):
+        def guarded(self, _table=getattr(Field, name), _name=name):
+            if self.q > 32:
+                raise AssertionError(f"dense {_name} table of {self!r}")
+            return _table(self)
+
+        monkeypatch.setattr(Field, name, guarded)
+    assert verify_thm31(27, 1).ok
+    assert verify_thm34(27, 1).ok
+    assert verify_thm31(32, 1).ok
 
 
 def test_four_weight_suite_at_q32(capsys):
@@ -132,6 +224,6 @@ def test_four_weight_suite_memory_at_q27():
     finally:
         tracemalloc.stop()
     words_bytes = q**4 * (q + 1) * 4
-    # the trace and dual words, chunked comparisons; a third q^4 x n array
-    # (one-step gather of the dual words) would reach about 3.4 x
-    assert peak < 2.75 * words_bytes, peak / words_bytes
+    # words_bytes is all q^4 words as int32; the streamed checks hold a few
+    # chunks of them and some q^4 int64 arrays (names, hits, N(a,b))
+    assert peak < 1.25 * words_bytes, peak / words_bytes
