@@ -5,8 +5,8 @@ Three kernels dominate every long run:
 * ``weight_counts`` — exact weight distribution of the row span of a
   generator matrix, enumerating one representative per projective message
   (scalar multiples share a weight) and scaling counts by q-1.  Message
-  digits fold into chunked codeword blocks that gather through the dense
-  add table.
+  digits fold into chunked codeword blocks of words packed into uint64
+  lanes (``galois.Lanes``), added and weighed a lane at a time.
 * ``trace_orbit_counts`` — exact weight distribution of the two-term
   trace code words c_(a,b) with a != 0 over GF(q^m), one orbit
   representative of a per class of the weight-preserving scalar/shift
@@ -46,36 +46,39 @@ def projective_count(q: int, k: int) -> int:
 
 def weight_counts(gen_matrix: np.ndarray, field) -> np.ndarray:
     """Exact counts (A_0..A_n) of the row span; rows must be GF(q)-independent."""
-    G = np.ascontiguousarray(gen_matrix, dtype=np.int32)
+    G = np.asarray(gen_matrix)
     k, n = G.shape
     q = field.q
-    add_tab = np.ascontiguousarray(field.add_table(), dtype=np.int32)
-    scaled = np.empty((k, q, n), dtype=np.int32)
+    lanes = field.lanes(n)
+    # scaled[j] holds the packed multiples c G[j], c in GF(q); the first
+    # row is only ever a leading row, with c = 1
+    step = max(1, _CHUNK_ELEMS // max(n, 1))
+    scaled = np.zeros((k, lanes.count, q), dtype=np.uint64)
     for j in range(k):
-        scaled[j] = field.mul_arr(np.arange(q, dtype=np.int64)[:, None], G[j][None, :])
+        scalars = np.arange(q if j else 2, dtype=np.int64)
+        for lo in range(0, len(scalars), step):
+            c = scalars[lo : lo + step, None]
+            scaled[j, :, lo : lo + len(c)] = lanes.pack(field.mul_arr(c, G[j][None, :]))
     # projective messages: the first nonzero digit (row `lead`) is 1
     proj = np.zeros(n + 1, dtype=np.int64)
     for lead in range(k):
-        base = scaled[lead, 1]
+        block = scaled[lead, :, 1:2]
         free = scaled[lead + 1 :]
         kk = free.shape[0]
         t = 0
-        while t < kk and (q ** (t + 1)) * n <= _CHUNK_ELEMS:
+        while t < kk and (q ** (t + 1)) * lanes.count <= _CHUNK_ELEMS:
             t += 1
-        block = base[None, :]
         for u in range(t):
-            block = add_tab[block[:, None, :], free[u][None, :, :]].reshape(-1, n)
+            block = lanes.add(block[:, :, None], free[u][:, None, :]).reshape(lanes.count, -1)
         rest = free[t:]
         if rest.shape[0] == 0:
-            w = np.count_nonzero(block, axis=1)
-            proj += np.bincount(w, minlength=n + 1)
+            proj += np.bincount(lanes.weights(block), minlength=n + 1)
             continue
         for combo in product(range(q), repeat=rest.shape[0]):
-            vec = np.zeros(n, dtype=np.int32)
-            for c, row in zip(combo, rest):
-                vec = add_tab[vec, row[c]]
-            w = np.count_nonzero(add_tab[block, vec[None, :]], axis=1)
-            proj += np.bincount(w, minlength=n + 1)
+            vec = rest[0][:, combo[0]]
+            for c, row in zip(combo[1:], rest[1:]):
+                vec = lanes.add(vec, row[:, c])
+            proj += np.bincount(lanes.weights(lanes.add(block, vec[:, None])), minlength=n + 1)
     counts = np.zeros(n + 1, dtype=np.int64)
     counts[0] = 1
     counts[1:] += (q - 1) * proj[1:]
@@ -104,17 +107,23 @@ def trace_orbit_counts(big, q: int, n: int, h: int) -> np.ndarray:
     orbits = gcd(order // (q - 1), eh)
     kernel_logs = trace_kernel_logs(big, q)
     i = np.arange(n, dtype=np.int64)
+    # a few coordinates i at a time, so no n x |K| array is held
+    rows = max(1, _CHUNK_ELEMS // max(len(kernel_logs), 1))
     hist = np.zeros(n + 1, dtype=np.int64)
     for r in range(orbits):
         # log(-a gamma^(h i)) and log(-a gamma^(-i)), the k = 0 point of B_i
         shift = (r + big.log_neg_one + eh * i) % order
         line0 = (r + big.log_neg_one - e * i) % order
-        # k = alpha^l: k - a gamma^(h i) = alpha^shift (1 + alpha^(l - shift))
-        one_plus = big.zech[kernel_logs[None, :] - shift[:, None] + big.log_zero]
-        logs = np.minimum(big.mul_logs(line0[:, None], one_plus), order)  # order: b = 0
-        zeros = np.bincount(logs.ravel(), minlength=order + 1)
-        zeros += np.bincount(line0, minlength=order + 1)
-        hist += np.bincount(n - zeros, minlength=n + 1)
+        # zeros[log b] counts the hyperplanes through b (at most n); order: b = 0
+        zeros = np.bincount(line0, minlength=order + 1)
+        zeros = zeros.astype(np.int16 if n < 1 << 15 else np.int32)
+        for lo in range(0, n, rows):
+            # k = alpha^l: k - a gamma^(h i) = alpha^shift (1 + alpha^(l - shift))
+            one_plus = big.zech.take(kernel_logs - shift[lo : lo + rows, None] + big.log_zero)
+            logs = big.mul_logs(line0[lo : lo + rows, None], one_plus)
+            del one_plus  # before the (q^m)-entry bincount
+            zeros += np.bincount(np.minimum(logs, order, out=logs).ravel(), minlength=order + 1)
+        hist += np.bincount(np.subtract(n, zeros, out=zeros), minlength=n + 1)
     return hist * (order // orbits)
 
 

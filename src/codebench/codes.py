@@ -237,14 +237,13 @@ class LinearCode:
             raise BudgetExceeded(
                 f"{count_text(self.codeword_count())} codewords exceed budget {budget}"
             )
-        add_tab = self.field.add_table()
-        out = np.zeros((1, self.n), dtype=np.int32)
-        for j in range(self.k):
-            mults = self.field.mul_arr(
-                np.arange(self.q, dtype=np.int64)[:, None], self.gen_matrix[j][None, :]
-            ).astype(np.int32)
-            out = add_tab[out[:, None, :], mults[None, :, :]].reshape(-1, self.n)
-        return out
+        lanes = self.field.lanes(self.n)
+        scalars = np.arange(self.q, dtype=np.int64)[:, None]
+        out = np.zeros((lanes.count, 1), dtype=np.uint64)
+        for row in self.gen_matrix:
+            mults = lanes.pack(self.field.mul_arr(scalars, row[None, :]))
+            out = lanes.add(out[:, :, None], mults[:, None, :]).reshape(lanes.count, -1)
+        return lanes.unpack(out)
 
     def min_distance(self, budget: int | None = None) -> int:
         return min_distance(self, budget=budget)
@@ -440,28 +439,29 @@ class TraceDualSpec:
         return np.concatenate(out)
 
     @cached_property
-    def _trace_tables(self) -> tuple[np.ndarray, np.ndarray]:
+    def _packed_tables(self) -> tuple[np.ndarray, np.ndarray]:
         reps = np.arange(self.big.q, dtype=np.int64)
         zeros = np.zeros_like(reps)
-        dtype = self.field.word_dtype
-        return self._words(reps, zeros).astype(dtype), self._words(zeros, reps).astype(dtype)
+        lanes = self.field.lanes(self.n)
+        return lanes.pack(self._words(reps, zeros)), lanes.pack(self._words(zeros, reps))
 
-    def codeword_block(self, lo: int, hi: int) -> np.ndarray:
-        """The words c_(a,b) for lo <= a < hi and every b, row (a - lo) q^m + b
-        holding c_(a,b), as ``Field.word_dtype`` over canonical GF(q).
+    def packed_block(self, lo: int, hi: int) -> np.ndarray:
+        """The words c_(a,b) for lo <= a < hi and every b, packed into lanes
+        (``Field.lanes``), word (a - lo) q^m + b holding c_(a,b).
 
         Tr is additive, so c_(a,b) = TA[a] + TB[b] over GF(q), where
         TA[a, i] = Tr(a gamma^(h i)) and TB[b, i] = Tr(b gamma^((h+1) i)) are
-        two q^m x n tables built once per instance."""
-        ta, tb = self._trace_tables
-        return self.field.add_words(ta[lo:hi, None, :], tb[None, :, :]).reshape(-1, self.n)
+        two q^m x n tables, packed once per instance."""
+        ta, tb = self._packed_tables
+        lanes = self.field.lanes(self.n)
+        return lanes.add(ta[:, lo:hi, None], tb[:, None, :]).reshape(lanes.count, -1)
 
     def codewords(self, budget: int | None = None) -> np.ndarray:
-        """All q^(2m) dual codewords, row a * q^m + b holding c_(a,b)
-        (``codeword_block`` over every a)."""
+        """All q^(2m) dual codewords over canonical GF(q), row a * q^m + b
+        holding c_(a,b) (``packed_block`` over every a, unpacked)."""
         budget = default_budget() if budget is None else budget
         kernels.check_budget(self.big.q**2, budget)
-        return self.codeword_block(0, self.big.q)
+        return self.field.lanes(self.n).unpack(self.packed_block(0, self.big.q))
 
     def weight_distribution(self, budget: int | None = None):
         """Exact distribution in two parts: the m-dimensional slice

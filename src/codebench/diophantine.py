@@ -196,7 +196,7 @@ def unit_solution_counts(q: int, h: int) -> np.ndarray:
     else:
         lhs = f2.add_arr(f2.mul_arr(rq, u), f2.mul_arr(reps, upi))
         rhs = f2.neg_arr(f2.add_arr(rq, f2.mul_arr(reps, upi1)))
-    counts = np.zeros((f2.q, f2.q), dtype=np.int64)
+    counts = np.zeros((f2.q, f2.q), dtype=np.min_scalar_type(q + 1))  # N <= q + 1
     for a_vals, b_vals in zip(lhs, rhs):
         counts += a_vals[:, None] == b_vals[None, :]
     return counts.ravel()

@@ -20,7 +20,8 @@ All arithmetic runs on one set of arrays per field: log, antilog and Zech
 logarithms, each defined on every input with zero as a sentinel log (see
 ``Field``).  Scalar ops, array ops on representations, ops on logs (for
 ``codes.rref`` and the kernels) and the cached dense tables are each an
-expression over them, with no branch on zero.
+expression over them, with no branch on zero.  Stored codewords are added
+and weighed digit-wise instead, packed into uint64 lanes (``Lanes``).
 """
 from __future__ import annotations
 
@@ -287,6 +288,7 @@ class Field:
         "log_zero",
         "log_neg_one",
         "_tables",
+        "_lanes",
     )
 
     def __init__(self, p: int, m: int):
@@ -326,6 +328,7 @@ class Field:
         self.log.take(base, out=self.zech[z : 3 * o])
         self.zech[o + 1 : z] = self.zech[z + 1 : 3 * o]
         self._tables: dict[str, np.ndarray] = {}
+        self._lanes: dict[int, Lanes] = {}
 
     # -- scalar arithmetic on integer representations ----------------------
 
@@ -399,23 +402,16 @@ class Field:
     def neg_logs(self, la) -> np.ndarray:
         return self.log.take(self.exp.take(la + self.log_neg_one))
 
-    # -- addition on stored codewords ------------------------------------------
+    # -- words packed into uint64 lanes -----------------------------------------
 
-    @property
-    def word_dtype(self) -> np.dtype:
-        """The smallest unsigned dtype that holds q^2 - 1, so that it holds
-        the index x q + y of ``add_words`` as well as every element."""
-        return np.min_scalar_type(self.q * self.q - 1)
+    def lanes(self, n: int) -> "Lanes":
+        """The lane layout of words of n coordinates (see ``Lanes``), cached."""
+        if n not in self._lanes:
+            self._lanes[n] = Lanes(self, n)
+        return self._lanes[n]
 
-    def add_words(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """a + b elementwise on arrays of ``word_dtype``, keeping the dtype:
-        XOR of the digit vectors for p = 2, else one gather of the flat
-        dense add table at a q + b."""
-        if self.p == 2:
-            return a ^ b
-        return self.add_table().astype(a.dtype).ravel().take(a * self.q + b)
-
-    # -- cached dense tables for kernel use ---------------------------------
+    # -- cached dense tables ---------------------------------------------------
+    # (no function of the package calls them; perfbench's traced run names them)
 
     def _dense(self, name: str, build) -> np.ndarray:
         if name not in self._tables:
@@ -487,6 +483,138 @@ class Field:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())
+
+
+def _repeated(width: int, count: int, value: int) -> np.uint64:
+    """value repeated in each of count consecutive width-bit fields."""
+    return np.uint64(sum(value << (i * width) for i in range(count)))
+
+
+class Lanes:
+    """Words of n coordinates over GF(p^k), packed into uint64 lanes.
+
+    Base-p digit d of a coordinate sits in a w-bit field at bit d w, with
+    2^(w-1) >= p for odd p and w = 1 for p = 2, so a coordinate takes
+    c = k w bits (for p = 2 or k = 1 it is the element itself).  A lane holds
+    per = 64 // c whole coordinates, coordinate j at bit (j % per) c of lane
+    j // per, so a word takes ``count`` = ceil(n / per) lanes.  A packed
+    array holds the lanes first: words of shape (..., n) pack to
+    (count, ...), so that every lane op runs over one long contiguous axis.
+
+    Field addition adds base-p digits mod p (Lidl & Niederreiter, ch. 2), so
+    ``add`` adds whole lanes with a few integer ops (XOR for p = 2), and
+    ``weights`` counts nonzero coordinates with one test per coordinate
+    field and ``np.bitwise_count``: the SIMD-within-a-register idiom.
+    """
+
+    __slots__ = ("p", "n", "width", "bits", "per", "count", "_shifts", "_carry",
+                 "_digit_top", "_top", "_low", "_mask", "_dtype", "_spread", "_decode")
+
+    def __init__(self, field: Field, n: int):
+        p, k = field.p, field.m
+        w = 1 if p == 2 else p.bit_length() + 1
+        c = k * w  # at most 45 bits, since q <= TABLE_BUDGET
+        per = 64 // c
+        self.p, self.n, self.width, self.bits, self.per = p, n, w, c, per
+        self.count = -(-n // per)
+        self._shifts = c * np.arange(per, dtype=np.uint64)
+        self._mask = np.uint64((1 << c) - 1)
+        self._dtype = np.min_scalar_type(field.q - 1)
+        # odd p: 2^(w-1) - p in each digit field, and the field's top bit
+        odd = p != 2
+        self._carry = _repeated(w, per * k, (1 << (w - 1)) - p) if odd else None
+        self._digit_top = _repeated(w, per * k, 1 << (w - 1)) if odd else None
+        # each coordinate field: its top bit, and the bits below it
+        self._top = _repeated(c, per, 1 << (c - 1))
+        self._low = _repeated(c, per, (1 << (c - 1)) - 1)
+        # element <-> coordinate field, by tables over groups of whole digits
+        # (at most 2^16 entries each); none where the two coincide
+        self._spread: list[tuple[int, int, np.ndarray]] = []
+        self._decode: list[tuple[int, int, np.ndarray]] = []
+        if p == 2 or k == 1:
+            return
+        group = max(1, 16 // w)
+        for lo in range(0, k, group):
+            d = min(group, k - lo)
+            x = np.arange(p**d, dtype=np.uint64)
+            spread = np.zeros_like(x)
+            for i in range(d):
+                spread |= (x // p**i % p) << np.uint64(i * w)
+            self._spread.append((p**lo, p**d, spread << np.uint64(lo * w)))
+            v = np.arange(1 << (d * w), dtype=np.int64)
+            digits = [(v >> (i * w)) & ((1 << w) - 1) for i in range(d)]
+            decode = sum(dig * p ** (lo + i) for i, dig in enumerate(digits)) % field.q
+            self._decode.append((lo * w, (1 << (d * w)) - 1, decode.astype(self._dtype)))
+
+    def _to_fields(self, x: np.ndarray) -> np.ndarray:
+        if not self._spread:
+            return x.astype(np.uint64)
+        if len(self._spread) == 1:
+            return self._spread[0][2].take(x)
+        out = np.zeros(x.shape, dtype=np.uint64)
+        for scale, size, table in self._spread:
+            out |= table.take(x // scale % size)
+        return out
+
+    def _from_fields(self, v: np.ndarray) -> np.ndarray:
+        """Element values of coordinate fields v (uint64 of at most c bits)."""
+        if not self._decode:
+            return v.astype(self._dtype)
+        out = None
+        for shift, mask, table in self._decode:
+            part = table.take((v >> np.uint64(shift)) & np.uint64(mask))
+            out = part if out is None else out + part
+        return out
+
+    def pack(self, words) -> np.ndarray:
+        """Words of shape (..., n), entries in [0, q), as lanes (count, ...)."""
+        words = np.asarray(words)
+        head = words.shape[:-1]
+        pad = self.count * self.per - self.n
+        if pad:
+            words = np.concatenate([words, np.zeros(head + (pad,), words.dtype)], axis=-1)
+        # (per, count, ...): one slab per position in the lane
+        h = len(head)
+        slabs = words.reshape(head + (self.count, self.per)).transpose(h + 1, h, *range(h))
+        x = self._to_fields(slabs)
+        x <<= self._shifts.reshape((-1,) + (1,) * (x.ndim - 1))
+        return np.bitwise_or.reduce(x, axis=0)
+
+    def unpack(self, lanes: np.ndarray) -> np.ndarray:
+        """Lanes (count, ...) back to words (..., n)."""
+        x = (lanes[..., None] >> self._shifts) & self._mask  # (count, ..., per)
+        x = np.moveaxis(x, 0, -2).reshape(lanes.shape[1:] + (self.count * self.per,))
+        return self._from_fields(x[..., : self.n])
+
+    def column(self, lanes: np.ndarray, j: int) -> np.ndarray:
+        """Coordinate j of every packed word, as element values."""
+        shift = np.uint64(j % self.per * self.bits)
+        return self._from_fields((lanes[j // self.per] >> shift) & self._mask)
+
+    def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """a + b of packed words (broadcasting).  For odd p each digit sum s
+        is below 2p <= 2^w; s + 2^(w-1) - p sets the field's top bit exactly
+        when s >= p, and p is taken off those fields."""
+        if self.p == 2:
+            return a ^ b
+        s = a + b
+        t = s + self._carry
+        t &= self._digit_top
+        t >>= np.uint64(self.width - 1)
+        t *= np.uint64(self.p)
+        s -= t
+        return s
+
+    def weights(self, lanes: np.ndarray) -> np.ndarray:
+        """Number of nonzero coordinates of every packed word.  Adding the
+        low bits of a coordinate field to all ones below its top bit carries
+        into the top bit exactly when they are nonzero; OR-ing in the field
+        adds its own top bit."""
+        nz = lanes & self._low
+        nz += self._low
+        nz |= lanes
+        nz &= self._top
+        return np.bitwise_count(nz).sum(axis=0, dtype=np.intp)
 
 
 _FIELD_CACHE: dict[tuple[int, int], Field] = {}
@@ -655,7 +783,7 @@ class SubfieldEmbedding:
                         acc = big.add(acc, big.mul(d, g))
                 embed[r] = acc
         self._embed = embed
-        project = np.full(big.q, -1, dtype=np.int64)
+        project = np.full(big.q, -1, dtype=np.int32)
         project[embed] = np.arange(small.q, dtype=np.int64)
         self._project = project
 

@@ -150,7 +150,8 @@ _CHUNK_ELEMS = 1 << 20  # word entries per chunk of the trace image checks
 def _trace_image_checks(q: int, h: int, counts: np.ndarray, budget) -> tuple[int, bool, bool]:
     """(size of the trace image, whether it equals the algebraic dual,
     whether wt(c_(a,b)) = q+1 - N(a,b) for all (a, b)) over the q^4 trace
-    words, generated and checked a few values of a at a time.
+    words, generated and checked a few values of a at a time, packed into
+    lanes (``Field.lanes``).
 
     With the dual's generator matrix in RREF as R, pivot columns P, a trace
     word's digits m at P name the one dual word it can equal: word
@@ -160,26 +161,24 @@ def _trace_image_checks(q: int, h: int, counts: np.ndarray, budget) -> tuple[int
     td = trace_dual(q, h)
     dual = bch_build(CodeSpec(q=q, n=q + 1, delta=3, h=h)).dual()
     field, n, q2 = dual.field, dual.n, q * q
+    lanes = field.lanes(n)
     R, pivots = rref(dual.gen_matrix, field)
     top_words, bottom_words = (
-        LinearCode(field, n, rows).codewords(budget=budget).astype(field.word_dtype)
-        for rows in (R[:2], R[2:])
+        lanes.pack(LinearCode(field, n, rows).codewords(budget=budget)) for rows in (R[:2], R[2:])
     )
     names = np.empty(q2 * q2, dtype=np.int64)
     equal = weights_ok = True
     step = max(1, _CHUNK_ELEMS // (q2 * n))
     for lo in range(0, q2, step):
-        words = td.codeword_block(lo, lo + step)
-        rows = slice(lo * q2, lo * q2 + len(words))
-        digits = words[:, pivots]
-        top = digits[:, 0] * q + digits[:, 1]
-        bottom = digits[:, 2] * q + digits[:, 3]
+        words = td.packed_block(lo, lo + step)
+        rows = slice(lo * q2, lo * q2 + words.shape[1])
+        m0, m1, m2, m3 = (lanes.column(words, j) for j in pivots)
+        top = m0 * np.int64(q) + m1
+        bottom = m2 * np.int64(q) + m3
         np.add(top * np.int64(q2), bottom, out=names[rows])
-        twins = field.add_words(top_words.take(top, axis=0), bottom_words.take(bottom, axis=0))
+        twins = lanes.add(top_words.take(top, axis=1), bottom_words.take(bottom, axis=1))
         equal = equal and np.array_equal(twins, words)
-        weights_ok = weights_ok and np.array_equal(
-            np.count_nonzero(words, axis=1), (q + 1) - counts[rows]
-        )
+        weights_ok = weights_ok and np.array_equal(lanes.weights(words), (q + 1) - counts[rows])
     hits = np.bincount(names, minlength=q2 * q2)
     return int(np.count_nonzero(hits)), bool((hits == 1).all()) and equal, weights_ok
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from codebench import galois
 from codebench.cli import main
 from codebench.errors import count_text
 
@@ -164,9 +165,8 @@ def test_count_text_switches_to_an_exponent_at_10_pow_50():
 
 
 @pytest.mark.parametrize("argv", [
-    ("verify", "cor3.3", "--s", "7"),  # the dense GF(2187) add table of weight_counts
     ("field", "2", "25"),  # GF(2^25) is above the field-size cap
-])
+], ids=["field-2-25"])
 def test_table_cap_exit3(argv, capsys):
     assert main(list(argv)) == 3
     err = capsys.readouterr().err
@@ -216,8 +216,16 @@ def test_trace_dual_budget_charge(capsys):
     ("thm3.1", "--q", "512", "--i", "1"),
     ("thm3.4", "--q", "729", "--i", "2"),
     ("cor3.2", "--s", "6", "--i", "1", "--family", "pi-minus-1"),
+    # above q = 2048, where GF(q) once had a dense add table
+    ("cor3.3", "--s", "7"),
+    ("thm3.4", "--q", "2187", "--i", "2"),
+    ("thm3.1", "--q", "4096", "--i", "1"),
 ])
-def test_verify_large_duals_default_budget(argv, capsys):
+def test_verify_large_duals_default_budget(argv, capsys, monkeypatch):
+    # the fields built here (GF(2^24) holds about 0.5 GB) leave the caches
+    # with the test
+    monkeypatch.setattr(galois, "_FIELD_CACHE", dict(galois._FIELD_CACHE))
+    monkeypatch.setattr(galois, "_EMBED_CACHE", dict(galois._EMBED_CACHE))
     code, out = run(capsys, "verify", *argv)
     assert code == 0
     assert "[FAIL]" not in out

@@ -1,3 +1,4 @@
+import itertools
 import json
 from math import gcd
 
@@ -20,7 +21,7 @@ from codebench.codes import (
 )
 from codebench.diophantine import count_unit_solutions
 from codebench.errors import BudgetExceeded, DegenerateDimension, NotCoprime
-from codebench.galois import field_new, subfield_embedding, trace_arr
+from codebench.galois import field_for_order, field_new, subfield_embedding, trace_arr
 from codebench.verify import valid_instances
 
 
@@ -110,6 +111,20 @@ def test_codewords_distinct_and_heavy():
     d = min_distance(code)
     weights = (words != 0).sum(axis=1)
     assert (weights[weights > 0] >= d).all() and (weights == 0).sum() == 1
+
+
+@pytest.mark.parametrize("q", [2, 4, 7, 9])
+def test_codewords_are_the_messages_in_order(q):
+    # row m_0 q^(k-1) + ... + m_(k-1) holds sum m_j G_j, from the array ops
+    field = field_for_order(q)
+    G = np.random.default_rng(q).integers(0, q, size=(3, 11))
+    words = LinearCode(field, 11, G).codewords()
+    assert words.shape == (q**3, 11)
+    for row, msg in zip(words, itertools.product(range(q), repeat=3)):
+        want = np.zeros(11, dtype=np.int64)
+        for c, g in zip(msg, G):
+            want = field.add_arr(want, field.mul_arr(c, g))
+        assert np.array_equal(row, want), msg
 
 
 def test_codeword_budget():

@@ -15,6 +15,7 @@ from codebench.errors import (
     SpecMismatch,
 )
 from codebench.galois import (
+    Field,
     _build_exp_chain,
     _candidate_chunks,
     _gf2_is_primitive,
@@ -248,6 +249,40 @@ def test_doubling_chain_matches_bit_loop(m):
     q = 2**m
     modulus = lex_smallest_primitive_modulus(2, m)
     assert _build_exp_chain(2, m, q, modulus).tolist() == _gf2_bit_loop(m, q, modulus)
+
+
+# words packed into uint64 lanes: pack/unpack, add and weights against the
+# array ops and count_nonzero, for n below, at and above multiples of per
+
+
+def _check_lanes(field, rng, rows=6):
+    per = field.lanes(1).per
+    for n in sorted({1, max(1, per - 1), per, per + 1, 2 * per - 1, 2 * per, 2 * per + 1}):
+        lanes = field.lanes(n)
+        assert lanes.count == -(-n // per)
+        a, b = (rng.integers(0, field.q, size=(rows, n)) * (rng.random((rows, n)) < 0.7)
+                for _ in range(2))
+        pa, pb = lanes.pack(a), lanes.pack(b)
+        assert pa.shape == (lanes.count, rows) and pa.dtype == np.uint64
+        assert np.array_equal(lanes.unpack(pa), a), (field, n)
+        assert np.array_equal(lanes.unpack(lanes.add(pa, pb)), field.add_arr(a, b)), (field, n)
+        assert np.array_equal(lanes.weights(pa), np.count_nonzero(a, axis=1)), (field, n)
+        assert np.array_equal(lanes.column(pa, n - 1), a[:, -1]), (field, n)
+
+
+def test_lanes_match_array_ops_small_fields():
+    rng = np.random.default_rng(21)
+    for p, m in SMALL_FIELDS:
+        _check_lanes(Field(p, m), rng)
+
+
+@pytest.mark.parametrize("p,m", [
+    (1048573, 1),  # w = c = 21: three coordinates fill 63 bits of a lane
+    pytest.param(2, 24, marks=pytest.mark.slow),  # c = 24, two coordinates a lane
+    pytest.param(3, 15, marks=pytest.mark.slow),  # c = 45, three digit tables
+])
+def test_lanes_match_array_ops_large_fields(p, m):
+    _check_lanes(Field(p, m), np.random.default_rng(p + m), rows=64)
 
 
 @pytest.mark.parametrize("p,m,modulus", [

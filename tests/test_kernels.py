@@ -6,6 +6,7 @@ import pytest
 from codebench import _kernels as kernels
 from codebench.codes import CodeSpec, bch_build, nullspace, parity_check_rows, rref, trace_dual
 from codebench.galois import field_new, prime_power, trace_kernel_logs
+from codebench.verify import valid_instances
 from codebench.weights import enumerator_formula
 
 def brute_counts(G, field, n):
@@ -63,6 +64,73 @@ def test_weight_counts_matches_closed_form_on_family_code():
     emitted = np.bincount((trace_dual(16, 6).codewords() != 0).sum(axis=1), minlength=18)
     assert np.array_equal(closed, emitted)
     assert np.array_equal(kernels.weight_counts(code.gen_matrix, code.field), closed)
+
+
+def table_weight_counts(gen_matrix, field):
+    """The dense-add-table kernel that the lane kernel replaced, kept as its
+    oracle: message digits fold into blocks of int32 words that gather
+    through the q x q add table."""
+    G = np.ascontiguousarray(gen_matrix, dtype=np.int32)
+    k, n = G.shape
+    q = field.q
+    r = np.arange(q)
+    add_tab = field.add_arr(r[:, None], r[None, :]).astype(np.int32)
+    scaled = np.empty((k, q, n), dtype=np.int32)
+    for j in range(k):
+        scaled[j] = field.mul_arr(np.arange(q, dtype=np.int64)[:, None], G[j][None, :])
+    proj = np.zeros(n + 1, dtype=np.int64)
+    for lead in range(k):
+        base = scaled[lead, 1]
+        free = scaled[lead + 1 :]
+        kk = free.shape[0]
+        t = 0
+        while t < kk and (q ** (t + 1)) * n <= 1 << 22:
+            t += 1
+        block = base[None, :]
+        for u in range(t):
+            block = add_tab[block[:, None, :], free[u][None, :, :]].reshape(-1, n)
+        rest = free[t:]
+        if rest.shape[0] == 0:
+            w = np.count_nonzero(block, axis=1)
+            proj += np.bincount(w, minlength=n + 1)
+            continue
+        for combo in itertools.product(range(q), repeat=rest.shape[0]):
+            vec = np.zeros(n, dtype=np.int32)
+            for c, row in zip(combo, rest):
+                vec = add_tab[vec, row[c]]
+            w = np.count_nonzero(add_tab[block, vec[None, :]], axis=1)
+            proj += np.bincount(w, minlength=n + 1)
+    counts = np.zeros(n + 1, dtype=np.int64)
+    counts[0] = 1
+    counts[1:] += (q - 1) * proj[1:]
+    return counts
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 32, 49,
+                               pytest.param(64, marks=pytest.mark.slow),
+                               pytest.param(81, marks=pytest.mark.slow)])
+def test_lane_kernel_matches_table_kernel_on_family_duals(q):
+    # both sides of every family instance: the trace basis and the
+    # algebraic dual's generator matrix; at q = 81 the last free row runs
+    # through the per-message loop
+    for family, i, h in valid_instances(q):
+        td = trace_dual(q, h)
+        dual = bch_build(CodeSpec(q=q, n=q + 1, delta=3, h=h)).dual()
+        for G in (td.basis_matrix(), dual.gen_matrix):
+            want = table_weight_counts(G, td.field)
+            assert np.array_equal(kernels.weight_counts(G, td.field), want), (family, i, h)
+
+
+@pytest.mark.parametrize("q", [2, 7, 8, 9])
+def test_lane_kernel_matches_table_kernel_with_every_row_in_the_loop(q, monkeypatch):
+    # a one-entry chunk: each scaled row is packed one scalar at a time and
+    # every free row goes through the per-message loop
+    rng = np.random.default_rng(q)
+    f = field_new(*prime_power(q))
+    R, _ = rref(rng.integers(0, q, size=(4, 13)), f)
+    want = table_weight_counts(R, f)
+    monkeypatch.setattr(kernels, "_CHUNK_ELEMS", 1)
+    assert np.array_equal(kernels.weight_counts(R, f), want)
 
 
 def nullspace_oracle(H, combos, f2):

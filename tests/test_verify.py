@@ -108,15 +108,18 @@ def _swap_rows_0_1(words):
     (_swap_rows_0_1, ["wt(c_(a,b)) = q+1 - N(a,b) for all (a,b)"]),
 ])
 def test_four_weight_suite_flags_corrupted_trace_words(monkeypatch, corrupt, failing):
-    block = TraceDualSpec.codeword_block
+    block = TraceDualSpec.packed_block
 
     def corrupted(self, lo, hi):
-        words = block(self, lo, hi)
+        packed = block(self, lo, hi)
         if lo == 0:  # at q = 9 the first chunk holds every word
+            lanes = self.field.lanes(self.n)
+            words = lanes.unpack(packed)
             corrupt(words)
-        return words
+            packed = lanes.pack(words)
+        return packed
 
-    monkeypatch.setattr(TraceDualSpec, "codeword_block", corrupted)
+    monkeypatch.setattr(TraceDualSpec, "packed_block", corrupted)
     assert [a.name for a in verify_thm31(9, 1).failures()] == failing
 
 
@@ -186,26 +189,33 @@ def test_streamed_cross_checks_see_corruption_past_the_first_chunk(monkeypatch, 
     q2 = q * q
     # two values of a per chunk; row r = 13 q^2 + 5 lies in the seventh chunk
     monkeypatch.setattr(verify, "_CHUNK_ELEMS", 2 * q2 * (q + 1))
-    words = trace_dual(q, h).codewords()
+    td = trace_dual(q, h)
+    words = td.codewords()
     corrupt(words, 13 * q2 + 5)
-    monkeypatch.setattr(TraceDualSpec, "codeword_block",
-                        lambda self, lo, hi: words[lo * q2 : min(hi, q2) * q2].copy())
+    packed = td.field.lanes(td.n).pack(words)
+    monkeypatch.setattr(TraceDualSpec, "packed_block",
+                        lambda self, lo, hi: packed[:, lo * q2 : min(hi, q2) * q2].copy())
     got = _streamed_cross_checks(q, i, family)
     assert got == _materialised_cross_checks(q, h, words)
     assert not all(passed for _, passed, _ in got)
 
 
-def test_cross_checks_build_no_dense_table_of_the_big_field(monkeypatch):
-    for name in ("add_table", "mul_table"):
-        def guarded(self, _table=getattr(Field, name), _name=name):
-            if self.q > 32:
-                raise AssertionError(f"dense {_name} table of {self!r}")
-            return _table(self)
+def test_cross_checks_build_no_dense_table_of_the_big_field(monkeypatch, capsys):
+    # nor of GF(q): no dense table of any field, on the suites' paths and
+    # on the distribution chooser's
+    for name in ("add_table", "mul_table", "neg_table", "inv_table"):
+        def guarded(self, _name=name):
+            raise AssertionError(f"dense {_name} table of {self!r}")
 
         monkeypatch.setattr(Field, name, guarded)
     assert verify_thm31(27, 1).ok
     assert verify_thm34(27, 1).ok
     assert verify_thm31(32, 1).ok
+    # weight_counts on the dual route of a [10, 7] code and the direct
+    # route of a [10, 4] code over GF(9)
+    assert main(["wdist", "--q", "9", "--h", "0"]) == 0
+    assert main(["wdist", "--q", "9", "--h", "3", "--side", "dual"]) == 0
+    assert capsys.readouterr().out.count("over GF(9)") == 2
 
 
 def test_four_weight_suite_at_q32(capsys):
