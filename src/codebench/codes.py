@@ -194,7 +194,6 @@ class LinearCode:
         self.gen_poly = gen_poly
         self.family = family
         self.spec = spec
-        self._check_matrix: np.ndarray | None = None
         self._dual: LinearCode | None = None
 
     @property
@@ -203,9 +202,7 @@ class LinearCode:
 
     @property
     def check_matrix(self) -> np.ndarray:
-        if self._check_matrix is None:
-            self._check_matrix = self.dual().gen_matrix
-        return self._check_matrix
+        return self.dual().gen_matrix
 
     def dual(self) -> "LinearCode":
         if self._dual is None:
@@ -323,19 +320,12 @@ def min_distance(code: LinearCode, budget: int | None = None) -> int:
 # trace representation of the dual of a two-coset BCH code
 
 
-def _family_row_exponents(q: int, h: int, family: str) -> list[int]:
-    n = q + 1
-    if family == FAMILY_PI_MINUS_1:
-        return [(-(h + 1)) % n, (-h) % n, h % n, (h + 1) % n]
-    return [h % n, (h + 1) % n, (q - h) % n, (q - h + 1) % n]
-
-
 def parity_check_rows(q: int, h: int) -> tuple[np.ndarray, Field]:
     """The 4 x (q+1) parity-check matrix over GF(q^2) for C_(q,q+1,3,h).
 
-    Rows are beta-power evaluations at the generator's four roots; the row
-    order follows the h-family convention.  Requires the dual dimension to
-    be exactly 4.
+    Rows are the evaluations at the generator's four roots beta^h,
+    beta^(h+1), beta^(-h) and beta^(-(h+1)), the two cosets {h, -h} and
+    {h+1, -(h+1)} modulo q+1.  Requires the dual dimension to be exactly 4.
     """
     n = q + 1
     ch, ch1 = coset(n, q, h % n), coset(n, q, (h + 1) % n)
@@ -343,16 +333,10 @@ def parity_check_rows(q: int, h: int) -> tuple[np.ndarray, Field]:
         raise DegenerateDimension(
             f"dual of C_({q},{n},3,{h}) has dimension {len(set(ch.members) | set(ch1.members))}"
         )
-    p, t = prime_power(q)
     field2 = field_for_order(q * q)
-    circle = unit_circle(field2)
-    family, _ = classify_h(q, h)
-    exps = _family_row_exponents(q, h, family)
-    H = np.empty((4, n), dtype=np.int64)
-    for r, e in enumerate(exps):
-        for i in range(n):
-            H[r, i] = circle.elements[(e * i) % n]
-    return H, field2
+    circle = np.array(unit_circle(field2).elements, dtype=np.int64)
+    exps = np.array([h, h + 1, -h, -(h + 1)])[:, None]
+    return circle[exps * np.arange(n) % n], field2
 
 
 class TraceDualSpec:

@@ -2,12 +2,13 @@
 direct counting, and the determinant/rank constructions for the weight-4
 and weight-5 blocks of the length-(q+1) family codes.
 
-Verification never leans on sufficiency theorems: every t-subset is
-counted against every block, and block multiplicities are checked to be
-exactly q-1 before dividing (simplicity is a conclusion, not an input).
-The codes are cyclic, which is proved before it is used: their supports
-then come from the subsets or words through point 0 and are held as
-``CyclicBlocks``, whose t-subset counts through 0 settle every count.
+Verification never leans on sufficiency theorems: every t-subset through
+point 0 is counted against every block, and block multiplicities are
+checked to be exactly q-1 before dividing (simplicity is a conclusion,
+not an input).  The codes and the determinant rows are proved cyclic
+before that is used: every route then keeps the blocks through point 0
+and returns them as ``CyclicBlocks``, whose t-subset counts through 0
+settle every count.
 """
 from __future__ import annotations
 
@@ -130,7 +131,7 @@ class Design:
 
     n_points: int
     k: int
-    blocks: Sequence[tuple[int, ...]]
+    blocks: CyclicBlocks
     t: int
     lam: int
     b: int
@@ -157,50 +158,44 @@ class Design:
 @dataclass(frozen=True)
 class SupportCount:
     """Weight-k supports of a code, each carried by exactly q-1 codewords
-    (the routes raise otherwise), as sorted blocks."""
+    (the routes raise otherwise), as rotation-closed blocks."""
 
     q: int
     k: int
     n_points: int
-    blocks: Sequence[tuple[int, ...]]
+    blocks: CyclicBlocks
 
     @property
     def b(self) -> int:
         return len(self.blocks)
 
-    @property
-    def multiset(self) -> dict[tuple[int, ...], int]:
-        return {blk: self.q - 1 for blk in self.blocks}
-
 
 def supports_of_weight(
-    source: LinearCode | TraceDualSpec | np.ndarray,
-    k: int,
-    budget: int | None = None,
-    n_points: int | None = None,
-    q: int | None = None,
+    source: LinearCode | TraceDualSpec, k: int, budget: int | None = None
 ) -> SupportCount:
     """Weight-k codeword supports, each checked to be carried by exactly
     q-1 codewords, reduced to blocks.
 
-    Codes whose q^k codewords fit the budget are enumerated.  Otherwise
-    the weight-4 and weight-5 supports of C_(q,q+1,3,h) come from the
-    parity-submatrix rank scan of the k-subsets through point 0, charged
-    C(n-1, k-1).  The trace dual's supports come from its q^(2m-1) words
-    with c_(a,b)[0] = 1, charged q^(2m-1).  Both of these routes first
-    prove that the code is cyclic and return ``CyclicBlocks``.
+    Codes whose q^k codewords fit the budget are enumerated; all their
+    weight-k supports are checked, and the code is then proved cyclic and
+    its supports through point 0 kept.  Otherwise the weight-4 and
+    weight-5 supports of C_(q,q+1,3,h) come from the parity-submatrix
+    rank scan of the k-subsets through point 0, charged C(n-1, k-1).  The
+    trace dual's supports come from its q^(2m-1) words with
+    c_(a,b)[0] = 1, charged q^(2m-1).  These routes too first prove that
+    the code is cyclic, and every route returns ``CyclicBlocks``.
     """
     budget = default_budget() if budget is None else budget
-    if isinstance(source, np.ndarray):
-        if n_points is None or q is None:
-            raise InvalidParameters("raw codeword arrays need n_points and q")
-        return _supports_from_words(source, k, q, n_points)
+    if k < 1:
+        raise InvalidParameters(f"need a block size k >= 1, got {k}")
     if isinstance(source, TraceDualSpec):
         return _trace_supports(source, k, budget)
     code = source
     if code.codeword_count() <= budget:
-        words = code.codewords(budget=budget)
-        return _supports_from_words(words, k, code.q, code.n)
+        supports = _word_supports(code.codewords(budget=budget), k, code.q)
+        require_cyclic(code.gen_matrix, code.field)
+        blocks = CyclicBlocks(_lex_sorted(supports[supports[:, 0] == 0]), code.n)
+        return SupportCount(q=code.q, k=k, n_points=code.n, blocks=blocks)
     spec = code.spec
     if k in (4, 5) and spec is not None and spec.delta == 3 and spec.n == code.q + 1:
         kernels.check_budget(comb(code.n - 1, k - 1), budget)
@@ -210,6 +205,10 @@ def supports_of_weight(
         f"{count_text(code.codeword_count())} codewords exceed budget {budget} and no "
         f"structural construction applies for k={k}"
     )
+
+
+def _lex_sorted(rows: np.ndarray) -> np.ndarray:
+    return rows[np.lexsort(rows.T[::-1])]
 
 
 def _group_supports(rows: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -226,7 +225,10 @@ def _group_supports(rows: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return np.nonzero(rows[first[seen]])[1].reshape(len(seen), k), mults[seen]
 
 
-def _supports_from_words(words: np.ndarray, k: int, q: int, n_points: int) -> SupportCount:
+def _word_supports(words: np.ndarray, k: int, q: int) -> np.ndarray:
+    """The distinct weight-k supports of a word array, as sorted point rows
+    in order of first appearance, after checking that each is carried by
+    exactly q-1 words."""
     supports, mults = _group_supports(words[np.count_nonzero(words, axis=1) == k] != 0, k)
     bad = np.flatnonzero(mults != q - 1)
     if len(bad):
@@ -234,8 +236,7 @@ def _supports_from_words(words: np.ndarray, k: int, q: int, n_points: int) -> Su
             f"support {tuple(supports[bad[0]].tolist())} carried by {mults[bad[0]]} "
             f"codewords, expected q-1 = {q - 1}"
         )
-    blocks = tuple(sorted(map(tuple, supports.tolist())))
-    return SupportCount(q=q, k=k, n_points=n_points, blocks=blocks)
+    return supports
 
 
 def _trace_supports(td: TraceDualSpec, k: int, budget: int) -> SupportCount:
@@ -254,8 +255,8 @@ def _trace_supports(td: TraceDualSpec, k: int, budget: int) -> SupportCount:
             f"support {tuple(supports[bad[0]].tolist())} carried by "
             f"{(td.q - 1) * mults[bad[0]]} codewords, expected q-1 = {td.q - 1}"
         )
-    hits = supports[np.lexsort(supports.T[::-1])]
-    return SupportCount(q=td.q, k=k, n_points=td.n, blocks=CyclicBlocks(hits, td.n))
+    blocks = CyclicBlocks(_lex_sorted(supports), td.n)
+    return SupportCount(q=td.q, k=k, n_points=td.n, blocks=blocks)
 
 
 def _rank_supports(q: int, h: int, k: int, check_code: LinearCode | None = None) -> CyclicBlocks:
@@ -328,52 +329,27 @@ def _counts_through_zero(blocks: CyclicBlocks, t: int) -> np.ndarray:
     return counts
 
 
-def _counts_all(blocks, n_points: int, t: int) -> np.ndarray:
-    """How many blocks hold each t-subset of range(n), by lexicographic rank."""
-    k = len(blocks[0])
-
-    def proper(a):  # rows of distinct points in range(n), rows sorted
-        return (a[:, 0] >= 0) & (a[:, -1] < n_points) & (np.diff(a, axis=1) > 0).all(axis=1)
-
-    rows = np.sort(np.asarray(blocks, dtype=np.int64), axis=1)
-    cidx = ksubsets(k, t)
-    simple = proper(rows)
-    # of a block with a point outside range(n) or a repeated point, only
-    # the t-subsets of t distinct points in range(n) are counted
-    subs = rows[~simple][:, cidx].reshape(-1, t)
-    ranks = np.concatenate([
-        _lex_rank(rows[simple], cidx, n_points).ravel(),
-        _lex_rank(subs[proper(subs)], np.arange(t)[None, :], n_points).ravel(),
-    ])
-    return np.bincount(ranks, minlength=comb(n_points, t))
-
-
-def verify_design(blocks, n_points: int, t: int) -> tuple[int, int]:
+def verify_design(blocks: CyclicBlocks, n_points: int, t: int) -> tuple[int, int]:
     """Direct exhaustive t-subset counting; returns (lambda, b).
 
-    Every t-subset of every block is ranked in lexicographic order and the
-    ranks are counted, so all C(n, t) counts are exact.  For ``CyclicBlocks``
-    only the t-subsets through 0 are counted, over the hits: the set is
-    rotation-closed, so lambda(T) = lambda(T - min T), and T - min T,
-    which holds 0, comes no later than T in lexicographic order.  Raises
+    The set is rotation-closed, so lambda(T) = lambda(T - min T), and
+    T - min T, which holds 0, comes no later than T in lexicographic
+    order: every t-subset through 0 of every hit is ranked and the ranks
+    are counted, which settles all C(n, t) counts exactly.  Raises
     NotRegular with the lexicographically first t-subset covered a
     different number of times than (0, ..., t-1).  Also asserts the
-    integer identity C(n, t) * lambda = b * C(k, t), which fails when the
-    counts are regular but a block holds a point outside range(n) or a
-    repeated point.
+    integer identity C(n, t) * lambda = b * C(k, t), a cross-check of the
+    through-0 count against the block count.
     """
     b = len(blocks)
     if b == 0:
         return 0, 0
-    cyclic = isinstance(blocks, CyclicBlocks)
-    k = blocks.k if cyclic else len(blocks[0])
-    if not cyclic and any(len(blk) != k for blk in blocks):
-        raise InvalidParameters("blocks of mixed sizes")
+    k = blocks.k
     if not t < k < n_points:
         raise InvalidParameters("need t < k < n_points")
-    if cyclic and blocks.n != n_points:
+    if blocks.n != n_points:
         raise InvalidParameters(f"blocks rotate on {blocks.n} points, not {n_points}")
-    counts = _counts_through_zero(blocks, t) if cyclic else _counts_all(blocks, n_points, t)
+    counts = _counts_through_zero(blocks, t)
     lam = int(counts[0])
     off = np.flatnonzero(counts != lam)
     if len(off):
@@ -384,11 +360,9 @@ def verify_design(blocks, n_points: int, t: int) -> tuple[int, int]:
     return lam, b
 
 
-def design_from_blocks(blocks, n_points: int, t: int) -> Design:
+def design_from_blocks(blocks: CyclicBlocks, n_points: int, t: int) -> Design:
     lam, b = verify_design(blocks, n_points, t)
-    if not isinstance(blocks, CyclicBlocks):  # those are sorted already
-        blocks = tuple(sorted(tuple(sorted(blk)) for blk in blocks))
-    k = len(blocks[0]) if blocks else 0
+    k = blocks.k if b else 0
     return Design(n_points=n_points, k=k, blocks=blocks, t=t, lam=lam, b=b)
 
 
@@ -400,22 +374,25 @@ def steiner_check(design: Design) -> bool:
 # the determinant construction on the unit circle
 
 
-def weight4_blocks_det(q: int, h: int, budget: int | None = None) -> list[tuple[int, ...]]:
+def weight4_blocks_det(q: int, h: int, budget: int | None = None) -> CyclicBlocks:
     """4-subsets {x,y,z,w} of U_(q+1) with singular matrix of rows
     (1, u, u^(p^i), u^(p^i+1)), as coordinate indices via u = beta^index.
 
-    The four 3 x 3 cofactors of every 3-subset are computed at once, on
-    logs by ``kernels._det``, and the cofactor-expanded quartic f(w) is
-    evaluated on logs for every 3-subset and every w on the circle, so
-    every block surfaces from each of its triples; the dedup to a set is
-    exact.  Charged the C(n,3) n (triple, w) pairs it evaluates.
+    The shift u -> beta u multiplies each row by a constant, which
+    ``require_cyclic`` proves, so the singular 4-subsets are closed under
+    rotation and only those through 0 are built.  Each of them comes out
+    of its three triples that hold 0: the four 3 x 3 cofactors of every
+    triple through 0 are computed at once, on logs by ``kernels._det``,
+    and the cofactor-expanded quartic f(w) is evaluated on logs for every
+    w on the circle; the dedup to a set is exact.  Charged the
+    C(n-1,2) n (triple, w) pairs it evaluates.
     """
     budget = default_budget() if budget is None else budget
     td = trace_dual(q, h)  # validates dimension; supplies family and i
     if td.i is None:
         raise InvalidParameters(f"h={h} is in neither family for q={q}")
     n = q + 1
-    kernels.check_budget(comb(n, 3) * n, budget)
+    kernels.check_budget(comb(n - 1, 2) * n, budget)
     p, s = prime_power(q)
     pi = p**td.i
     f2 = field_for_order(q * q)
@@ -424,11 +401,12 @@ def weight4_blocks_det(q: int, h: int, budget: int | None = None) -> list[tuple[
     u_pi = f2.pow_arr(u, pi)
     u_pi1 = f2.mul_arr(u_pi, u)
     rows = np.vstack([np.ones(n, dtype=np.int64), u, u_pi, u_pi1])
-    triples = ksubsets(n, 3)
+    require_cyclic(rows, f2)
+    triples = ksubsets(n, 3, through0=True)
     step = max(1, _CHUNK_ELEMS // n)
     quads = [_quartic_zero_blocks(f2, rows, triples[lo : lo + step])
              for lo in range(0, len(triples), step)]
-    return list(map(tuple, np.unique(np.concatenate(quads), axis=0).tolist()))
+    return CyclicBlocks(np.unique(np.concatenate(quads), axis=0), n)
 
 
 def _quartic_zero_blocks(f2, rows: np.ndarray, triples: np.ndarray) -> np.ndarray:

@@ -223,21 +223,13 @@ def _gf2_exp_chain(m: int, q: int, modulus: tuple[int, ...]) -> np.ndarray:
 def _build_exp_chain(p: int, m: int, q: int, modulus: tuple[int, ...]) -> np.ndarray:
     """exp[i] = representation of alpha^i for 0 <= i < q - 1.
 
-    For odd p and m > 1 the base-p digit vectors of the powers are rows:
+    For odd p the base-p digit vectors of the powers are rows:
     multiplying by alpha^L is the m x m matrix A_L whose row d holds the
     digits of x^d alpha^L (mod the modulus), so a block of L consecutive
     powers times A_L mod p is the next block.  Blocks double up to about
     sqrt(q), then step through the rest of the group.  For p = 2 see
     ``_gf2_exp_chain``.
     """
-    if m == 1:
-        a = smallest_primitive_root(p)
-        exp = np.empty(q - 1, dtype=np.int64)
-        x = 1
-        for i in range(q - 1):
-            exp[i] = x
-            x = x * a % p
-        return exp
     if p == 2:
         return _gf2_exp_chain(m, q, modulus)
     exp = np.empty(q - 1, dtype=np.int64)

@@ -352,7 +352,7 @@ def verify_thm42(q: int, i: int, family: str, budget=None) -> VerificationResult
     res.check("A_5 from transform", a5, primal_wd.counts[5])
     if code.codeword_count() <= budget:
         sup5 = designs_mod.supports_of_weight(code, 5, budget=budget)
-        res.check("enumerated weight-5 blocks", tuple(sorted(blocks5)), sup5.blocks)
+        res.check("enumerated weight-5 blocks", tuple(blocks5), tuple(sup5.blocks))
     return res
 
 
@@ -367,7 +367,7 @@ def verify_thm43(q: int, i: int, family: str, budget=None) -> VerificationResult
     sup = designs_mod.supports_of_weight(code, 4, budget=budget)
     res.record(
         "determinant blocks equal code-support blocks",
-        tuple(sorted(det_blocks)) == sup.blocks,
+        det_blocks == sup.blocks,
         {"det": len(det_blocks), "code": sup.b},
     )
     p, s = prime_power(q)

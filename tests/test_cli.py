@@ -190,6 +190,19 @@ def test_verify_designs_q49_q81(argv, capsys):
 
 
 @pytest.mark.slow
+@pytest.mark.parametrize("argv", [
+    ("thm4.3", "--q", "243", "--i", "1", "--family", "q-minus-pi"),
+    ("thm4.3", "--q", "256", "--i", "2", "--family", "q-minus-pi"),
+])
+def test_verify_thm43_q243_q256_default_budget(argv, capsys):
+    # the determinant route scans only the C(q, 2) triples through point 0
+    code, out = run(capsys, "verify", *argv)
+    assert code == 0
+    assert "[FAIL]" not in out
+    assert out.endswith("VERIFIED\n")
+
+
+@pytest.mark.slow
 def test_design_q81_weight4_equals_determinant_blocks(capsys):
     from codebench.designs import weight4_blocks_det
 

@@ -210,18 +210,18 @@ def test_code_json_and_dump():
     assert all(len(line.split()) == 10 for line in lines[:20])
 
 
-def test_parity_check_rows_family2_order():
-    # family 2 uses the row order (-(h+1), -h, h, h+1) on the circle
+def test_parity_check_rows_order():
+    # both families use the row order (h, h+1, -h, -(h+1)) on the circle
     from codebench.galois import unit_circle
 
-    q, h = 9, 1
-    H, f2 = parity_check_rows(q, h)
-    circle = unit_circle(f2)
-    n = q + 1
-    exps = [(-(h + 1)) % n, (-h) % n, h, h + 1]
-    for r, e in enumerate(exps):
-        expected = [circle.elements[(e * i) % n] for i in range(n)]
-        assert H[r].tolist() == expected
+    for q, h in [(9, 1), (9, 3), (16, 6)]:
+        H, f2 = parity_check_rows(q, h)
+        circle = unit_circle(f2)
+        n = q + 1
+        exps = [h, h + 1, (-h) % n, (-(h + 1)) % n]
+        for r, e in enumerate(exps):
+            expected = [circle.elements[(e * i) % n] for i in range(n)]
+            assert H[r].tolist() == expected
 
 
 def test_generator_matrices_have_full_rank():

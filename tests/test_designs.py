@@ -1,6 +1,8 @@
 import re
-from itertools import combinations
+from collections import Counter
+from itertools import chain, combinations
 from math import comb
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -68,6 +70,20 @@ def scalar_weight4_blocks(q, h):
     return sorted(blocks)
 
 
+def all_triples_weight4_blocks(q, h):
+    """Oracle for the through-0 determinant route: the quartic evaluated for
+    every triple, so each block surfaces from all four of its triples, with
+    no shift proof."""
+    pi = prime_power(q)[0] ** trace_dual(q, h).i
+    n = q + 1
+    f2 = field_for_order(q * q)
+    u = np.array(unit_circle(f2).elements, dtype=np.int64)
+    u_pi = f2.pow_arr(u, pi)
+    rows = np.vstack([np.ones(n, dtype=np.int64), u, u_pi, f2.mul_arr(u_pi, u)])
+    quads = designs._quartic_zero_blocks(f2, rows, ksubsets(n, 3))
+    return list(map(tuple, np.unique(quads, axis=0).tolist()))
+
+
 def dict_design_counts(blocks, n_points, t):
     """Oracle for verify_design: a dict counter over the t-subsets of every
     block, scanned in lexicographic order; same returns and raises."""
@@ -76,10 +92,7 @@ def dict_design_counts(blocks, n_points, t):
     if b == 0:
         return 0, 0
     k = len(blocks[0])
-    counts = {}
-    for blk in blocks:
-        for sub in combinations(blk, t):
-            counts[sub] = counts.get(sub, 0) + 1
+    counts = Counter(chain.from_iterable(combinations(blk, t) for blk in blocks))
     lam = None
     for sub in combinations(range(n_points), t):
         c = counts.get(sub, 0)
@@ -102,13 +115,12 @@ def outcome(fn, *args):
 def test_supports_below_distance_empty():
     code = bch_build(CodeSpec(q=9, n=10, delta=3, h=3))
     sup = supports_of_weight(code, 3)
-    assert sup.b == 0 and sup.multiset == {}
+    assert sup.b == 0 and sup.blocks == ()
 
 
 def test_supports_of_dual_q9():
     sup = supports_of_weight(trace_dual(9, 3), 6)
     assert sup.b == 240 // 8 == 30
-    assert all(mult == 8 for mult in sup.multiset.values())
 
 
 def test_supports_of_primal_q9():
@@ -128,19 +140,21 @@ def test_supports_multiplicity_violation():
 
 
 def test_verify_design_complete():
-    blocks = list(combinations(range(5), 4))
+    blocks = CyclicBlocks(ksubsets(5, 4, through0=True), 5)
     lam, b = verify_design(blocks, 5, 3)
     assert (lam, b) == (2, 5)
 
 
 def test_verify_design_not_regular_witness():
+    blocks = cyclic([(0, 1, 2, 3)], 6)
     with pytest.raises(NotRegular) as exc:
-        verify_design([(0, 1, 2, 3)], 6, 3)
-    assert len(exc.value.subset) == 3
+        verify_design(blocks, 6, 3)
+    assert (exc.value.subset, exc.value.count, exc.value.expected) == ((0, 1, 3), 1, 2)
+    assert outcome(dict_design_counts, blocks, 6, 3) == ("NotRegular", (0, 1, 3), 1, 2)
 
 
 def test_verify_design_empty():
-    assert verify_design([], 10, 3) == (0, 0)
+    assert verify_design(CyclicBlocks(np.zeros((0, 4), dtype=np.int64), 10), 10, 3) == (0, 0)
 
 
 def test_design_object_and_block_file():
@@ -158,7 +172,7 @@ def test_design_object_and_block_file():
 
 
 def test_steiner_check_false_cases():
-    blocks = list(combinations(range(5), 4))
+    blocks = CyclicBlocks(ksubsets(5, 4, through0=True), 5)
     d = design_from_blocks(blocks, 5, 3)
     assert not steiner_check(d)  # lambda = 2
 
@@ -168,7 +182,7 @@ def test_weight4_blocks_det_q9_matches_supports():
     assert len(det_blocks) == 30
     code = bch_build(CodeSpec(q=9, n=10, delta=3, h=3))
     sup = supports_of_weight(code, 4)
-    assert tuple(sorted(det_blocks)) == sup.blocks
+    assert det_blocks == sup.blocks
 
 
 def test_weight4_blocks_det_q16():
@@ -201,7 +215,16 @@ def test_structural_supports_match_enumeration_q9():
     sup_rank = supports_of_weight(code, 4, budget=10_000)
     assert sup_enum.blocks == sup_rank.blocks
     sup5_enum = supports_of_weight(code, 5)
-    assert sup5_enum.blocks == tuple(sorted(weight5_blocks_rank(9, 3)))
+    assert sup5_enum.blocks == weight5_blocks_rank(9, 3)
+
+
+def test_supports_need_a_positive_weight():
+    # a block of size 0 has no point 0 to keep; every route rejects it
+    for source in (bch_build(CodeSpec(q=2, n=3, delta=3, h=0)),
+                   bch_build(CodeSpec(q=9, n=10, delta=3, h=3)), trace_dual(9, 3)):
+        for k in (0, -1):
+            with pytest.raises(InvalidParameters, match="block size"):
+                supports_of_weight(source, k)
 
 
 def test_budget_errors():
@@ -213,10 +236,10 @@ def test_budget_errors():
 
 
 def test_weight4_blocks_det_charges_triple_w_pairs():
-    # q = 9: C(10, 3) triples times 10 points w = 1200 evaluations
-    with pytest.raises(BudgetExceeded, match="1200 items exceeds budget 1199"):
-        weight4_blocks_det(9, 3, budget=1199)
-    assert weight4_blocks_det(9, 3, budget=1200) == weight4_blocks_det(9, 3)
+    # q = 9: C(9, 2) triples through 0 times 10 points w = 360 evaluations
+    with pytest.raises(BudgetExceeded, match="360 items exceeds budget 359"):
+        weight4_blocks_det(9, 3, budget=359)
+    assert weight4_blocks_det(9, 3, budget=360) == weight4_blocks_det(9, 3)
 
 
 @pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27])
@@ -225,32 +248,21 @@ def test_weight4_blocks_det_matches_scalar_oracle(q):
         assert weight4_blocks_det(q, h) == scalar_weight4_blocks(q, h), (q, h)
 
 
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27] + [
+    pytest.param(q, marks=pytest.mark.slow) for q in (49, 64, 81)
+])
+def test_weight4_blocks_det_through_zero_matches_all_triples(q):
+    for _family, _i, h in valid_instances(q):
+        got = weight4_blocks_det(q, h)
+        assert isinstance(got, CyclicBlocks)
+        assert list(got) == all_triples_weight4_blocks(q, h), (q, h)
+
+
 def test_weight4_blocks_det_batches_agree(monkeypatch):
     # batches of a few triples give the same blocks as one batch
     whole = weight4_blocks_det(16, 6)
     monkeypatch.setattr(designs, "_CHUNK_ELEMS", 17 * 5)
     assert weight4_blocks_det(16, 6) == whole
-
-
-def test_verify_design_matches_dict_counter_on_random_blocks():
-    rng = np.random.default_rng(7)
-    raised = regular = 0
-    for _ in range(300):
-        n = int(rng.integers(5, 12))
-        t = int(rng.integers(1, 4))
-        k = int(rng.integers(t + 1, n))
-        if rng.random() < 0.3:
-            # a union of copies of the complete design is regular
-            blocks = list(combinations(range(n), k)) * int(rng.integers(1, 3))
-            rng.shuffle(blocks)
-        else:
-            b = int(rng.integers(1, 40))
-            blocks = [tuple(rng.permutation(n)[:k].tolist()) for _ in range(b)]
-        got = outcome(verify_design, blocks, n, t)
-        assert got == outcome(dict_design_counts, blocks, n, t), (n, t, k)
-        raised += isinstance(got[0], str)
-        regular += not isinstance(got[0], str)
-    assert raised > 50 and regular > 50
 
 
 def test_verify_design_matches_dict_counter_on_code_designs():
@@ -266,18 +278,14 @@ def test_verify_design_matches_dict_counter_on_code_designs():
         "NotRegular", (0, 1, 2, 6), 0, 2)
 
 
-def test_verify_design_points_outside_range_fail_identity():
-    # every in-range 2-subset is covered equally often, but one block has
-    # points outside range(4) or a repeated point
-    for extra in ((4, 5, 6), (5, 5, 6), (4, 4, 4)):
-        bad = list(combinations(range(4), 3)) + [extra]
-        got = outcome(verify_design, bad, 4, 2)
-        assert got == outcome(dict_design_counts, bad, 4, 2) == ("NotRegular", (), 12, 15)
-
-
-def test_verify_design_mixed_sizes():
-    with pytest.raises(InvalidParameters):
-        verify_design([(0, 1, 2), (0, 1, 2, 3)], 6, 2)
+def test_verify_design_identity_catches_a_miscount(monkeypatch):
+    # a through-0 count that is regular but one too high for every subset
+    # passes the witness scan and fails C(n, t) lambda = b C(k, t)
+    blocks = CyclicBlocks(ksubsets(4, 3, through0=True), 4)
+    assert verify_design(blocks, 4, 2) == (2, 4)
+    real = designs._counts_through_zero
+    monkeypatch.setattr(designs, "_counts_through_zero", lambda blocks, t: real(blocks, t) + 1)
+    assert outcome(verify_design, blocks, 4, 2) == ("NotRegular", (), 18, 12)
 
 
 def test_rank_supports_checks_every_reconstructed_word(monkeypatch):
@@ -307,10 +315,9 @@ def test_supports_from_words_first_seen_order_and_multiplicity():
     # raw words: support (1, 2) twice, then (0, 3) once
     words = np.array([[0, 1, 1, 0], [0, 2, 2, 0], [1, 0, 0, 1], [1, 1, 1, 1]])
     with pytest.raises(MultiplicityNotQMinus1) as exc:
-        supports_of_weight(words, 2, n_points=4, q=3)
+        designs._word_supports(words, 2, 3)
     assert "support (0, 3) carried by 1 codewords" in str(exc.value)
-    sup = supports_of_weight(words[:2], 2, n_points=4, q=3)
-    assert sup.multiset == {(1, 2): 2} and sup.blocks == ((1, 2),)
+    assert designs._word_supports(words[:2], 2, 3).tolist() == [[1, 2]]
 
 
 def test_group_supports_match_dict_oracle():
@@ -359,6 +366,18 @@ def test_rank_route_needs_delta_3():
 def rotations(hits, n):
     """Every block H + c mod n of a set of hits, as sorted tuples."""
     return sorted({tuple(sorted((x + c) % n for x in h)) for h in hits for c in range(n)})
+
+
+def cyclic(blocks, n):
+    """The rotation closure of a list of blocks, as CyclicBlocks."""
+    full = rotations(blocks, n)
+    hits = np.array([blk for blk in full if blk[0] == 0], dtype=np.int64)
+    return CyclicBlocks(hits.reshape(-1, len(blocks[0])), n)
+
+
+def sorted_word_supports(words, k, q):
+    """Every weight-k support of a word array, sorted, as tuples."""
+    return tuple(sorted(map(tuple, designs._word_supports(words, k, q).tolist())))
 
 
 def full_scan_supports(q, h, k):
@@ -411,7 +430,7 @@ def test_trace_supports_equal_word_supports(q):
             if k == 0:
                 continue
             try:
-                want = designs._supports_from_words(words, int(k), q, q + 1).blocks
+                want = sorted_word_supports(words, int(k), q)
             except MultiplicityNotQMinus1:
                 # the through-0 route names a support and its full multiplicity
                 with pytest.raises(MultiplicityNotQMinus1) as exc:
@@ -446,13 +465,41 @@ def test_rank_route_needs_cyclic_parity_matrix(monkeypatch):
         weight5_blocks_rank(9, 3)
 
 
+def test_det_route_needs_cyclic_rows(monkeypatch):
+    # two points of the circle swapped break the shift symmetry of the
+    # determinant rows: without the proof the rotated blocks through 0
+    # would differ from the singular 4-subsets of the swapped rows
+    perm = [0, 2, 1, *range(3, 10)]
+    want = sorted(tuple(sorted(perm[x] for x in blk)) for blk in all_triples_weight4_blocks(9, 3))
+    real = designs.unit_circle
+    monkeypatch.setattr(designs, "unit_circle",
+                        lambda f2: SimpleNamespace(elements=[real(f2).elements[j] for j in perm]))
+    with pytest.raises(InvalidParameters, match="cyclic shift"):
+        weight4_blocks_det(9, 3)
+    monkeypatch.setattr(designs, "require_cyclic", lambda mat, field: None)
+    got = weight4_blocks_det(9, 3)
+    assert len(got) == len(want) and got != want
+
+
+def test_words_route_needs_cyclic_code(monkeypatch):
+    # the same for the enumerated words of a code with two coordinates swapped
+    code = bch_build(CodeSpec(q=9, n=10, delta=3, h=3))
+    swapped = LinearCode(code.field, 10, code.gen_matrix[:, [0, 2, 1, *range(3, 10)]])
+    want = sorted_word_supports(swapped.codewords(), 4, 9)
+    with pytest.raises(InvalidParameters, match="cyclic shift"):
+        supports_of_weight(swapped, 4)
+    monkeypatch.setattr(designs, "require_cyclic", lambda mat, field: None)
+    got = supports_of_weight(swapped, 4).blocks
+    assert len(got) == len(want) and got != want
+
+
 def test_trace_route_needs_cyclic_code(monkeypatch):
     # the trace code with two coordinates swapped is not cyclic: without
     # the proof the rotated supports would differ from its actual ones
     td = trace_dual(9, 3)
     perm = [0, 2, 1, *range(3, 10)]
     td._bh, td._bh1 = td._bh[perm], td._bh1[perm]
-    want = designs._supports_from_words(td.codewords(), 6, 9, 10).blocks
+    want = sorted_word_supports(td.codewords(), 6, 9)
     with pytest.raises(InvalidParameters, match="cyclic shift"):
         supports_of_weight(td, 6)
     monkeypatch.setattr(designs, "require_cyclic", lambda mat, field: None)
@@ -505,7 +552,7 @@ def test_verify_design_through_zero_matches_full_count_on_random_sets():
         blocks = CyclicBlocks(hits, n)
         assert list(blocks) == full
         got = outcome(verify_design, blocks, n, t)
-        assert got == outcome(verify_design, full, n, t) == outcome(dict_design_counts, full, n, t)
+        assert got == outcome(dict_design_counts, full, n, t)
         raised += isinstance(got[0], str)
         regular += not isinstance(got[0], str) and got != (0, 0)
     assert raised > 40 and regular > 40
@@ -526,4 +573,4 @@ def test_verify_design_through_zero_matches_full_count_on_code_designs(q):
             full = list(blocks)
             for t in range(1, min(blocks.k, 5)):
                 got = outcome(verify_design, blocks, q + 1, t)
-                assert got == outcome(verify_design, full, q + 1, t), (q, h, blocks.k, t)
+                assert got == outcome(dict_design_counts, full, q + 1, t), (q, h, blocks.k, t)

@@ -121,12 +121,14 @@ def _exp_chain_per_element(p, m, q, modulus):
     return exp
 
 
-ODD_EXTENSIONS = [
-    (p, m) for p in range(3, 82) if is_prime(p) for m in range(2, 9) if p**m <= 3**8
-]
+# prime fields take the same chains: the doubling chain for GF(2), the
+# block-matrix chain with the 1 x 1 matrix [g] for odd p
+EXP_CHAIN_FIELDS = [(2, 1)] + [
+    (p, m) for p in range(3, 82) if is_prime(p) for m in range(1, 9) if p**m <= 3**8
+] + [(2999, 1), pytest.param(1048573, 1, marks=pytest.mark.slow)]
 
 
-@pytest.mark.parametrize("p,m", ODD_EXTENSIONS)
+@pytest.mark.parametrize("p,m", EXP_CHAIN_FIELDS)
 def test_exp_chain_matches_per_element_loop(p, m):
     q = p**m
     modulus = lex_smallest_primitive_modulus(p, m)
