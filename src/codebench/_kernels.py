@@ -33,6 +33,7 @@ from math import gcd
 
 import numpy as np
 
+from .config import default_budget
 from .errors import BudgetExceeded, count_text
 from .galois import trace_kernel_logs
 
@@ -212,6 +213,8 @@ def _det(A, rows, cols, field, memo):
     return acc
 
 
-def check_budget(count: int, budget: int) -> None:
+def check_budget(count: int, budget: int | None = None) -> None:
+    """Raise BudgetExceeded when count exceeds budget (None: the default)."""
+    budget = default_budget() if budget is None else budget
     if count > budget:
         raise BudgetExceeded(f"enumeration of {count_text(count)} items exceeds budget {budget}")

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from . import designs as designs_mod
 from . import subfield as subfield_mod
@@ -19,7 +20,7 @@ from .cyclotomic import coset, coset_leaders
 from .errors import BudgetExceeded, Falsified, ResourceCap, WorkbenchError
 from .galois import field_new
 from .weights import classify as classify_code
-from .weights import weight_distribution
+from .weights import dual_distribution, weight_distribution
 
 EXIT_OK = 0
 EXIT_FALSIFIED = 1
@@ -38,7 +39,10 @@ def _add_common(parser, suppress: bool) -> None:
     parser.add_argument("--seed", type=int, default=d(0))
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first call; parsing
+    leaves it unchanged and gives each call a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="codebench",
         description="Finite-field coding workbench: BCH codes, weight "
@@ -167,8 +171,8 @@ def _cmd_build(args) -> int:
 
 def _cmd_wdist(args) -> int:
     code = bch_build(_spec_from(args))
-    target = code if args.side == "primal" else code.dual()
-    wd = weight_distribution(target, budget=args.budget)
+    count = weight_distribution if args.side == "primal" else dual_distribution
+    wd = count(code, budget=args.budget)
     if args.format == "json":
         _emit(wd.to_json(), args)
     elif args.format == "csv":
@@ -279,9 +283,8 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:

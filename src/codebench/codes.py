@@ -139,16 +139,17 @@ def orthogonal(a: np.ndarray, b: np.ndarray, field: Field) -> bool:
     """Whether a b^T = 0, i.e. every row of a is orthogonal to every row of b.
 
     Field addition adds base-p digits mod p, so each inner product is
-    summed digit by digit over the nonzero entries of a only.
+    summed digit by digit over the nonzero entries of a only: one
+    ``np.add.reduceat`` over the runs of each row's entries, every base-p
+    digit at once.
     """
     rows, cols = np.nonzero(a)
+    if len(rows) == 0:
+        return True
     prods = field.mul_arr(a[rows, cols][:, None], b[:, cols].T)
-    for d in range(field.m):
-        sums = np.zeros((a.shape[0], len(b)), dtype=np.int64)
-        np.add.at(sums, rows, prods // field.p**d % field.p)
-        if (sums % field.p).any():
-            return False
-    return True
+    digits = prods[:, :, None] // field.p ** np.arange(field.m) % field.p
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    return not (np.add.reduceat(digits, starts) % field.p).any()
 
 
 def same_row_space(a: np.ndarray, b: np.ndarray, field: Field) -> bool:
@@ -443,7 +444,6 @@ class TraceDualSpec:
     def codewords(self, budget: int | None = None) -> np.ndarray:
         """All q^(2m) dual codewords over canonical GF(q), row a * q^m + b
         holding c_(a,b) (``packed_block`` over every a, unpacked)."""
-        budget = default_budget() if budget is None else budget
         kernels.check_budget(self.big.q**2, budget)
         return self.field.lanes(self.n).unpack(self.packed_block(0, self.big.q))
 
@@ -451,10 +451,13 @@ class TraceDualSpec:
         """Exact distribution in two parts: the m-dimensional slice
         {c_(0,b)} through ``kernels.weight_counts``, and every a != 0
         through the g orbit representatives of ``kernels.trace_orbit_counts``.
-        Charged ``enumeration_cost()`` = (g+1) q^m against the budget."""
+        Charged ``enumeration_cost()`` = (g+1) q^m against the budget.
+
+        This counts the trace code, which is the dual of C_(q,n,3,h) only
+        once its basis is proved to span it; ``weights._enumerate`` makes
+        that proof and is the one caller."""
         from .weights import WeightDistribution
 
-        budget = default_budget() if budget is None else budget
         kernels.check_budget(self.enumeration_cost(), budget)
         slice_rows = self.basis_matrix()[self.m :]
         counts = kernels.weight_counts(slice_rows, self.field)

@@ -387,7 +387,6 @@ def weight4_blocks_det(q: int, h: int, budget: int | None = None) -> CyclicBlock
     w on the circle; the dedup to a set is exact.  Charged the
     C(n-1,2) n (triple, w) pairs it evaluates.
     """
-    budget = default_budget() if budget is None else budget
     td = trace_dual(q, h)  # validates dimension; supplies family and i
     if td.i is None:
         raise InvalidParameters(f"h={h} is in neither family for q={q}")
@@ -437,7 +436,6 @@ def weight5_blocks_rank(q: int, h: int, budget: int | None = None) -> CyclicBloc
     Valid in the p=3, gcd(i,s)=1 family, where the rank is provably 4 for
     every 5-subset; a lower rank aborts instead of guessing.
     """
-    budget = default_budget() if budget is None else budget
     td = trace_dual(q, h)
     p, s = prime_power(q)
     if td.i is None or p != 3 or gcd(td.i, s) != 1:

@@ -739,11 +739,12 @@ class SubfieldEmbedding:
 
     The image of alpha_small is a root gamma of the small field's modulus
     inside the big field, which makes the map a ring isomorphism onto the
-    subfield copy {x : x^(p^t) = x}.  Edges with a proper intermediate
-    subfield are composed through the largest one, so towers built from
-    these embeddings commute; on direct edges the discrete-log candidate
-    alpha_big^((p^s-1)/(p^t-1)) is preferred when it is a root, with the
-    smallest-representation root as fallback.
+    subfield copy {x : x^(p^t) = x}: the antilog map alpha_small^j ->
+    gamma^j, one gather through the two fields' exp and log tables.  Edges
+    with a proper intermediate subfield take gamma through the largest
+    one, so towers built from these embeddings commute; on direct edges
+    the discrete-log candidate alpha_big^((p^s-1)/(p^t-1)) is preferred
+    when it is a root, with the smallest-representation root as fallback.
     """
 
     __slots__ = ("big", "small", "ratio", "gamma", "_embed", "_project")
@@ -756,24 +757,13 @@ class SubfieldEmbedding:
         mid_m = self._largest_intermediate()
         if mid_m is not None:
             mid = field_new(big.p, mid_m)
-            upper = subfield_embedding(big, mid)
             lower = subfield_embedding(mid, small)
-            embed = upper._embed[lower._embed]
-            self.gamma = int(embed[small.alpha.rep]) if small.q > 2 else 1
+            self.gamma = subfield_embedding(big, mid).embed(lower.gamma)
         else:
             self.gamma = self._find_gamma()
-            gpow = [1]
-            for _ in range(small.m - 1):
-                gpow.append(big.mul(gpow[-1], self.gamma))
-            embed = np.zeros(small.q, dtype=np.int64)
-            for r in range(1, small.q):
-                acc, t = 0, r
-                for g in gpow:
-                    d = t % small.p
-                    t //= small.p
-                    if d:
-                        acc = big.add(acc, big.mul(d, g))
-                embed[r] = acc
+        j = np.arange(small.q - 1, dtype=np.int64)
+        embed = np.zeros(small.q, dtype=np.int64)
+        embed[small.exp[j]] = big.exp[j * int(big.log[self.gamma]) % (big.q - 1)]
         self._embed = embed
         project = np.full(big.q, -1, dtype=np.int32)
         project[embed] = np.arange(small.q, dtype=np.int64)
@@ -791,17 +781,16 @@ class SubfieldEmbedding:
         big, small = self.big, self.small
         if big is small:
             return int(big.exp[1 % (big.q - 1)]) if big.q > 2 else 1
-        candidates = [int(big.exp[(j * self.ratio) % (big.q - 1)]) for j in range(small.q - 1)]
-        roots = []
-        for c in candidates:
-            acc = 0
-            for coeff in reversed(small.modulus):
-                acc = big.add(big.mul(acc, c), coeff)
-            if acc == 0:
-                roots.append(c)
-        assert roots, "small modulus must split in the big field"
+        # the nonzero elements of the subfield copy, and the small modulus
+        # evaluated at each of them by Horner's rule
+        candidates = big.exp[np.arange(small.q - 1, dtype=np.int64) * self.ratio % (big.q - 1)]
+        acc = np.zeros_like(candidates)
+        for coeff in reversed(small.modulus):
+            acc = big.add_arr(big.mul_arr(acc, candidates), coeff)
+        roots = candidates[acc == 0]
+        assert len(roots), "small modulus must split in the big field"
         preferred = int(big.exp[self.ratio % (big.q - 1)])
-        return preferred if preferred in roots else min(roots)
+        return preferred if preferred in roots else int(roots.min())
 
     def embed(self, x: int) -> int:
         return int(self._embed[x])

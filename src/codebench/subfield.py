@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codes import CodeSpec, LinearCode, bch_build, nullspace, rref, same_row_space
-from .config import default_budget
 from .cyclotomic import coset
 from .errors import BudgetExceeded, InvalidParameters
 from .galois import field_new, prime_power, subfield_embedding
@@ -130,7 +129,6 @@ def report_tables(
     fabricated.  check_generic additionally solves the generic subcode
     system and verifies row-space equality with the BCH construction.
     """
-    budget = default_budget() if budget is None else budget
     out = []
     for label, s, t, parent_q, h, _params, _dual, note in _ROWS:
         if labels is not None and label not in labels:

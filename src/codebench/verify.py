@@ -32,9 +32,11 @@ from .galois import field_new, prime_power
 from .weights import (
     WeightDistribution,
     classify,
+    distribution_pair,
     enumerator_formula,
     macwilliams,
     verify_four_weight,
+    weight_distribution,
 )
 
 
@@ -189,7 +191,6 @@ def _four_weight_suite(theorem: str, q: int, i: int, family: str, budget) -> Ver
     m = gcd(i, s)
     p_m = p**m
     res = VerificationResult(theorem, {"q": q, "i": i, "family": family, "h": h})
-    budget = default_budget() if budget is None else budget
     try:
         report = verify_four_weight(q, h, budget=budget)
     except BudgetExceeded:
@@ -300,13 +301,11 @@ def verify_thm41(q: int, i: int, family: str, budget=None) -> VerificationResult
     if p_m < 3:
         res.record("p^m >= 3 precondition", False, p_m)
         return res
-    budget = default_budget() if budget is None else budget
     n = q + 1
     code = bch_build(CodeSpec(q=q, n=n, delta=3, h=h))
-    # enumerator and A_4 through the dual side
-    dual_wd = trace_dual(q, h).weight_distribution(budget=budget)
+    # enumerator and A_4 from one enumeration
+    primal_wd, dual_wd = distribution_pair(code, budget=budget)
     res.check("dual enumerator", enumerator_formula(q, p_m).counts, dual_wd.counts)
-    primal_wd = macwilliams(dual_wd)
     a4 = primal_wd.counts[4]
     res.check("A_4 closed form", (p_m - 2) * (q - 1) ** 2 * q * (q + 1) // 24, a4)
     # weight-4 support design
@@ -347,9 +346,8 @@ def verify_thm42(q: int, i: int, family: str, budget=None) -> VerificationResult
     res.check("weight-5 lambda", (q - 3) * (q - 7) // 2, d5.lam)
     a5 = (q - 7) * (q - 3) * (q - 1) ** 2 * q * (q + 1) // 120
     res.check("b = A_5 / (q-1)", a5 // (q - 1), d5.b)
-    # cross-check the A_5 closed form against MacWilliams when affordable
-    primal_wd = macwilliams(trace_dual(q, h).weight_distribution(budget=budget))
-    res.check("A_5 from transform", a5, primal_wd.counts[5])
+    # cross-check the A_5 closed form against the enumerated distribution
+    res.check("A_5 from transform", a5, weight_distribution(code, budget=budget).counts[5])
     if code.codeword_count() <= budget:
         sup5 = designs_mod.supports_of_weight(code, 5, budget=budget)
         res.check("enumerated weight-5 blocks", tuple(blocks5), tuple(sup5.blocks))
@@ -360,7 +358,6 @@ def verify_thm43(q: int, i: int, family: str, budget=None) -> VerificationResult
     """Determinant-defined blocks equal the code-support blocks exactly."""
     h = family_offset(q, i, family)
     res = VerificationResult("thm4.3", {"q": q, "i": i, "family": family, "h": h})
-    budget = default_budget() if budget is None else budget
     n = q + 1
     det_blocks = designs_mod.weight4_blocks_det(q, h, budget=budget)
     code = bch_build(CodeSpec(q=q, n=n, delta=3, h=h))
@@ -386,7 +383,6 @@ def verify_thm43(q: int, i: int, family: str, budget=None) -> VerificationResult
 
 def _verify_table_rows(theorem: str, label: str, budget, s_filter=None) -> VerificationResult:
     res = VerificationResult(theorem, {"family": label, "s": s_filter})
-    budget = default_budget() if budget is None else budget
     rows = [
         row
         for row in subfield_mod.table_rows()
@@ -438,7 +434,6 @@ def _random_code(rng, field, n: int, kmax: int):
 
 def verify_lemmas(seed: int = 0, budget=None) -> VerificationResult:
     res = VerificationResult("lemmas", {"seed": seed})
-    budget = default_budget() if budget is None else budget
     # gcd closed forms against euclidean gcd, exhaustively
     ok_pp = ok_mp = True
     for p in (2, 3, 5, 7):

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from math import gcd
 
 from . import _kernels as kernels
-from .codes import LinearCode, TraceDualSpec, orthogonal, rank, trace_dual
+from .codes import CodeSpec, LinearCode, bch_build, orthogonal, rank, trace_dual
 from .config import default_budget
 from .errors import (
     BudgetExceeded,
@@ -70,7 +71,9 @@ class WeightDistribution:
 def _enumerate(code: LinearCode, budget: int | None) -> tuple[WeightDistribution, bool]:
     """Count the cheapest affordable route; returns (counts, dual side?).
 
-    Routes, in units charged against the budget:
+    The one place that picks a route, and the one caller of
+    ``TraceDualSpec.weight_distribution``.  Routes, in units charged
+    against the budget:
       * direct — the projective messages of the code;
       * dual — the projective messages of the dual;
       * trace orbit — for delta = 3 codes whose cosets C_h, C_(h+1) are
@@ -107,15 +110,18 @@ def _enumerate(code: LinearCode, budget: int | None) -> tuple[WeightDistribution
     raise BudgetExceeded(f"min({listed}) exceeds budget {budget}")
 
 
-def weight_distribution(
-    source: LinearCode | TraceDualSpec, budget: int | None = None
-) -> WeightDistribution:
+def weight_distribution(code: LinearCode, budget: int | None = None) -> WeightDistribution:
     """Exact weight distribution from the cheapest affordable enumeration
     (see ``_enumerate``), transformed back when the dual side was counted."""
-    if isinstance(source, TraceDualSpec):
-        return source.weight_distribution(budget=budget)
-    counted, dual_side = _enumerate(source, budget)
+    counted, dual_side = _enumerate(code, budget)
     return macwilliams(counted) if dual_side else counted
+
+
+def dual_distribution(code: LinearCode, budget: int | None = None) -> WeightDistribution:
+    """Exact weight distribution of the dual of code, from the same
+    enumeration; a counted dual is returned as it is, not transformed twice."""
+    counted, dual_side = _enumerate(code, budget)
+    return counted if dual_side else macwilliams(counted)
 
 
 def distribution_pair(
@@ -220,11 +226,8 @@ def verify_four_weight(q: int, h: int, budget: int | None = None) -> dict:
     if i is None:
         raise InvalidParameters(f"h={h} is in neither family for q={q}")
     p, s = prime_power(q)
-    from math import gcd
-
-    m = gcd(i, s)
-    p_m = p**m
-    wd = td.weight_distribution(budget=budget)
+    p_m = p ** gcd(i, s)
+    wd = dual_distribution(bch_build(CodeSpec(q=q, n=q + 1, delta=3, h=h)), budget=budget)
     expected = {q - p_m, q - 1, q, q + 1}
     if wd.support() != expected:
         raise FourWeightViolation(

@@ -5,6 +5,7 @@ import pytest
 from codebench import galois
 from codebench.cli import main
 from codebench.errors import count_text
+from codebench.weights import enumerator_formula
 
 
 def run(capsys, *argv):
@@ -57,6 +58,26 @@ def test_wdist_dual_csv(capsys):
     assert lines[0] == "i,A_i"
     assert len(lines) == 6  # five nonzero rows
     assert sum(int(line.split(",")[1]) for line in lines[1:]) == 6561
+
+
+def test_wdist_dual_side_takes_the_trace_route(capsys):
+    # the dual of the [730, 726] code over GF(729) is counted through the
+    # primal code's routes, the trace orbit route among them
+    code, out = run(capsys, "wdist", "--q", "729", "--h", "363", "--side", "dual")
+    assert code == 0
+    nz = ", ".join(f"A_{i}={c}" for i, c in enumerator_formula(729, 3).nonzero().items())
+    assert out == f"[730,4] over GF(729): {nz}\n"
+
+
+def test_back_to_back_calls_share_no_state(capsys):
+    argv = ("wdist", "--q", "9", "--h", "3")
+    assert main(["--budget", "100", *argv]) == 3
+    assert main(list(argv)) == 0
+    assert main(["--format", "json", *argv]) == 0
+    assert main(list(argv)) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert json.loads(out[1])["counts"][4] == 240
+    assert out[0] == out[2] and out[0].startswith("[10,6] over GF(9): A_0=1, A_4=240")
 
 
 def test_classify_json(capsys):

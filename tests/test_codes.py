@@ -14,6 +14,7 @@ from codebench.codes import (
     dual,
     min_distance,
     nullspace,
+    orthogonal,
     parity_check_rows,
     rref,
     same_row_space,
@@ -21,7 +22,13 @@ from codebench.codes import (
 )
 from codebench.diophantine import count_unit_solutions
 from codebench.errors import BudgetExceeded, DegenerateDimension, NotCoprime
-from codebench.galois import field_for_order, field_new, subfield_embedding, trace_arr
+from codebench.galois import (
+    factorize,
+    field_for_order,
+    field_new,
+    subfield_embedding,
+    trace_arr,
+)
 from codebench.verify import valid_instances
 
 
@@ -269,3 +276,42 @@ def test_trace_codewords_equal_big_table_builder(q):
     for _family, _i, h in valid_instances(q):
         td = trace_dual(q, h)
         assert np.array_equal(td.codewords(), _big_table_codewords(td)), (q, h)
+
+
+def _orthogonal_by_digit(a, b, field):
+    """Oracle: the digit-by-digit ``orthogonal``, one ``np.add.at`` per
+    base-p digit of the products."""
+    rows, cols = np.nonzero(a)
+    prods = field.mul_arr(a[rows, cols][:, None], b[:, cols].T)
+    for d in range(field.m):
+        sums = np.zeros((a.shape[0], len(b)), dtype=np.int64)
+        np.add.at(sums, rows, prods // field.p**d % field.p)
+        if (sums % field.p).any():
+            return False
+    return True
+
+
+@pytest.mark.parametrize("q", [q for q in range(2, 65) if len(factorize(q)) == 1] + [128])
+def test_orthogonal_matches_digit_oracle(q):
+    field = field_for_order(q)
+    rng = np.random.default_rng(q)
+    n = 9
+    for trial in range(8):
+        a = rng.integers(0, q, size=(int(rng.integers(1, n)), n))
+        b = nullspace(a, field)
+        # zero rows anywhere in a leave it orthogonal to b
+        a = np.insert(a, rng.integers(0, len(a) + 1, size=trial % 3), 0, axis=0)
+        assert orthogonal(a, b, field) and _orthogonal_by_digit(a, b, field)
+        # a one-entry change of a in a column where b has a nonzero entry
+        # moves that row's inner product with such a row of b off zero
+        r = rng.integers(len(a))
+        c = rng.choice(np.flatnonzero(b.any(axis=0)))
+        bad = a.copy()
+        bad[r, c] = field.add(int(bad[r, c]), int(rng.integers(1, q)))
+        assert not orthogonal(bad, b, field) and not _orthogonal_by_digit(bad, b, field)
+        # unrelated random matrices
+        c = rng.integers(0, q, size=(int(rng.integers(1, 4)), n))
+        assert orthogonal(a, c, field) == _orthogonal_by_digit(a, c, field)
+    b = rng.integers(0, q, size=(3, n))
+    for a in (np.zeros((4, n), dtype=np.int64), np.zeros((0, n), dtype=np.int64)):
+        assert orthogonal(a, b, field) and _orthogonal_by_digit(a, b, field)

@@ -486,6 +486,75 @@ def test_embedding_towers_commute():
             assert hi.embed(lo.embed(r)) == direct.embed(r)
 
 
+def _scalar_embedding(big, small):
+    """Oracle: (gamma, table) by scalar arithmetic.  Edges with a proper
+    intermediate subfield compose the two tables through the largest one;
+    direct edges find gamma by Horner evaluation of the small modulus at
+    each alpha_big^(j (p^s-1)/(p^t-1)), preferring j = 1, and image every
+    element digit by digit in the polynomial basis 1, gamma, gamma^2, ..."""
+    mids = [d for d in range(small.m + 1, big.m) if big.m % d == 0 and d % small.m == 0]
+    if mids:
+        mid = Field(big.p, mids[-1])
+        table = _scalar_embedding(big, mid)[1][_scalar_embedding(mid, small)[1]]
+        return (int(table[small.alpha.rep]) if small.q > 2 else 1), table
+    ratio = (big.q - 1) // (small.q - 1)
+    if big is small:
+        gamma = int(big.exp[1 % (big.q - 1)]) if big.q > 2 else 1
+    else:
+        roots = []
+        for j in range(small.q - 1):
+            c, acc = int(big.exp[j * ratio % (big.q - 1)]), 0
+            for coeff in reversed(small.modulus):
+                acc = big.add(big.mul(acc, c), coeff)
+            if acc == 0:
+                roots.append(c)
+        preferred = int(big.exp[ratio % (big.q - 1)])
+        gamma = preferred if preferred in roots else min(roots)
+    gpow = [1]
+    for _ in range(small.m - 1):
+        gpow.append(big.mul(gpow[-1], gamma))
+    table = np.zeros(small.q, dtype=np.int64)
+    for r in range(1, small.q):
+        acc, t = 0, r
+        for g in gpow:
+            d = t % small.p
+            t //= small.p
+            if d:
+                acc = big.add(acc, big.mul(d, g))
+        table[r] = acc
+    return gamma, table
+
+
+def _assert_embedding_matches_scalar(big, small):
+    emb = galois.SubfieldEmbedding(big, small)
+    gamma, table = _scalar_embedding(big, small)
+    assert emb.gamma == gamma, (big, small)
+    assert np.array_equal(emb.embed_arr(np.arange(small.q)), table), (big, small)
+
+
+def test_embedding_antilog_map_matches_scalar_construction(monkeypatch):
+    # every (p, M, t), t | M, with p^M <= 3^8; the fields built here leave
+    # the caches with the test
+    monkeypatch.setattr(galois, "_FIELD_CACHE", {})
+    monkeypatch.setattr(galois, "_EMBED_CACHE", {})
+    pairs = 0
+    for p, m in SMALL_FIELDS:
+        big = Field(p, m)
+        for t in range(1, m + 1):
+            if m % t == 0:
+                _assert_embedding_matches_scalar(big, big if t == m else Field(p, t))
+                pairs += 1
+    assert pairs == 958
+
+
+@pytest.mark.slow
+def test_embedding_antilog_map_matches_scalar_construction_gf2_24(monkeypatch):
+    # the GF(2^24) > GF(2^12) edge of the q = 4096 duals
+    monkeypatch.setattr(galois, "_FIELD_CACHE", {})
+    monkeypatch.setattr(galois, "_EMBED_CACHE", {})
+    _assert_embedding_matches_scalar(Field(2, 24), Field(2, 12))
+
+
 def test_project_outside_subfield():
     big, small = field_new(3, 4), field_new(3, 2)
     emb = subfield_embedding(big, small)

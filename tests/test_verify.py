@@ -211,8 +211,8 @@ def test_cross_checks_build_no_dense_table_of_the_big_field(monkeypatch, capsys)
     assert verify_thm31(27, 1).ok
     assert verify_thm34(27, 1).ok
     assert verify_thm31(32, 1).ok
-    # weight_counts on the dual route of a [10, 7] code and the direct
-    # route of a [10, 4] code over GF(9)
+    # weight_counts on the dual route of a [10, 7] code, and the trace
+    # orbit route of the dual of a [10, 6] code over GF(9)
     assert main(["wdist", "--q", "9", "--h", "0"]) == 0
     assert main(["wdist", "--q", "9", "--h", "3", "--side", "dual"]) == 0
     assert capsys.readouterr().out.count("over GF(9)") == 2

@@ -5,7 +5,15 @@ import pytest
 
 from codebench import _kernels as kernels
 from codebench import weights as weights_mod
-from codebench.codes import CodeSpec, LinearCode, bch_build, orthogonal, rank, trace_dual
+from codebench.codes import (
+    CodeSpec,
+    LinearCode,
+    TraceDualSpec,
+    bch_build,
+    orthogonal,
+    rank,
+    trace_dual,
+)
 from codebench.errors import (
     BudgetExceeded,
     DegenerateDimension,
@@ -14,10 +22,11 @@ from codebench.errors import (
 )
 from codebench.galois import factorize, field_new, prime_power
 from codebench.subfield import report_tables, table_rows
-from codebench.verify import valid_instances
+from codebench.verify import run_suite, valid_instances
 from codebench.weights import (
     WeightDistribution,
     classify,
+    dual_distribution,
     enumerator_formula,
     macwilliams,
     verify_four_weight,
@@ -254,6 +263,75 @@ def test_orbit_route_needs_proven_dual_basis(bad, monkeypatch):
     monkeypatch.setattr(kernels, "trace_orbit_counts", refuse)
     want = macwilliams(WeightDistribution(10, 9, 4, _dual_kernel_counts(code)))
     assert weight_distribution(code).counts == want.counts
+
+
+def test_four_weight_suite_needs_proven_dual_basis(monkeypatch):
+    # a full-rank trace basis that is not orthogonal to C_(64,65,3,31): the
+    # four-weight suite must still verify, through the dual route, without
+    # running the orbit kernel on the unproven basis.  At q = 64, h + 2 =
+    # 33 = -(h+1) lies in C_(h+1), so exponent h + 4 (C_35 = {35, 30})
+    # takes its place
+    td = trace_dual(64, 31)
+    order = td.big.q - 1
+    td._bh1 = td.big.exp[(order // td.n) * (td.h + 4) * np.arange(td.n) % order]
+    assert rank(td.basis_matrix(), td.field) == 4
+    code = bch_build(CodeSpec(q=64, n=65, delta=3, h=31))
+    assert not orthogonal(code.gen_matrix, td.basis_matrix(), code.field)
+
+    def refuse(*args):
+        raise AssertionError("orbit kernel ran on an unproven basis")
+
+    kernel_rows = []
+    weight_counts = kernels.weight_counts
+    monkeypatch.setattr(weights_mod, "trace_dual", lambda q, h, n=None: td)
+    monkeypatch.setattr(kernels, "trace_orbit_counts", refuse)
+    monkeypatch.setattr(kernels, "weight_counts",
+                        lambda rows, field: kernel_rows.append(len(rows)) or weight_counts(rows, field))
+    res = run_suite("thm3.1", q=64, i=1)
+    assert res.ok, res.failures()
+    assert kernel_rows == [4]  # the algebraic dual's generator matrix
+
+
+@pytest.mark.parametrize("argv", [
+    ("thm3.1", 9, 1, None), ("thm3.1", 64, 1, None), ("thm3.4", 9, 1, None),
+    ("thm4.1", 9, 1, "q-minus-pi"), ("thm4.1", 9, 1, "pi-minus-1"),
+    ("thm4.2", 9, 1, "q-minus-pi"), ("thm4.2", 9, 1, "pi-minus-1"),
+], ids=lambda argv: "-".join(map(str, argv)))
+def test_suites_count_the_trace_dual_only_after_the_proof(argv, monkeypatch):
+    # every call of the orbit-route counter follows an orthogonality and a
+    # rank check of the trace basis made since the previous call
+    events = []
+
+    def spy(name, fn):
+        return lambda *args, **kw: events.append(name) or fn(*args, **kw)
+
+    monkeypatch.setattr(weights_mod, "orthogonal", spy("orthogonal", orthogonal))
+    monkeypatch.setattr(weights_mod, "rank", spy("rank", rank))
+    monkeypatch.setattr(TraceDualSpec, "weight_distribution",
+                        spy("count", TraceDualSpec.weight_distribution))
+    theorem, q, i, family = argv
+    assert run_suite(theorem, q=q, i=i, family=family).ok
+    assert "count" in events
+    while "count" in events:
+        proof, events = events[: events.index("count")], events[events.index("count") + 1 :]
+        assert proof[-2:] == ["orthogonal", "rank"], argv
+
+
+@pytest.mark.parametrize("q", [q for q in range(4, 28) if len(factorize(q)) == 1])
+def test_dual_distribution_matches_kernel_on_algebraic_dual(q):
+    for family, i, h in valid_instances(q):
+        code = bch_build(CodeSpec(q=q, n=q + 1, delta=3, h=h))
+        assert dual_distribution(code).counts == _dual_kernel_counts(code), (family, i, h)
+
+
+@pytest.mark.parametrize("spec", [CodeSpec(4, 15, 4, 1), CodeSpec(2, 15, 4, 1)],
+                         ids=["dual-route", "direct-route"])
+def test_dual_distribution_of_a_non_family_code(spec):
+    # the [15, 9] code over GF(4) counts its dual directly; the binary
+    # [15, 7] code counts itself and transforms once
+    code = bch_build(spec)
+    assert dual_distribution(code).counts == _dual_kernel_counts(code)
+    assert dual_distribution(code).k == code.n - code.k
 
 
 def test_orbit_route_charge():
