@@ -11,9 +11,6 @@ from .codes import (
     TraceDualSpec,
     bch_build,
     classify_h,
-    dual,
-    min_distance,
-    parity_check_rows,
     trace_dual,
 )
 from .config import default_budget

@@ -29,11 +29,11 @@ from .errors import (
 )
 from .galois import (
     Field,
+    SubfieldEmbedding,
     field_for_order,
     prime_power,
     subfield_embedding,
     trace_arr,
-    unit_circle,
 )
 
 FAMILY_Q_MINUS_PI = "q-minus-pi"
@@ -244,7 +244,14 @@ class LinearCode:
         return lanes.unpack(out)
 
     def min_distance(self, budget: int | None = None) -> int:
-        return min_distance(self, budget=budget)
+        """Exact minimum distance via the cheaper of direct or dual-side
+        enumeration (dual side goes through the MacWilliams transform)."""
+        from .weights import weight_distribution
+
+        d = weight_distribution(self, budget=budget).d()
+        if d is None:
+            raise InvalidParameters("zero code has no minimum distance")
+        return d
 
     def to_json_dict(self) -> dict:
         return {
@@ -272,11 +279,9 @@ def cyclic_code(
     return LinearCode(field, n, G, gen_poly=gen_poly, family=family, spec=spec)
 
 
-def bch_build(spec: CodeSpec | None = None, *, q=None, n=None, delta=None, h=None) -> LinearCode:
+def bch_build(spec: CodeSpec) -> LinearCode:
     """Build C_(q,n,delta,h): the cyclic code whose generator is the lcm of
     the minimal polynomials of beta^h .. beta^(h+delta-2)."""
-    if spec is None:
-        spec = CodeSpec(q=q, n=n, delta=delta, h=h)
     q, n, delta, h = spec.q, spec.n, spec.delta, spec.h
     base = field_for_order(q)
     big, beta = splitting_field(q, n)
@@ -295,49 +300,14 @@ def bch_build(spec: CodeSpec | None = None, *, q=None, n=None, delta=None, h=Non
     return cyclic_code(base, n, gen.monic(), family=family, spec=spec)
 
 
-def dual(code: LinearCode) -> LinearCode:
-    return code.dual()
-
-
 def dump_codewords(code: LinearCode, budget: int | None = None) -> str:
     """One codeword per line, space-separated integer representations."""
     words = code.codewords(budget=budget)
     return "\n".join(" ".join(map(str, row)) for row in words) + "\n"
 
 
-def min_distance(code: LinearCode, budget: int | None = None) -> int:
-    """Exact minimum distance via the cheaper of direct or dual-side
-    enumeration (dual side goes through the MacWilliams transform)."""
-    from .weights import weight_distribution
-
-    wd = weight_distribution(code, budget=budget)
-    d = wd.d()
-    if d is None:
-        raise InvalidParameters("zero code has no minimum distance")
-    return d
-
-
 # ---------------------------------------------------------------------------
 # trace representation of the dual of a two-coset BCH code
-
-
-def parity_check_rows(q: int, h: int) -> tuple[np.ndarray, Field]:
-    """The 4 x (q+1) parity-check matrix over GF(q^2) for C_(q,q+1,3,h).
-
-    Rows are the evaluations at the generator's four roots beta^h,
-    beta^(h+1), beta^(-h) and beta^(-(h+1)), the two cosets {h, -h} and
-    {h+1, -(h+1)} modulo q+1.  Requires the dual dimension to be exactly 4.
-    """
-    n = q + 1
-    ch, ch1 = coset(n, q, h % n), coset(n, q, (h + 1) % n)
-    if ch.leader == ch1.leader or ch.size != 2 or ch1.size != 2:
-        raise DegenerateDimension(
-            f"dual of C_({q},{n},3,{h}) has dimension {len(set(ch.members) | set(ch1.members))}"
-        )
-    field2 = field_for_order(q * q)
-    circle = np.array(unit_circle(field2).elements, dtype=np.int64)
-    exps = np.array([h, h + 1, -h, -(h + 1)])[:, None]
-    return circle[exps * np.arange(n) % n], field2
 
 
 class TraceDualSpec:
@@ -351,6 +321,10 @@ class TraceDualSpec:
     GF(q)-linear and lands in the dual (Delsarte); it is injective exactly
     when the cosets C_h and C_(h+1) are distinct and both of size m, which
     the constructor requires.  n defaults to q + 1, where m = 2.
+
+    For n = q + 1 the instance also owns the family parameters that the
+    paper reads off h: ``family`` and ``i`` (``classify_h``), q = p^s, and
+    ``p_i`` and ``p_m`` = p^gcd(i, s), which refuse a non-family h.
     """
 
     def __init__(self, q: int, h: int, n: int | None = None):
@@ -363,13 +337,55 @@ class TraceDualSpec:
         self.q, self.h, self.n, self.m = q, h, n, m
         self.family, self.i = classify_h(q, h) if n == q + 1 else (FAMILY_GENERIC, None)
         self.field = field_for_order(q)
-        self.big, _ = splitting_field(q, n)
-        self.embedding = subfield_embedding(self.big, self.field)
+        self.p, self.s = self.field.p, self.field.m
+
+    @cached_property
+    def big(self) -> Field:
+        """GF(q^m), built on first use: the family parameters need only q."""
+        return splitting_field(self.q, self.n)[0]
+
+    @cached_property
+    def embedding(self) -> SubfieldEmbedding:
+        return subfield_embedding(self.big, self.field)
+
+    @cached_property
+    def _bh(self) -> np.ndarray:
+        return self._root_powers(self.h)
+
+    @cached_property
+    def _bh1(self) -> np.ndarray:
+        return self._root_powers(self.h + 1)
+
+    def _root_powers(self, t: int) -> np.ndarray:
+        """gamma^(t i) for i < n, over ``big``."""
         order = self.big.q - 1
-        e = order // n
-        i = np.arange(n, dtype=np.int64)
-        self._bh = self.big.exp[(e * h % order) * i % order]
-        self._bh1 = self.big.exp[(e * (h + 1) % order) * i % order]
+        i = np.arange(self.n, dtype=np.int64)
+        return self.big.exp[(order // self.n * t % order) * i % order]
+
+    def _family_i(self) -> int:
+        if self.i is None:
+            raise InvalidParameters(f"h={self.h} is in neither family for q={self.q}")
+        return self.i
+
+    @property
+    def p_i(self) -> int:
+        """p^i of the offset h = (q - p^i)/2 or (p^i - 1)/2."""
+        return self.p ** self._family_i()
+
+    @property
+    def p_m(self) -> int:
+        """p^m, m = gcd(i, s): the subfield order that fixes the dual's
+        weights, the designs and the value set of N(a, b)."""
+        return self.p ** gcd(self._family_i(), self.s)
+
+    def parity_rows(self) -> np.ndarray:
+        """2m x n parity-check matrix of C_(q,n,3,h) over ``big``: the rows
+        gamma^(h q^j i) and gamma^((h+1) q^j i), the evaluations at the
+        generator's roots, in the order (h, h+1, qh, q(h+1), ...) for j < m.
+        For n = q + 1 these are the cosets {h, -h} and {h+1, -(h+1)} on
+        the unit circle."""
+        return np.stack([self._root_powers(t * self.q**j)
+                         for j in range(self.m) for t in (self.h, self.h + 1)])
 
     def _words(self, a, b) -> np.ndarray:
         """Rows c_(a[j], b[j]), coordinates in canonical GF(q)."""

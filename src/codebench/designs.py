@@ -16,7 +16,7 @@ import json
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations, islice
-from math import comb, gcd
+from math import comb
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from .codes import (
     LinearCode,
     TraceDualSpec,
     orthogonal,
-    parity_check_rows,
     require_cyclic,
     trace_dual,
 )
@@ -37,7 +36,7 @@ from .errors import (
     NotRegular,
     count_text,
 )
-from .galois import field_for_order, prime_power, subfield_embedding, unit_circle
+from .galois import unit_circle
 
 _CHUNK_ELEMS = 1 << 20  # (triple, w) pairs or t-subset ranks per batch
 
@@ -199,7 +198,7 @@ def supports_of_weight(
     spec = code.spec
     if k in (4, 5) and spec is not None and spec.delta == 3 and spec.n == code.q + 1:
         kernels.check_budget(comb(code.n - 1, k - 1), budget)
-        blocks = _rank_supports(code.q, spec.h, k, check_code=code)
+        blocks = _rank_supports(trace_dual(code.q, spec.h), k, check_code=code)
         return SupportCount(q=code.q, k=k, n_points=code.n, blocks=blocks)
     raise BudgetExceeded(
         f"{count_text(code.codeword_count())} codewords exceed budget {budget} and no "
@@ -259,9 +258,9 @@ def _trace_supports(td: TraceDualSpec, k: int, budget: int) -> SupportCount:
     return SupportCount(q=td.q, k=k, n_points=td.n, blocks=blocks)
 
 
-def _rank_supports(q: int, h: int, k: int, check_code: LinearCode | None = None) -> CyclicBlocks:
+def _rank_supports(td: TraceDualSpec, k: int, check_code: LinearCode | None = None) -> CyclicBlocks:
     """Weight-k supports (k in {4, 5}) of C_(q,q+1,3,h) from nullspaces of
-    4 x k submatrices of the parity-check matrix.
+    4 x k submatrices of its parity-check matrix ``td.parity_rows()``.
 
     A support is accepted when the nullspace is one-dimensional with an
     everywhere-nonzero vector.  Once the parity-check matrix is proved to
@@ -271,8 +270,8 @@ def _rank_supports(q: int, h: int, k: int, check_code: LinearCode | None = None)
     code is supplied, every reconstructed codeword through 0 is checked
     against its check matrix.
     """
-    n = q + 1
-    H, field2 = parity_check_rows(q, h)
+    n, field2 = td.n, td.big
+    H = td.parity_rows()
     require_cyclic(H, field2)
     combos = ksubsets(n, k, through0=True)
     flags, nulls = kernels.scan_supports(H, combos, field2)
@@ -285,7 +284,7 @@ def _rank_supports(q: int, h: int, k: int, check_code: LinearCode | None = None)
     if check_code is not None and len(hit_idx):
         field = check_code.field
         words = np.zeros((len(hit_idx), n), dtype=np.int64)
-        vals = subfield_embedding(field2, field).project_arr(nulls[hit_idx])
+        vals = td.embedding.project_arr(nulls[hit_idx])
         np.put_along_axis(words, supports, vals, axis=1)
         H = check_code.check_matrix
         if not orthogonal(words, H, field):
@@ -387,14 +386,11 @@ def weight4_blocks_det(q: int, h: int, budget: int | None = None) -> CyclicBlock
     w on the circle; the dedup to a set is exact.  Charged the
     C(n-1,2) n (triple, w) pairs it evaluates.
     """
-    td = trace_dual(q, h)  # validates dimension; supplies family and i
-    if td.i is None:
-        raise InvalidParameters(f"h={h} is in neither family for q={q}")
+    td = trace_dual(q, h)  # validates dimension
+    pi = td.p_i  # refuses a non-family h
     n = q + 1
     kernels.check_budget(comb(n - 1, 2) * n, budget)
-    p, s = prime_power(q)
-    pi = p**td.i
-    f2 = field_for_order(q * q)
+    f2 = td.big
     circle = unit_circle(f2)
     u = np.array(circle.elements, dtype=np.int64)
     u_pi = f2.pow_arr(u, pi)
@@ -437,9 +433,7 @@ def weight5_blocks_rank(q: int, h: int, budget: int | None = None) -> CyclicBloc
     every 5-subset; a lower rank aborts instead of guessing.
     """
     td = trace_dual(q, h)
-    p, s = prime_power(q)
-    if td.i is None or p != 3 or gcd(td.i, s) != 1:
+    if td.i is None or td.p_m != 3:
         raise InvalidParameters("weight-5 construction needs the p=3, m=1 family")
-    n = q + 1
-    kernels.check_budget(comb(n - 1, 4), budget)
-    return _rank_supports(q, h, 5)
+    kernels.check_budget(comb(td.n - 1, 4), budget)
+    return _rank_supports(td, 5)

@@ -14,7 +14,7 @@ from math import gcd
 
 import numpy as np
 
-from .codes import FAMILY_Q_MINUS_PI, classify_h
+from .codes import FAMILY_Q_MINUS_PI, trace_dual
 from .errors import (
     InvalidParameters,
     NoDelta,
@@ -22,7 +22,7 @@ from .errors import (
     NotFullCase,
     ValueSetViolation,
 )
-from .galois import field_for_order, field_new, subfield_members, unit_circle
+from .galois import field_new, subfield_members, unit_circle
 
 
 @dataclass(frozen=True)
@@ -138,40 +138,28 @@ def all_zeros_Pa(p: int, n: int, k: int, a: int, x0: int) -> list[int]:
 # N(a, b) over the unit circle
 
 
-def _family_data(q: int, h: int):
-    family, i = classify_h(q, h)
-    if i is None:
-        raise InvalidParameters(f"h={h} is in neither family for q={q}")
-    from .galois import prime_power
-
-    p, s = prime_power(q)
-    return family, i, p, s
-
-
 def count_unit_solutions(q: int, h: int, a: int, b: int) -> SolutionCount:
     """Brute-force count of unit-circle solutions of the family equation;
     value must lie in {0, 1, 2, p^m + 1}, m = gcd(i, s)."""
     if a == 0 and b == 0:
         raise InvalidParameters("(a, b) must be nonzero")
-    family, i, p, s = _family_data(q, h)
-    f2 = field_for_order(q * q)
+    td = trace_dual(q, h)
+    pi, p_m, f2 = td.p_i, td.p_m, td.big
     circle = unit_circle(f2)
-    pi = p**i
     aq = f2.pow(a, q)
     bq = f2.pow(b, q)
     count = 0
     for u in circle.elements:
         upi = f2.pow(u, pi)
         upi1 = f2.mul(upi, u)
-        if family == FAMILY_Q_MINUS_PI:
+        if td.family == FAMILY_Q_MINUS_PI:
             v = f2.add(f2.add(a, f2.mul(b, u)), f2.add(f2.mul(bq, upi), f2.mul(aq, upi1)))
         else:
             v = f2.add(f2.add(bq, f2.mul(aq, u)), f2.add(f2.mul(a, upi), f2.mul(b, upi1)))
         if v == 0:
             count += 1
-    m = gcd(i, s)
-    if count not in {0, 1, 2, p**m + 1}:
-        raise ValueSetViolation(f"N(a,b) = {count} outside {{0, 1, 2, {p**m + 1}}}")
+    if count not in {0, 1, 2, p_m + 1}:
+        raise ValueSetViolation(f"N(a,b) = {count} outside {{0, 1, 2, {p_m + 1}}}")
     return SolutionCount(value=count, method="brute_force")
 
 
@@ -182,15 +170,15 @@ def unit_solution_counts(q: int, h: int) -> np.ndarray:
     the u-column of every pair is one comparison A_u(a) = -B_u(b) of a
     q^2 x q^2 grid.  Entry for (0, 0) is q + 1 (every unit solves the zero
     equation)."""
-    family, i, p, s = _family_data(q, h)
-    f2 = field_for_order(q * q)
+    td = trace_dual(q, h)
+    f2 = td.big
     u = np.array(unit_circle(f2).elements, dtype=np.int64)[:, None]
-    upi = f2.pow_arr(u, p**i)
+    upi = f2.pow_arr(u, td.p_i)
     upi1 = f2.mul_arr(upi, u)
     reps = np.arange(f2.q, dtype=np.int64)[None, :]
     rq = f2.pow_arr(reps, q)
     # rows indexed by u: A_u(a) and -B_u(b)
-    if family == FAMILY_Q_MINUS_PI:
+    if td.family == FAMILY_Q_MINUS_PI:
         lhs = f2.add_arr(reps, f2.mul_arr(rq, upi1))
         rhs = f2.neg_arr(f2.add_arr(f2.mul_arr(reps, u), f2.mul_arr(rq, upi)))
     else:
@@ -211,21 +199,20 @@ def predict_case12(q: int, h: int, a: int, b: int) -> SolutionCount:
     """
     if (a == 0) == (b == 0):
         raise NotApplicable("exactly one of a, b must be zero")
-    family, i, p, s = _family_data(q, h)
-    f2 = field_for_order(q * q)
-    pi = p**i
+    td = trace_dual(q, h)
+    pi, p, i, s, f2 = td.p_i, td.p, td.i, td.s, td.big
     nz = a if b == 0 else b
     r = f2.log_of(nz)
     # which exponent the equation collapses to:
     #   family 1: b=0 -> p^i + 1;  a=0 -> p^i - 1
     #   family 2: b=0 -> p^i - 1;  a=0 -> p^i + 1
-    plus_case = (b == 0) == (family == FAMILY_Q_MINUS_PI)
+    plus_case = (b == 0) == (td.family == FAMILY_Q_MINUS_PI)
     coeff = pi + 1 if plus_case else pi - 1
     e = gcd_plus_plus(p, i, s) if plus_case else gcd_minus_plus(p, i, s)
     assert e == gcd(coeff, q + 1)
     if p == 2:
         target = (-r) % (q + 1)
-    elif family == FAMILY_Q_MINUS_PI:
+    elif td.family == FAMILY_Q_MINUS_PI:
         target = ((q + 1) // 2 - r) % (q + 1)
     else:
         target = ((q + 1) // 2 + r) % (q + 1)

@@ -28,7 +28,7 @@ class SubcodeReport:
     params: tuple[int, int, int] | None
     dual_params: tuple[int, int, int] | None
     best_known_note: str
-    generic_match: bool | None = None
+    generic_match: bool
     skipped: str | None = None
 
     def to_json_dict(self) -> dict:
@@ -121,13 +121,13 @@ def report_tables(
     budget: int | None = None,
     labels: tuple[str, ...] | None = None,
     s_values: tuple[int, ...] | None = None,
-    check_generic: bool = True,
 ) -> list[SubcodeReport]:
-    """Compute every published (subcode, dual) parameter pair.
+    """Compute every published (subcode, dual) parameter pair, and check
+    that the generic subcode system spans the same rows as the BCH
+    construction.
 
     Rows whose enumerations exceed the budget are marked skipped, never
-    fabricated.  check_generic additionally solves the generic subcode
-    system and verifies row-space equality with the BCH construction.
+    fabricated.
     """
     out = []
     for label, s, t, parent_q, h, _params, _dual, note in _ROWS:
@@ -137,11 +137,8 @@ def report_tables(
             continue
         parent_spec = CodeSpec(q=parent_q, n=parent_q + 1, delta=3, h=h)
         sub = subfield_subcode_bch(parent_spec, t)
-        generic_match = None
-        if check_generic:
-            parent = bch_build(parent_spec)
-            generic = subfield_subcode_generic(parent, t)
-            generic_match = same_row_space(generic.gen_matrix, sub.gen_matrix, sub.field)
+        generic = subfield_subcode_generic(bch_build(parent_spec), t)
+        generic_match = same_row_space(generic.gen_matrix, sub.gen_matrix, sub.field)
         try:
             wd, dual_wd = distribution_pair(sub, budget=budget)
             params = (sub.n, sub.k, wd.d())
@@ -182,7 +179,7 @@ def report_text(reports: list[SubcodeReport]) -> str:
             continue
         params = "[" + ",".join(map(str, r.params)) + "]"
         dual = "[" + ",".join(map(str, r.dual_params)) + "]"
-        flag = "" if r.generic_match in (True, None) else "  GENERIC-MISMATCH"
+        flag = "" if r.generic_match else "  GENERIC-MISMATCH"
         lines.append(f"{parent:>16} {r.t:>2} {params:>14} {dual:>14}  {r.best_known_note}{flag}")
     return "\n".join(lines) + "\n"
 

@@ -149,19 +149,18 @@ def verify_cor31(s: int, i: int, budget=None) -> VerificationResult:
 _CHUNK_ELEMS = 1 << 20  # word entries per chunk of the trace image checks
 
 
-def _trace_image_checks(q: int, h: int, counts: np.ndarray, budget) -> tuple[int, bool, bool]:
-    """(size of the trace image, whether it equals the algebraic dual,
-    whether wt(c_(a,b)) = q+1 - N(a,b) for all (a, b)) over the q^4 trace
-    words, generated and checked a few values of a at a time, packed into
-    lanes (``Field.lanes``).
+def _trace_image_checks(code: LinearCode, counts: np.ndarray, budget) -> tuple[int, bool, bool]:
+    """(size of the trace image, whether it equals the algebraic dual of
+    code = C_(q,q+1,3,h), whether wt(c_(a,b)) = q+1 - N(a,b) for all
+    (a, b)) over the q^4 trace words, generated and checked a few values
+    of a at a time, packed into lanes (``Field.lanes``).
 
     With the dual's generator matrix in RREF as R, pivot columns P, a trace
     word's digits m at P name the one dual word it can equal: word
     m_0 q + m_1 of the q^2 words of R[:2] plus word m_2 q + m_3 of those of
     R[2:].  The image has q^4 words when the names are a permutation of
     range(q^4), and equals the dual when every word also equals its twin."""
-    td = trace_dual(q, h)
-    dual = bch_build(CodeSpec(q=q, n=q + 1, delta=3, h=h)).dual()
+    q, td, dual = code.q, trace_dual(code.q, code.spec.h), code.dual()
     field, n, q2 = dual.field, dual.n, q * q
     lanes = field.lanes(n)
     R, pivots = rref(dual.gen_matrix, field)
@@ -186,18 +185,17 @@ def _trace_image_checks(q: int, h: int, counts: np.ndarray, budget) -> tuple[int
 
 
 def _four_weight_suite(theorem: str, q: int, i: int, family: str, budget) -> VerificationResult:
-    p, s = prime_power(q)
     h = family_offset(q, i, family)
-    m = gcd(i, s)
-    p_m = p**m
     res = VerificationResult(theorem, {"q": q, "i": i, "family": family, "h": h})
     try:
-        report = verify_four_weight(q, h, budget=budget)
+        code = bch_build(CodeSpec(q=q, n=q + 1, delta=3, h=h))
+        report = verify_four_weight(code, budget=budget)
     except BudgetExceeded:
         raise  # a refused enumeration has falsified nothing
     except WorkbenchError as exc:
         res.record("four-weight support and closed form", False, str(exc))
         return res
+    p_m = report["p_m"]
     res.check("weights", sorted({q - p_m, q - 1, q, q + 1}), report["weights"])
     if p_m >= 3:
         res.check("enumerator matches closed form", True, report["formula_match"])
@@ -205,7 +203,7 @@ def _four_weight_suite(theorem: str, q: int, i: int, family: str, budget) -> Ver
         return res
     kernels.check_budget(q**4, budget)  # every trace word is enumerated
     counts = dio.unit_solution_counts(q, h)
-    size, equal, weights_ok = _trace_image_checks(q, h, counts, budget)
+    size, equal, weights_ok = _trace_image_checks(code, counts, budget)
     res.check("trace image size", q**4, size)
     res.record("trace image equals algebraic dual", equal)
     res.record("wt(c_(a,b)) = q+1 - N(a,b) for all (a,b)", weights_ok)
@@ -238,10 +236,8 @@ def verify_thm35(q: int, budget=None) -> VerificationResult:
 
 def verify_thm36(q: int, i: int, family: str, budget=None) -> VerificationResult:
     """AMDS family: [q+1, q-3, 4] with dual [q+1, 4, q-p^m], p^m >= 3."""
-    p, s = prime_power(q)
-    m = gcd(i, s)
-    p_m = p**m
     h = family_offset(q, i, family)
+    p_m = trace_dual(q, h).p_m
     res = VerificationResult("thm3.6", {"q": q, "i": i, "family": family, "h": h})
     if p_m < 3:
         res.record("p^m >= 3 precondition", False, p_m)
@@ -293,10 +289,9 @@ def verify_cor33(s: int, budget=None) -> VerificationResult:
 def verify_thm41(q: int, i: int, family: str, budget=None) -> VerificationResult:
     """Weight-4 words support a 3-(q+1, 4, p^m - 2) design; dual minimum
     words support a 3-(q+1, q-p^m, lambda) design; enumerator closed form."""
-    p, s = prime_power(q)
-    m = gcd(i, s)
-    p_m = p**m
     h = family_offset(q, i, family)
+    td = trace_dual(q, h)
+    p_m = td.p_m
     res = VerificationResult("thm4.1", {"q": q, "i": i, "family": family, "h": h})
     if p_m < 3:
         res.record("p^m >= 3 precondition", False, p_m)
@@ -315,7 +310,7 @@ def verify_thm41(q: int, i: int, family: str, budget=None) -> VerificationResult
     res.check("weight-4 design lambda", p_m - 2, design.lam)
     # dual minimum-weight design
     dmin = q - p_m
-    dsup = designs_mod.supports_of_weight(trace_dual(q, h), dmin, budget=budget)
+    dsup = designs_mod.supports_of_weight(td, dmin, budget=budget)
     res.check("dual b = A_(q-p^m) / (q-1)", dual_wd.counts[dmin] // (q - 1), dsup.b)
     ddesign = designs_mod.design_from_blocks(dsup.blocks, n, 3)
     lam = (q - p_m) * (q - p_m - 1) * (q - p_m - 2) // ((p_m**2 - 1) * p_m)
@@ -357,6 +352,7 @@ def verify_thm42(q: int, i: int, family: str, budget=None) -> VerificationResult
 def verify_thm43(q: int, i: int, family: str, budget=None) -> VerificationResult:
     """Determinant-defined blocks equal the code-support blocks exactly."""
     h = family_offset(q, i, family)
+    p_m = trace_dual(q, h).p_m
     res = VerificationResult("thm4.3", {"q": q, "i": i, "family": family, "h": h})
     n = q + 1
     det_blocks = designs_mod.weight4_blocks_det(q, h, budget=budget)
@@ -367,8 +363,6 @@ def verify_thm43(q: int, i: int, family: str, budget=None) -> VerificationResult
         det_blocks == sup.blocks,
         {"det": len(det_blocks), "code": sup.b},
     )
-    p, s = prime_power(q)
-    p_m = p ** gcd(i, s)
     if det_blocks:
         design = designs_mod.design_from_blocks(det_blocks, n, 3)
         res.check("design lambda", p_m - 2, design.lam)
@@ -392,7 +386,6 @@ def _verify_table_rows(theorem: str, label: str, budget, s_filter=None) -> Verif
         budget=budget,
         labels=(label,),
         s_values=tuple(row[1] for row in rows),
-        check_generic=True,
     )
     for row_label, s, t, parent_q, h, params, dual_params, _note in rows:
         dim = subfield_mod.dimension_by_cosets(parent_q, h, t)

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import gcd
 
 from . import _kernels as kernels
-from .codes import CodeSpec, LinearCode, bch_build, orthogonal, rank, trace_dual
+from .codes import LinearCode, orthogonal, rank, trace_dual
 from .config import default_budget
 from .errors import (
     BudgetExceeded,
@@ -218,16 +217,16 @@ def enumerator_formula(q: int, p_m: int) -> WeightDistribution:
     return WeightDistribution(n=n, q=q, k=4, counts=tuple(counts))
 
 
-def verify_four_weight(q: int, h: int, budget: int | None = None) -> dict:
-    """Check the dual of C_(q,q+1,3,h) is four-weight with support
+def verify_four_weight(code: LinearCode, budget: int | None = None) -> dict:
+    """Check the dual of code = C_(q,q+1,3,h) is four-weight with support
     {q-p^m, q-1, q, q+1}; returns the counts and the formula comparison."""
+    spec = code.spec
+    if spec is None or (spec.n, spec.delta) != (spec.q + 1, 3):
+        raise InvalidParameters("the four-weight check needs a built C_(q,q+1,3,h)")
+    q, h = spec.q, spec.h
     td = trace_dual(q, h)  # raises DegenerateDimension when the dual is not 4-dim
-    family, i = td.family, td.i
-    if i is None:
-        raise InvalidParameters(f"h={h} is in neither family for q={q}")
-    p, s = prime_power(q)
-    p_m = p ** gcd(i, s)
-    wd = dual_distribution(bch_build(CodeSpec(q=q, n=q + 1, delta=3, h=h)), budget=budget)
+    p_m = td.p_m
+    wd = dual_distribution(code, budget=budget)
     expected = {q - p_m, q - 1, q, q + 1}
     if wd.support() != expected:
         raise FourWeightViolation(
@@ -238,8 +237,8 @@ def verify_four_weight(q: int, h: int, budget: int | None = None) -> dict:
     report = {
         "q": q,
         "h": h,
-        "family": family,
-        "i": i,
+        "family": td.family,
+        "i": td.i,
         "p_m": p_m,
         "weights": sorted(wd.support()),
         "counts": {w: wd.counts[w] for w in sorted(wd.support())},

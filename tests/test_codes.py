@@ -11,25 +11,26 @@ from codebench.codes import (
     bch_build,
     classify_h,
     dump_codewords,
-    dual,
-    min_distance,
     nullspace,
     orthogonal,
-    parity_check_rows,
     rref,
     same_row_space,
     trace_dual,
 )
+from codebench.cyclotomic import coset
+from codebench.designs import weight4_blocks_det
 from codebench.diophantine import count_unit_solutions
-from codebench.errors import BudgetExceeded, DegenerateDimension, NotCoprime
+from codebench.errors import BudgetExceeded, DegenerateDimension, InvalidParameters, NotCoprime
 from codebench.galois import (
     factorize,
     field_for_order,
     field_new,
     subfield_embedding,
     trace_arr,
+    unit_circle,
 )
 from codebench.verify import valid_instances
+from codebench.weights import verify_four_weight
 
 
 def test_bch_dimensions():
@@ -75,38 +76,38 @@ def test_cyclic_dual_matches_nullspace_dual():
 
 def test_dual_involution_and_dimensions():
     code = bch_build(CodeSpec(q=9, n=10, delta=3, h=3))
-    dd = dual(dual(code))
+    dd = code.dual().dual()
     assert dd.k == code.k
     assert same_row_space(dd.gen_matrix, code.gen_matrix, code.field)
-    assert dual(code).k == 4
+    assert code.dual().k == 4
 
 
 def test_dual_of_full_space_is_zero_code():
     f = field_new(3, 1)
     full = LinearCode(f, 4, np.eye(4, dtype=np.int64))
-    z = dual(full)
+    z = full.dual()
     assert z.k == 0
     words = z.codewords()
     assert words.shape == (1, 4) and not words.any()
 
 
 def test_min_distances():
-    assert min_distance(bch_build(CodeSpec(8, 9, 3, 3))) == 5
-    assert min_distance(bch_build(CodeSpec(9, 10, 3, 3))) == 4
-    assert min_distance(bch_build(CodeSpec(2, 33, 3, 8))) == 10
+    assert bch_build(CodeSpec(8, 9, 3, 3)).min_distance() == 5
+    assert bch_build(CodeSpec(9, 10, 3, 3)).min_distance() == 4
+    assert bch_build(CodeSpec(2, 33, 3, 8)).min_distance() == 10
 
 
 def test_bch_bound_holds():
     for spec in [CodeSpec(4, 5, 3, 1), CodeSpec(9, 10, 3, 3), CodeSpec(8, 9, 3, 2),
                  CodeSpec(2, 33, 3, 8), CodeSpec(3, 28, 3, 12)]:
-        assert min_distance(bch_build(spec)) >= spec.delta
+        assert bch_build(spec).min_distance() >= spec.delta
 
 
 def test_min_distance_criterion_q4():
     # gcd(2h+1, q+1) > 1 exactly characterises distance 3 (smallest case)
     q = 4
     for h in range(q + 1):
-        d = min_distance(bch_build(CodeSpec(q, q + 1, 3, h)))
+        d = bch_build(CodeSpec(q, q + 1, 3, h)).min_distance()
         assert (d == 3) == (gcd(2 * h + 1, q + 1) > 1), h
 
 
@@ -115,7 +116,7 @@ def test_codewords_distinct_and_heavy():
     words = code.codewords()
     assert words.shape == (9**4, 10)
     assert len(np.unique(words, axis=0)) == 9**4
-    d = min_distance(code)
+    d = code.min_distance()
     weights = (words != 0).sum(axis=1)
     assert (weights[weights > 0] >= d).all() and (weights == 0).sum() == 1
 
@@ -139,7 +140,7 @@ def test_codeword_budget():
     with pytest.raises(BudgetExceeded):
         code.codewords(budget=100)
     with pytest.raises(BudgetExceeded):
-        min_distance(code, budget=3)
+        code.min_distance(budget=3)
 
 
 def test_trace_dual_zero_pair_and_injectivity():
@@ -176,8 +177,26 @@ def test_trace_dual_matches_algebraic_dual_q8_q9():
         assert np.array_equal(wt, wa), (q, h)
 
 
+def parity_check_rows_oracle(q, h):
+    """The 4 x (q+1) parity-check matrix over GF(q^2) of C_(q,q+1,3,h),
+    built from the cosets on the unit circle: rows at beta^h, beta^(h+1),
+    beta^(-h) and beta^(-(h+1)).  Kept as an independent check of
+    ``TraceDualSpec.parity_rows``."""
+    n = q + 1
+    ch, ch1 = coset(n, q, h % n), coset(n, q, (h + 1) % n)
+    if ch.leader == ch1.leader or ch.size != 2 or ch1.size != 2:
+        raise DegenerateDimension(
+            f"dual of C_({q},{n},3,{h}) has dimension {len(set(ch.members) | set(ch1.members))}"
+        )
+    field2 = field_for_order(q * q)
+    circle = np.array(unit_circle(field2).elements, dtype=np.int64)
+    exps = np.array([h, h + 1, -h, -(h + 1)])[:, None]
+    return circle[exps * np.arange(n) % n], field2
+
+
 def test_parity_check_rows():
-    H, f2 = parity_check_rows(9, 3)
+    td = trace_dual(9, 3)
+    H, f2 = td.parity_rows(), td.big
     assert H.shape == (4, 10)
     assert (H[:, 0] == 1).all()
     # rank 4 over GF(81)
@@ -195,8 +214,43 @@ def test_parity_check_rows():
 
 
 def test_parity_check_rows_degenerate():
-    with pytest.raises(DegenerateDimension):
-        parity_check_rows(9, 4)
+    for build in (parity_check_rows_oracle, trace_dual):
+        with pytest.raises(DegenerateDimension):
+            build(9, 4)
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 32, 49, 64, 81])
+def test_parity_rows_match_coset_oracle(q):
+    for _family, _i, h in valid_instances(q):
+        td = trace_dual(q, h)
+        H, f2 = parity_check_rows_oracle(q, h)
+        assert td.big is f2
+        assert np.array_equal(td.parity_rows(), H), (q, h)
+
+
+def test_family_parameters():
+    td = trace_dual(27, 9)  # (27 - 3^2)/2: i = 2, m = gcd(2, 3) = 1
+    assert (td.family, td.p, td.s, td.i, td.p_i, td.p_m) == ("q-minus-pi", 3, 3, 2, 9, 3)
+    td = trace_dual(64, 28)  # (64 - 2^3)/2: i = 3, m = gcd(3, 6) = 3
+    assert (td.i, td.p_i, td.p_m) == (3, 8, 8)
+    td = trace_dual(81, 4)  # (3^2 - 1)/2: i = 2, m = gcd(2, 4) = 2
+    assert (td.family, td.p_i, td.p_m) == ("pi-minus-1", 9, 9)
+
+
+def test_non_family_offset_is_refused_alike():
+    # (9, 2) has a 4-dimensional dual but lies in neither family
+    calls = (
+        lambda: verify_four_weight(bch_build(CodeSpec(9, 10, 3, 2))),
+        lambda: weight4_blocks_det(9, 2),
+        lambda: count_unit_solutions(9, 2, 1, 0),
+        lambda: trace_dual(9, 2).p_m,
+    )
+    texts = set()
+    for call in calls:
+        with pytest.raises(InvalidParameters) as exc:
+            call()
+        texts.add(str(exc.value))
+    assert texts == {"h=2 is in neither family for q=9"}
 
 
 def test_trace_basis_matrix_spans_dual():
@@ -219,10 +273,9 @@ def test_code_json_and_dump():
 
 def test_parity_check_rows_order():
     # both families use the row order (h, h+1, -h, -(h+1)) on the circle
-    from codebench.galois import unit_circle
-
     for q, h in [(9, 1), (9, 3), (16, 6)]:
-        H, f2 = parity_check_rows(q, h)
+        td = trace_dual(q, h)
+        H, f2 = td.parity_rows(), td.big
         circle = unit_circle(f2)
         n = q + 1
         exps = [h, h + 1, (-h) % n, (-(h + 1)) % n]

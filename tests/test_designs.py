@@ -8,9 +8,8 @@ import numpy as np
 import pytest
 
 from codebench import designs
-from codebench.codes import CodeSpec, LinearCode, bch_build, trace_dual
+from codebench.codes import CodeSpec, LinearCode, TraceDualSpec, bch_build, trace_dual
 from codebench import _kernels as kernels
-from codebench.codes import parity_check_rows
 from codebench.designs import (
     CyclicBlocks,
     design_from_blocks,
@@ -357,7 +356,7 @@ def test_rank_route_needs_delta_3():
     # delta = 4 codes of length q+1 used to reach the rank route, which
     # assumes the 4-row parity matrix of a delta = 3 code
     for h in range(10):
-        code = bch_build(q=9, n=10, delta=4, h=h)
+        code = bch_build(CodeSpec(q=9, n=10, delta=4, h=h))
         for k in (4, 5):
             with pytest.raises(BudgetExceeded, match="no structural construction applies"):
                 supports_of_weight(code, k, budget=100)
@@ -382,7 +381,8 @@ def sorted_word_supports(words, k, q):
 
 def full_scan_supports(q, h, k):
     """Oracle for the through-0 rank route: every k-subset scanned."""
-    H, f2 = parity_check_rows(q, h)
+    td = trace_dual(q, h)
+    H, f2 = td.parity_rows(), td.big
     combos = ksubsets(q + 1, k)
     flags, _ = kernels.scan_supports(H, combos, f2)
     if (flags == 3).any():
@@ -392,7 +392,7 @@ def full_scan_supports(q, h, k):
 
 def rank_outcome(q, h, k):
     try:
-        return designs._rank_supports(q, h, k)
+        return designs._rank_supports(trace_dual(q, h), k)
     except InvalidParameters as exc:
         assert "nullity >= 2" in str(exc)
         return "nullity >= 2"
@@ -455,9 +455,8 @@ def test_trace_route_charges_words_through_zero():
 
 def test_rank_route_needs_cyclic_parity_matrix(monkeypatch):
     # swapping two columns of the parity matrix breaks the shift symmetry
-    H, f2 = parity_check_rows(9, 3)
-    swapped = H[:, [0, 2, 1, *range(3, 10)]]
-    monkeypatch.setattr(designs, "parity_check_rows", lambda q, h: (swapped, f2))
+    swapped = trace_dual(9, 3).parity_rows()[:, [0, 2, 1, *range(3, 10)]]
+    monkeypatch.setattr(TraceDualSpec, "parity_rows", lambda self: swapped)
     code = bch_build(CodeSpec(q=9, n=10, delta=3, h=3))
     with pytest.raises(InvalidParameters, match="cyclic shift"):
         supports_of_weight(code, 4, budget=10_000)
@@ -565,7 +564,7 @@ def test_verify_design_through_zero_matches_full_count_on_code_designs(q):
         code = bch_build(CodeSpec(q=q, n=q + 1, delta=3, h=h))
         td = trace_dual(q, h)
         dmin = int(np.flatnonzero(td.weight_distribution().counts[1:])[0]) + 1
-        sets = [designs._rank_supports(q, h, 4, check_code=code), supports_of_weight(td, dmin).blocks]
+        sets = [designs._rank_supports(td, 4, check_code=code), supports_of_weight(td, dmin).blocks]
         if p == 3:
             sets.append(weight5_blocks_rank(q, h))
         for blocks in sets:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from codebench import _kernels as kernels
-from codebench.codes import CodeSpec, bch_build, nullspace, parity_check_rows, rref, trace_dual
+from codebench.codes import CodeSpec, bch_build, nullspace, rref, trace_dual
 from codebench.galois import field_new, prime_power, trace_kernel_logs
 from codebench.verify import valid_instances
 from codebench.weights import enumerator_formula
@@ -155,7 +155,8 @@ def nullspace_oracle(H, combos, f2):
 
 @pytest.mark.parametrize("s", [4, 5])
 def test_scan_supports_matches_nullspace(s):
-    H, f2 = parity_check_rows(9, 3)
+    td = trace_dual(9, 3)
+    H, f2 = td.parity_rows(), td.big
     combos = np.array(list(itertools.combinations(range(10), s)), dtype=np.int64)
     want_flags, want_nulls = nullspace_oracle(H, combos, f2)
     assert int((want_flags == 1).sum()) == {4: 30, 5: 72}[s]  # blocks of S(3,4,10) / weight-5 supports
@@ -188,7 +189,8 @@ def test_scan_supports_flag2_hand_built(s):
 
 
 def test_scan_supports_nullvectors_annihilate():
-    H, f2 = parity_check_rows(9, 3)
+    td = trace_dual(9, 3)
+    H, f2 = td.parity_rows(), td.big
     combos = np.array(list(itertools.combinations(range(10), 4)), dtype=np.int64)
     flags, nulls = kernels.scan_supports(H, combos, f2)
     assert int((flags == 1).sum()) == 30

@@ -258,8 +258,7 @@ def test_report_rows_small():
 
 
 def test_report_skip_on_budget():
-    reports = report_tables(budget=100, labels=("ternary",), s_values=(2, 4),
-                            check_generic=False)
+    reports = report_tables(budget=100, labels=("ternary",), s_values=(2, 4))
     by_q = {r.parent.q: r for r in reports}
     assert by_q[9].params == (10, 2, 5)  # small row still fits
     assert by_q[81].skipped is not None

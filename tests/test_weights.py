@@ -142,16 +142,22 @@ def test_classify_golden():
 
 
 def test_verify_four_weight_q27():
-    rep = verify_four_weight(27, 12)  # i = 1
+    rep = verify_four_weight(bch_build(CodeSpec(27, 28, 3, 12)))  # i = 1
     assert rep["weights"] == [24, 26, 27, 28]
-    rep = verify_four_weight(27, 9)  # i = 2, m = gcd(2,3) = 1
+    rep = verify_four_weight(bch_build(CodeSpec(27, 28, 3, 9)))  # i = 2, m = gcd(2,3) = 1
     assert rep["weights"] == [24, 26, 27, 28]
     assert rep["formula_match"] is True
 
 
 def test_verify_four_weight_degenerate():
     with pytest.raises(DegenerateDimension):
-        verify_four_weight(9, 4)
+        verify_four_weight(bch_build(CodeSpec(9, 10, 3, 4)))
+
+
+def test_verify_four_weight_needs_a_delta_3_family_length_code():
+    for spec in (CodeSpec(9, 10, 4, 3), CodeSpec(9, 20, 3, 3)):
+        with pytest.raises(InvalidParameters, match="needs a built C_"):
+            verify_four_weight(bch_build(spec))
 
 
 def test_enumerator_formula_golden():
@@ -343,8 +349,7 @@ def test_orbit_route_charge():
     with pytest.raises(BudgetExceeded, match="trace orbit=3645"):
         weight_distribution(code, budget=3644)
     assert weight_distribution(code, budget=3645).d() == 4
-    (row,) = report_tables(budget=100, labels=("ternary",), s_values=(4,),
-                           check_generic=False)
+    (row,) = report_tables(budget=100, labels=("ternary",), s_values=(4,))
     assert row.params is None and "trace orbit=531441" in row.skipped
 
 
