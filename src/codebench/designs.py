@@ -8,7 +8,12 @@ checked to be exactly q-1 before dividing (simplicity is a conclusion,
 not an input).  The codes and the determinant rows are proved cyclic
 before that is used: every route then keeps the blocks through point 0
 and returns them as ``CyclicBlocks``, whose t-subset counts through 0
-settle every count.
+settle every count.  The rank and determinant routes also prove their
+rows closed under the multiplier i -> p i twisted by the Frobenius x -> x^p
+(an automorphism of order ord_(q+1)(p) = 2s), and evaluate only the
+subsets through 0 that are least in their multiplier orbit; the hits are
+expanded back into the orbits.  Each route is still charged every subset
+through 0 (C(n-1, k-1) subsets, or C(n-1, 2) n (triple, w) pairs).
 """
 from __future__ import annotations
 
@@ -29,6 +34,7 @@ from .codes import (
     trace_dual,
 )
 from .config import default_budget
+from .cyclotomic import multiplicative_order
 from .errors import (
     BudgetExceeded,
     InvalidParameters,
@@ -179,7 +185,8 @@ def supports_of_weight(
     weight-k supports are checked, and the code is then proved cyclic and
     its supports through point 0 kept.  Otherwise the weight-4 and
     weight-5 supports of C_(q,q+1,3,h) come from the parity-submatrix
-    rank scan of the k-subsets through point 0, charged C(n-1, k-1).  The
+    rank scan of the k-subsets through point 0, one per multiplier orbit,
+    charged all C(n-1, k-1) of them.  The
     trace dual's supports come from its q^(2m-1) words with
     c_(a,b)[0] = 1, charged q^(2m-1).  These routes too first prove that
     the code is cyclic, and every route returns ``CyclicBlocks``.
@@ -264,20 +271,25 @@ def _rank_supports(td: TraceDualSpec, k: int, check_code: LinearCode | None = No
 
     A support is accepted when the nullspace is one-dimensional with an
     everywhere-nonzero vector.  Once the parity-check matrix is proved to
-    span a rotation-closed row space, the nullspaces of H[:, S] and
-    H[:, S + 1] agree up to the shift, so only the C(n-1, k-1) subsets
-    through 0 are scanned and the rest are their rotations.  When the
-    code is supplied, every reconstructed codeword through 0 is checked
-    against its check matrix.
+    span a row space closed under the rotation and under the multiplier
+    i -> p i twisted by the Frobenius (``require_cyclic``), the subsets S,
+    S + 1 and p S have nullspaces of one dimension and the same kind, so
+    only the subsets through 0 that are least in their multiplier orbit are
+    scanned: the hits through 0 are their orbits, and the other blocks are
+    rotations.  When the code is supplied, the reconstructed codeword of
+    every scanned hit is checked against its check matrix; the other hits
+    through 0 carry the images of those words under the proved
+    automorphism.
     """
     n, field2 = td.n, td.big
     H = td.parity_rows()
-    require_cyclic(H, field2)
-    combos = ksubsets(n, k, through0=True)
+    require_cyclic(H, field2, frobenius=True)
+    mults = _multipliers(n, field2.p)
+    combos = _orbit_least(n, k, mults)
     flags, nulls = kernels.scan_supports(H, combos, field2)
     if (flags == 3).any():
         raise InvalidParameters(
-            "parity submatrix with nullity >= 2: the code has weight < 4 words"
+            f"parity submatrix with nullity >= 2: the code has weight < {k} words"
         )
     hit_idx = np.flatnonzero(flags == 1)
     supports = combos[hit_idx]
@@ -293,7 +305,76 @@ def _rank_supports(td: TraceDualSpec, k: int, check_code: LinearCode | None = No
                 f"reconstructed weight-{k} word on {tuple(supports[bad].tolist())} "
                 "is not in the code"
             )
-    return CyclicBlocks(supports, n)
+    return CyclicBlocks(_orbit_union(supports, n, mults), n)
+
+
+# ---------------------------------------------------------------------------
+# multiplier orbits of the subsets through 0
+
+# compare-exchange pairs that sort the two to four points after 0 (k = 3..5)
+_NETWORKS = {
+    2: ((0, 1),),
+    3: ((0, 1), (1, 2), (0, 1)),
+    4: ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2)),
+}
+
+
+def _multipliers(n: int, p: int) -> list[int]:
+    """p^j mod n for j < ord_n(p): the multiplier group generated by p."""
+    return [pow(p, j, n) for j in range(multiplicative_order(p, n))]
+
+
+def _image_keys(rows: np.ndarray, n: int, mults: list[int]) -> np.ndarray:
+    """keys[j, i], the key of sorted(mults[j] S mod n) for the row S = rows[i]
+    through 0: its points after 0 as the digits of a base-n integer, so
+    that key order is lexicographic order.  r 0 = 0, and a sorting network
+    on the columns orders the rest."""
+    small = np.int32 if n * n < 1 << 31 else np.int64  # r x < n^2 before the mod
+    tails = np.ascontiguousarray(rows[:, 1:].T, dtype=small)
+    cols = list(tails[:, None, :] * np.array(mults, dtype=small)[None, :, None] % n)
+    for a, b in _NETWORKS[len(cols)]:
+        cols[a], cols[b] = np.minimum(cols[a], cols[b]), np.maximum(cols[a], cols[b])
+    keys = np.zeros((len(mults), len(rows)), dtype=np.int64)
+    for c in cols:
+        keys = keys * n + c
+    return keys
+
+
+def _orbit_least(n: int, k: int, mults: list[int]) -> np.ndarray:
+    """The k-subsets of range(n) through 0 whose key is least in their orbit
+    under the multipliers (mults[0] = 1), as sorted rows in lexicographic
+    order: one per orbit.
+
+    The first digit of an image's key is its least point after 0.  So a
+    subset is least only if its first point a after 0 is least in its own
+    point orbit and no other point x has an image r x below a; only the
+    subsets of such points are listed, and their keys compared."""
+    low = np.min([np.arange(n) * r % n for r in mults], axis=0)
+    parts = [np.zeros((0, k), dtype=np.int64)]
+    for a in np.flatnonzero(low == np.arange(n))[1:]:
+        rest = np.flatnonzero(low >= a)
+        rest = rest[rest > a]
+        tails = rest[ksubsets(len(rest), k - 2)]
+        parts.append(np.column_stack([np.zeros(len(tails), dtype=np.int64),
+                                      np.full(len(tails), a), tails]))
+    rows = np.concatenate(parts)
+    keep = np.zeros(len(rows), dtype=bool)
+    step = max(1, _CHUNK_ELEMS // (k * len(mults)))
+    for lo in range(0, len(rows), step):
+        keys = _image_keys(rows[lo : lo + step], n, mults)
+        keep[lo : lo + step] = keys[0] == keys.min(axis=0)
+    return rows[keep]
+
+
+def _orbit_union(rows: np.ndarray, n: int, mults: list[int]) -> np.ndarray:
+    """Every image r S mod n of the rows S through 0 under the multipliers,
+    as distinct sorted rows in lexicographic order."""
+    keys = np.sort(_image_keys(rows, n, mults), axis=None)
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    out = np.zeros((len(keys), rows.shape[1]), dtype=np.int64)
+    for j in range(rows.shape[1] - 1, 0, -1):
+        keys, out[:, j] = np.divmod(keys, n)
+    return out
 
 
 def _lex_rank(points: np.ndarray, cidx: np.ndarray, n: int) -> np.ndarray:
@@ -377,14 +458,18 @@ def weight4_blocks_det(q: int, h: int, budget: int | None = None) -> CyclicBlock
     """4-subsets {x,y,z,w} of U_(q+1) with singular matrix of rows
     (1, u, u^(p^i), u^(p^i+1)), as coordinate indices via u = beta^index.
 
-    The shift u -> beta u multiplies each row by a constant, which
-    ``require_cyclic`` proves, so the singular 4-subsets are closed under
-    rotation and only those through 0 are built.  Each of them comes out
-    of its three triples that hold 0: the four 3 x 3 cofactors of every
-    triple through 0 are computed at once, on logs by ``kernels._det``,
-    and the cofactor-expanded quartic f(w) is evaluated on logs for every
-    w on the circle; the dedup to a set is exact.  Charged the
-    C(n-1,2) n (triple, w) pairs it evaluates.
+    The shift u -> beta u multiplies each row by a constant, and
+    ``require_cyclic`` proves the rows closed under it and under the
+    multiplier i -> p i twisted by the Frobenius, so the singular 4-subsets
+    are closed under rotation and under S -> p S.  Each singular 4-subset
+    through 0 comes out of its three triples that hold 0, and one of its
+    multiplier images out of a triple least in its multiplier orbit.  So
+    only those triples are evaluated: the four 3 x 3 cofactors of each are
+    computed at once, on logs by ``kernels._det``, and the
+    cofactor-expanded quartic f(w) is evaluated on logs for every w on the
+    circle; the multiplier images of the zeros, as a set, are the blocks
+    through 0.  Charged the C(n-1,2) n (triple, w) pairs of every triple
+    through 0, as when each was evaluated.
     """
     td = trace_dual(q, h)  # validates dimension
     pi = td.p_i  # refuses a non-family h
@@ -396,12 +481,13 @@ def weight4_blocks_det(q: int, h: int, budget: int | None = None) -> CyclicBlock
     u_pi = f2.pow_arr(u, pi)
     u_pi1 = f2.mul_arr(u_pi, u)
     rows = np.vstack([np.ones(n, dtype=np.int64), u, u_pi, u_pi1])
-    require_cyclic(rows, f2)
-    triples = ksubsets(n, 3, through0=True)
+    require_cyclic(rows, f2, frobenius=True)
+    mults = _multipliers(n, f2.p)
+    triples = _orbit_least(n, 3, mults)
     step = max(1, _CHUNK_ELEMS // n)
     quads = [_quartic_zero_blocks(f2, rows, triples[lo : lo + step])
              for lo in range(0, len(triples), step)]
-    return CyclicBlocks(np.unique(np.concatenate(quads), axis=0), n)
+    return CyclicBlocks(_orbit_union(np.concatenate(quads), n, mults), n)
 
 
 def _quartic_zero_blocks(f2, rows: np.ndarray, triples: np.ndarray) -> np.ndarray:

@@ -320,6 +320,16 @@ def test_design_code_source(capsys):
     assert out.startswith("10 5 72\n")
 
 
+def test_design_rank_route_names_the_weight_it_rules_out(capsys):
+    # C_(16,17,3,6) is AMDS with d = 4: two independent nullvectors on a
+    # 5-subset give a word of weight < 5, not one of weight < 4
+    assert main(["design", "--q", "16", "--h", "6", "--weight", "5", "--source", "code"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: parity submatrix with nullity >= 2: "
+                            "the code has weight < 5 words\n")
+
+
 def test_cli_rejects_bad_thread_count(capsys):
     assert main(["--threads", "0", "field", "3", "2"]) == 2
     captured = capsys.readouterr()

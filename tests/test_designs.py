@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 
 from codebench import designs
-from codebench.codes import CodeSpec, LinearCode, TraceDualSpec, bch_build, trace_dual
+from codebench.codes import (
+    CodeSpec,
+    LinearCode,
+    TraceDualSpec,
+    bch_build,
+    require_cyclic,
+    trace_dual,
+)
 from codebench import _kernels as kernels
 from codebench.designs import (
     CyclicBlocks,
@@ -475,7 +482,12 @@ def test_det_route_needs_cyclic_rows(monkeypatch):
                         lambda f2: SimpleNamespace(elements=[real(f2).elements[j] for j in perm]))
     with pytest.raises(InvalidParameters, match="cyclic shift"):
         weight4_blocks_det(9, 3)
-    monkeypatch.setattr(designs, "require_cyclic", lambda mat, field: None)
+    monkeypatch.setattr(designs, "require_cyclic", lambda mat, field, frobenius=False: None)
+    # the multiplier images of the zeros of the unproved rows are not even
+    # rotation-closed
+    with pytest.raises(InvalidParameters, match="not rotation-closed"):
+        weight4_blocks_det(9, 3)
+    monkeypatch.setattr(designs, "_multipliers", lambda n, p: [1])
     got = weight4_blocks_det(9, 3)
     assert len(got) == len(want) and got != want
 
@@ -573,3 +585,123 @@ def test_verify_design_through_zero_matches_full_count_on_code_designs(q):
             for t in range(1, min(blocks.k, 5)):
                 got = outcome(verify_design, blocks, q + 1, t)
                 assert got == outcome(dict_design_counts, full, q + 1, t), (q, h, blocks.k, t)
+
+
+# ---------------------------------------------------------------------------
+# the multiplier orbits of the rank and determinant routes
+
+
+def through_zero_rank_supports(td, k):
+    """Oracle for the orbit-reduced rank route: every k-subset through 0 is
+    scanned, with the rotation proved and no multiplier used."""
+    n, field2 = td.n, td.big
+    H = td.parity_rows()
+    require_cyclic(H, field2)
+    combos = ksubsets(n, k, through0=True)
+    flags, _ = kernels.scan_supports(H, combos, field2)
+    if (flags == 3).any():
+        return "nullity >= 2"
+    return CyclicBlocks(combos[flags == 1], n)
+
+
+def through_zero_det_blocks(q, h):
+    """Oracle for the orbit-reduced determinant route: the quartic is
+    evaluated for every triple through 0, with the rotation proved and no
+    multiplier used."""
+    td = trace_dual(q, h)
+    n, f2 = q + 1, td.big
+    u = np.array(unit_circle(f2).elements, dtype=np.int64)
+    u_pi = f2.pow_arr(u, td.p_i)
+    rows = np.vstack([np.ones(n, dtype=np.int64), u, u_pi, f2.mul_arr(u_pi, u)])
+    require_cyclic(rows, f2)
+    quads = designs._quartic_zero_blocks(f2, rows, ksubsets(n, 3, through0=True))
+    return CyclicBlocks(np.unique(quads, axis=0), n)
+
+
+def orbit_classes(n, k, p):
+    """Oracle for the canonical subsets: each k-subset through 0 mapped to
+    the lexicographically least of its images under i -> p^j i mod n."""
+    mults = {pow(p, j, n) for j in range(n)}
+    return {s: min(tuple(sorted(r * x % n for x in s)) for r in mults)
+            for s in map(tuple, ksubsets(n, k, through0=True).tolist())}
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27] + [
+    pytest.param(q, marks=pytest.mark.slow) for q in (49, 64, 81)
+])
+def test_orbit_reduced_routes_equal_through_zero_oracle(q):
+    for _family, _i, h in valid_instances(q):
+        td = trace_dual(q, h)
+        for k in (4, 5):
+            assert rank_outcome(q, h, k) == through_zero_rank_supports(td, k), (q, h, k)
+        assert weight4_blocks_det(q, h) == through_zero_det_blocks(q, h), (q, h)
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27])
+def test_orbit_least_subsets_match_python_oracle(q):
+    n, p = q + 1, prime_power(q)[0]
+    mults = designs._multipliers(n, p)
+    assert sorted(mults) == sorted({pow(p, j, n) for j in range(n)}) and mults[0] == 1
+    for k in (3, 4, 5):
+        classes = orbit_classes(n, k, p)
+        least = sorted(s for s, rep in classes.items() if s == rep)
+        got = designs._orbit_least(n, k, mults)
+        assert list(map(tuple, got.tolist())) == least, (q, k)
+        # a random union of orbits comes back from one row per orbit
+        rng = np.random.default_rng(q * 10 + k)
+        picked = [s for s in least if rng.random() < 0.3]
+        want = sorted(s for s, rep in classes.items() if rep in set(picked))
+        rows = np.array(picked, dtype=np.int64).reshape(-1, k)
+        assert list(map(tuple, designs._orbit_union(rows, n, mults).tolist())) == want, (q, k)
+
+
+def test_rank_scan_takes_one_subset_per_orbit(monkeypatch):
+    # at q = 27 the scans take 493 of the 2925 4-subsets through 0 and
+    # 2946 of the 17550 5-subsets, one per orbit of i -> 3 i mod 28
+    real = kernels.scan_supports
+    scanned = []
+
+    def spy(H, combos, field2):
+        scanned.append(len(combos))
+        return real(H, combos, field2)
+
+    monkeypatch.setattr(designs.kernels, "scan_supports", spy)
+    for _family, _i, h in valid_instances(27):
+        for k in (4, 5):
+            designs._rank_supports(trace_dual(27, h), k)
+    assert scanned == [493, 2946] * 4
+    assert [len(set(orbit_classes(28, k, 3).values())) for k in (4, 5)] == [493, 2946]
+
+
+def test_multiplier_proof_accepts_any_cyclic_rows(monkeypatch):
+    # rows gamma^(t i), t = 1..4, are closed under the rotation, and so
+    # under i -> 3 i twisted by x -> x^3, though {1, 2, 3, 4} is not closed
+    # under t -> 3 t: the twist maps gamma^(t i) to gamma^(3 t i), which
+    # the permuted columns match.  The reduced scans equal the oracle's.
+    td = trace_dual(27, 12)
+    f2 = td.big
+    e = (f2.q - 1) // 28  # gamma = alpha^e has order 28
+    rows = np.stack([f2.exp[e * t * np.arange(28) % (f2.q - 1)] for t in (1, 2, 3, 4)])
+    require_cyclic(rows, f2, frobenius=True)
+    monkeypatch.setattr(TraceDualSpec, "parity_rows", lambda self: rows)
+    for k in (4, 5):
+        got = designs._rank_supports(trace_dual(27, 12), k)
+        assert got == through_zero_rank_supports(td, k), k
+        # four consecutive roots: an MDS code of distance 5 over GF(729)
+        assert len(got.hits) == (0 if k == 4 else comb(27, 4)), k
+
+
+def test_multiplier_proof_refuses_swapped_columns():
+    td = trace_dual(27, 12)
+    swapped = td.parity_rows()[:, [0, 2, 1, *range(3, 28)]]
+    with pytest.raises(InvalidParameters, match="cyclic shift"):
+        require_cyclic(swapped, td.big, frobenius=True)
+
+
+def test_orbit_reduction_needs_the_frobenius_multiplier(monkeypatch):
+    # i -> 5 i mod 28 is no automorphism of C_(27,28,3,12): its orbits of
+    # the hits through 0 are not even rotation-closed
+    monkeypatch.setattr(designs, "_multipliers", lambda n, p: [pow(5, j, n) for j in range(6)])
+    for k in (4, 5):
+        with pytest.raises(InvalidParameters, match="not rotation-closed"):
+            designs._rank_supports(trace_dual(27, 12), k)

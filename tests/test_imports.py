@@ -34,3 +34,21 @@ def test_importing_the_cli_builds_no_field():
     out = subprocess.run([sys.executable, "-c", check], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout == "0\n"
+
+
+def test_design_suites_import_no_masked_arrays():
+    # np.unique imports numpy.ma on first use, a few ms of every fresh
+    # process; the four-weight and determinant suites get by without it
+    src = str(Path(codebench.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    check = (
+        "import contextlib, io, sys\n"
+        "from codebench.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main('verify thm3.1 --q 9 --i 1'.split()),\n"
+        "             main('verify thm4.3 --q 9 --i 1 --family q-minus-pi'.split())]\n"
+        "print(codes, 'numpy.ma' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", check], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout == "[0, 0] False\n"
