@@ -19,9 +19,10 @@ Three kernels dominate every long run:
   the cofactors of ``designs.weight4_blocks_det``) are computed on logs
   with the field's log-domain ops, in chunks of subsets, with no dense
   table, so it runs over GF(q^2) for every q (GF(6561) at q = 81).  The
-  design routes hand it one subset through 0 per orbit of the proved
-  Frobenius-twisted multiplier i -> p i (``designs._orbit_least``), about
-  1/(2s) of the C(n-1, k-1) they are charged for.
+  design routes hand it one subset through 0 per orbit of the
+  Frobenius-twisted multiplier i -> p i, which the proved shift implies
+  (``designs._orbit_least``), about 1/(2s) of the C(n-1, k-1) they are
+  charged for.
 
 Every kernel indexes the one set of log/antilog/Zech arrays that
 ``galois.Field`` holds.  The tests check each kernel against an

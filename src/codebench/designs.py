@@ -8,11 +8,12 @@ checked to be exactly q-1 before dividing (simplicity is a conclusion,
 not an input).  The codes and the determinant rows are proved cyclic
 before that is used: every route then keeps the blocks through point 0
 and returns them as ``CyclicBlocks``, whose t-subset counts through 0
-settle every count.  The rank and determinant routes also prove their
-rows closed under the multiplier i -> p i twisted by the Frobenius x -> x^p
-(an automorphism of order ord_(q+1)(p) = 2s), and evaluate only the
-subsets through 0 that are least in their multiplier orbit; the hits are
-expanded back into the orbits.  Each route is still charged every subset
+settle every count.  Rows over GF(p^m) closed under the shift are also
+closed under the multiplier i -> p i twisted by the Frobenius x -> x^p
+(``_rank_supports`` gives the argument), an automorphism of order
+ord_(q+1)(p) = 2s; so the rank and determinant routes evaluate only the
+subsets through 0 that are least in their multiplier orbit, and expand the
+hits back into the orbits.  Each route is still charged every subset
 through 0 (C(n-1, k-1) subsets, or C(n-1, 2) n (triple, w) pairs).
 """
 from __future__ import annotations
@@ -47,15 +48,15 @@ from .galois import unit_circle
 _CHUNK_ELEMS = 1 << 20  # (triple, w) pairs or t-subset ranks per batch
 
 
-def ksubsets(n: int, k: int, through0: bool = False) -> np.ndarray:
-    """The k-subsets of range(n) as sorted rows, in lexicographic order;
-    with through0, only those that contain 0 (the first C(n-1, k-1)).
+def ksubsets(n: int, k: int) -> np.ndarray:
+    """The k-subsets of range(n) as sorted rows, in lexicographic order
+    (those that contain 0 are the first C(n-1, k-1)).
 
     Each round appends to every row every value that still leaves room
     for the points after it, so rows stay in lexicographic order."""
     if k == 0:
-        return np.zeros((0 if through0 else 1, 0), dtype=np.int64)
-    rows = np.arange(min(1, n - k + 1) if through0 else n - k + 1, dtype=np.int64)[:, None]
+        return np.zeros((1, 0), dtype=np.int64)
+    rows = np.arange(n - k + 1, dtype=np.int64)[:, None]
     for j in range(1, k):
         lo = rows[:, -1] + 1
         cnt = n - k + j - lo + 1
@@ -270,20 +271,25 @@ def _rank_supports(td: TraceDualSpec, k: int, check_code: LinearCode | None = No
     4 x k submatrices of its parity-check matrix ``td.parity_rows()``.
 
     A support is accepted when the nullspace is one-dimensional with an
-    everywhere-nonzero vector.  Once the parity-check matrix is proved to
-    span a row space closed under the rotation and under the multiplier
-    i -> p i twisted by the Frobenius (``require_cyclic``), the subsets S,
-    S + 1 and p S have nullspaces of one dimension and the same kind, so
-    only the subsets through 0 that are least in their multiplier orbit are
-    scanned: the hits through 0 are their orbits, and the other blocks are
+    everywhere-nonzero vector.  ``require_cyclic`` proves the row space R
+    of the parity-check matrix closed under the shift; that also closes it
+    under the multiplier i -> p i twisted by the Frobenius, with no second
+    proof.  R is then an ideal of GF(p^m)[x]/(x^n - 1), so with every row
+    r(x) it holds r(x)^p = sum r_i^p x^(p i mod n), the image psi(r) of r
+    (p is prime to n, so i -> p i permutes the columns).  psi is injective,
+    so it maps the finite R onto itself, and for every nullvector c,
+    psi(r) . psi(c) = (r . c)^p = 0: psi maps the nullspace onto itself
+    too, the support of psi(c) being p supp(c).  So the subsets S, S + 1 and
+    p S have nullspaces of one dimension and the same kind, and only the
+    subsets through 0 that are least in their multiplier orbit are scanned:
+    the hits through 0 are their orbits, and the other blocks are
     rotations.  When the code is supplied, the reconstructed codeword of
     every scanned hit is checked against its check matrix; the other hits
-    through 0 carry the images of those words under the proved
-    automorphism.
+    through 0 carry the images of those words under psi.
     """
     n, field2 = td.n, td.big
     H = td.parity_rows()
-    require_cyclic(H, field2, frobenius=True)
+    require_cyclic(H, field2)
     mults = _multipliers(n, field2.p)
     combos = _orbit_least(n, k, mults)
     flags, nulls = kernels.scan_supports(H, combos, field2)
@@ -459,9 +465,11 @@ def weight4_blocks_det(q: int, h: int, budget: int | None = None) -> CyclicBlock
     (1, u, u^(p^i), u^(p^i+1)), as coordinate indices via u = beta^index.
 
     The shift u -> beta u multiplies each row by a constant, and
-    ``require_cyclic`` proves the rows closed under it and under the
-    multiplier i -> p i twisted by the Frobenius, so the singular 4-subsets
-    are closed under rotation and under S -> p S.  Each singular 4-subset
+    ``require_cyclic`` proves the rows closed under it; as in
+    ``_rank_supports``, that also closes their nullspace under the
+    multiplier i -> p i twisted by the Frobenius.  A 4-subset is singular
+    when a nonzero nullvector has its support inside it, so the singular
+    4-subsets are closed under rotation and under S -> p S.  Each singular 4-subset
     through 0 comes out of its three triples that hold 0, and one of its
     multiplier images out of a triple least in its multiplier orbit.  So
     only those triples are evaluated: the four 3 x 3 cofactors of each are
@@ -481,7 +489,7 @@ def weight4_blocks_det(q: int, h: int, budget: int | None = None) -> CyclicBlock
     u_pi = f2.pow_arr(u, pi)
     u_pi1 = f2.mul_arr(u_pi, u)
     rows = np.vstack([np.ones(n, dtype=np.int64), u, u_pi, u_pi1])
-    require_cyclic(rows, f2, frobenius=True)
+    require_cyclic(rows, f2)
     mults = _multipliers(n, f2.p)
     triples = _orbit_least(n, 3, mults)
     step = max(1, _CHUNK_ELEMS // n)

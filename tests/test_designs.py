@@ -37,6 +37,12 @@ from codebench.galois import field_for_order, field_new, prime_power, subfield_e
 from codebench.verify import valid_instances
 
 
+def through_zero(n, k):
+    """The k-subsets of range(n) through 0, in lexicographic order: the
+    first C(n-1, k-1) rows of ksubsets(n, k)."""
+    return ksubsets(n, k)[: comb(n - 1, k - 1) if n and k else 0]
+
+
 def scalar_weight4_blocks(q, h):
     """Oracle for weight4_blocks_det: one triple at a time, with each 3 x 3
     cofactor expanded in scalar field arithmetic."""
@@ -146,7 +152,7 @@ def test_supports_multiplicity_violation():
 
 
 def test_verify_design_complete():
-    blocks = CyclicBlocks(ksubsets(5, 4, through0=True), 5)
+    blocks = CyclicBlocks(through_zero(5, 4), 5)
     lam, b = verify_design(blocks, 5, 3)
     assert (lam, b) == (2, 5)
 
@@ -178,7 +184,7 @@ def test_design_object_and_block_file():
 
 
 def test_steiner_check_false_cases():
-    blocks = CyclicBlocks(ksubsets(5, 4, through0=True), 5)
+    blocks = CyclicBlocks(through_zero(5, 4), 5)
     d = design_from_blocks(blocks, 5, 3)
     assert not steiner_check(d)  # lambda = 2
 
@@ -287,7 +293,7 @@ def test_verify_design_matches_dict_counter_on_code_designs():
 def test_verify_design_identity_catches_a_miscount(monkeypatch):
     # a through-0 count that is regular but one too high for every subset
     # passes the witness scan and fails C(n, t) lambda = b C(k, t)
-    blocks = CyclicBlocks(ksubsets(4, 3, through0=True), 4)
+    blocks = CyclicBlocks(through_zero(4, 3), 4)
     assert verify_design(blocks, 4, 2) == (2, 4)
     real = designs._counts_through_zero
     monkeypatch.setattr(designs, "_counts_through_zero", lambda blocks, t: real(blocks, t) + 1)
@@ -354,7 +360,7 @@ def test_ksubsets_matches_itertools(through0):
     for n in range(13):
         for k in range(n + 2):
             want = [c for c in combinations(range(n), k) if not through0 or 0 in c]
-            got = ksubsets(n, k, through0=through0)
+            got = through_zero(n, k) if through0 else ksubsets(n, k)
             assert got.shape == (len(want), k), (n, k)
             assert list(map(tuple, got.tolist())) == want, (n, k)
 
@@ -482,7 +488,7 @@ def test_det_route_needs_cyclic_rows(monkeypatch):
                         lambda f2: SimpleNamespace(elements=[real(f2).elements[j] for j in perm]))
     with pytest.raises(InvalidParameters, match="cyclic shift"):
         weight4_blocks_det(9, 3)
-    monkeypatch.setattr(designs, "require_cyclic", lambda mat, field, frobenius=False: None)
+    monkeypatch.setattr(designs, "require_cyclic", lambda mat, field: None)
     # the multiplier images of the zeros of the unproved rows are not even
     # rotation-closed
     with pytest.raises(InvalidParameters, match="not rotation-closed"):
@@ -556,7 +562,7 @@ def test_verify_design_through_zero_matches_full_count_on_random_sets():
         n = int(rng.integers(4, 13))
         k = int(rng.integers(2, n))
         t = int(rng.integers(1, k))
-        through0 = ksubsets(n, k, through0=True)
+        through0 = through_zero(n, k)
         picked = through0[rng.random(len(through0)) < rng.choice([0.05, 0.3, 1.0])]
         full = rotations(picked.tolist(), n)
         hits = np.array([blk for blk in full if blk[0] == 0], dtype=np.int64).reshape(-1, k)
@@ -597,7 +603,7 @@ def through_zero_rank_supports(td, k):
     n, field2 = td.n, td.big
     H = td.parity_rows()
     require_cyclic(H, field2)
-    combos = ksubsets(n, k, through0=True)
+    combos = through_zero(n, k)
     flags, _ = kernels.scan_supports(H, combos, field2)
     if (flags == 3).any():
         return "nullity >= 2"
@@ -614,7 +620,7 @@ def through_zero_det_blocks(q, h):
     u_pi = f2.pow_arr(u, td.p_i)
     rows = np.vstack([np.ones(n, dtype=np.int64), u, u_pi, f2.mul_arr(u_pi, u)])
     require_cyclic(rows, f2)
-    quads = designs._quartic_zero_blocks(f2, rows, ksubsets(n, 3, through0=True))
+    quads = designs._quartic_zero_blocks(f2, rows, through_zero(n, 3))
     return CyclicBlocks(np.unique(quads, axis=0), n)
 
 
@@ -623,7 +629,7 @@ def orbit_classes(n, k, p):
     the lexicographically least of its images under i -> p^j i mod n."""
     mults = {pow(p, j, n) for j in range(n)}
     return {s: min(tuple(sorted(r * x % n for x in s)) for r in mults)
-            for s in map(tuple, ksubsets(n, k, through0=True).tolist())}
+            for s in map(tuple, through_zero(n, k).tolist())}
 
 
 @pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27] + [
@@ -673,16 +679,15 @@ def test_rank_scan_takes_one_subset_per_orbit(monkeypatch):
     assert [len(set(orbit_classes(28, k, 3).values())) for k in (4, 5)] == [493, 2946]
 
 
-def test_multiplier_proof_accepts_any_cyclic_rows(monkeypatch):
+def test_orbit_reduction_holds_on_any_cyclic_rows(monkeypatch):
     # rows gamma^(t i), t = 1..4, are closed under the rotation, and so
     # under i -> 3 i twisted by x -> x^3, though {1, 2, 3, 4} is not closed
-    # under t -> 3 t: the twist maps gamma^(t i) to gamma^(3 t i), which
-    # the permuted columns match.  The reduced scans equal the oracle's.
+    # under t -> 3 t: the code they check is cyclic, and r(x)^3 stays in
+    # any cyclic row space.  The reduced scans equal the oracle's.
     td = trace_dual(27, 12)
     f2 = td.big
     e = (f2.q - 1) // 28  # gamma = alpha^e has order 28
     rows = np.stack([f2.exp[e * t * np.arange(28) % (f2.q - 1)] for t in (1, 2, 3, 4)])
-    require_cyclic(rows, f2, frobenius=True)
     monkeypatch.setattr(TraceDualSpec, "parity_rows", lambda self: rows)
     for k in (4, 5):
         got = designs._rank_supports(trace_dual(27, 12), k)
@@ -691,11 +696,17 @@ def test_multiplier_proof_accepts_any_cyclic_rows(monkeypatch):
         assert len(got.hits) == (0 if k == 4 else comb(27, 4)), k
 
 
-def test_multiplier_proof_refuses_swapped_columns():
-    td = trace_dual(27, 12)
-    swapped = td.parity_rows()[:, [0, 2, 1, *range(3, 28)]]
+def test_orbit_reduced_rank_route_needs_cyclic_rows(monkeypatch):
+    # two columns of the q = 27 parity rows swapped: the shift proof
+    # refuses them, and without it the multiplier orbits of the scanned
+    # hits are not even rotation-closed
+    swapped = trace_dual(27, 12).parity_rows()[:, [0, 2, 1, *range(3, 28)]]
+    monkeypatch.setattr(TraceDualSpec, "parity_rows", lambda self: swapped)
     with pytest.raises(InvalidParameters, match="cyclic shift"):
-        require_cyclic(swapped, td.big, frobenius=True)
+        designs._rank_supports(trace_dual(27, 12), 4)
+    monkeypatch.setattr(designs, "require_cyclic", lambda mat, field: None)
+    with pytest.raises(InvalidParameters, match="not rotation-closed"):
+        designs._rank_supports(trace_dual(27, 12), 4)
 
 
 def test_orbit_reduction_needs_the_frobenius_multiplier(monkeypatch):
