@@ -22,7 +22,7 @@ Three kernels dominate every long run:
   design routes hand it one subset through 0 per orbit of the
   Frobenius-twisted multiplier i -> p i, which the proved shift implies
   (``designs._orbit_least``), about 1/(2s) of the C(n-1, k-1) they are
-  charged for.
+  charged for, a chunk at a time.
 
 Every kernel indexes the one set of log/antilog/Zech arrays that
 ``galois.Field`` holds.  The tests check each kernel against an

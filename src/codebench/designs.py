@@ -180,36 +180,52 @@ def supports_of_weight(
     source: LinearCode | TraceDualSpec, k: int, budget: int | None = None
 ) -> SupportCount:
     """Weight-k codeword supports, each checked to be carried by exactly
-    q-1 codewords, reduced to blocks.
+    q-1 codewords, reduced to blocks, by the route that ``support_route``
+    chooses and charges.
 
-    Codes whose q^k codewords fit the budget are enumerated; all their
-    weight-k supports are checked, and the code is then proved cyclic and
-    its supports through point 0 kept.  Otherwise the weight-4 and
-    weight-5 supports of C_(q,q+1,3,h) come from the parity-submatrix
-    rank scan of the k-subsets through point 0, one per multiplier orbit,
-    charged all C(n-1, k-1) of them.  The
-    trace dual's supports come from its q^(2m-1) words with
-    c_(a,b)[0] = 1, charged q^(2m-1).  These routes too first prove that
-    the code is cyclic, and every route returns ``CyclicBlocks``.
+    The words route enumerates the q^k codewords; all their weight-k
+    supports are checked, and the code is then proved cyclic and its
+    supports through point 0 kept.  The rank route takes the weight-4 and
+    weight-5 supports of C_(q,q+1,3,h) from the parity-submatrix rank scan
+    of the k-subsets through point 0, one per multiplier orbit.  The trace
+    route takes the trace dual's supports from its q^(2m-1) words with
+    c_(a,b)[0] = 1.  These routes too first prove that the code is cyclic,
+    and every route returns ``CyclicBlocks``.
     """
+    route = support_route(source, k, budget)
+    if route == "trace":
+        return _trace_supports(source, k)
+    code = source
+    if route == "words":
+        supports = _word_supports(code.codewords(budget=budget), k, code.q)
+        require_cyclic(code.gen_matrix, code.field)
+        blocks = CyclicBlocks(_lex_sorted(supports[supports[:, 0] == 0]), code.n)
+    else:
+        blocks = _rank_supports(trace_dual(code.q, code.spec.h), k, check_code=code)
+    return SupportCount(q=code.q, k=k, n_points=code.n, blocks=blocks)
+
+
+def support_route(source: LinearCode | TraceDualSpec, k: int, budget: int | None = None) -> str:
+    """The route of ``supports_of_weight`` for (source, k), after checking
+    its charge against the budget: "trace" for a trace dual, charged its
+    q^(2m-1) words with c[0] = 1; "words" for a code whose q^k codewords
+    fit the budget; else "rank" for k in {4, 5} on C_(q,q+1,3,h), charged
+    all C(n-1, k-1) subsets through 0.  Raises BudgetExceeded when no route
+    fits, so a suite can price its phases before it runs the first."""
     budget = default_budget() if budget is None else budget
     if k < 1:
         raise InvalidParameters(f"need a block size k >= 1, got {k}")
     if isinstance(source, TraceDualSpec):
-        return _trace_supports(source, k, budget)
-    code = source
-    if code.codeword_count() <= budget:
-        supports = _word_supports(code.codewords(budget=budget), k, code.q)
-        require_cyclic(code.gen_matrix, code.field)
-        blocks = CyclicBlocks(_lex_sorted(supports[supports[:, 0] == 0]), code.n)
-        return SupportCount(q=code.q, k=k, n_points=code.n, blocks=blocks)
-    spec = code.spec
-    if k in (4, 5) and spec is not None and spec.delta == 3 and spec.n == code.q + 1:
-        kernels.check_budget(comb(code.n - 1, k - 1), budget)
-        blocks = _rank_supports(trace_dual(code.q, spec.h), k, check_code=code)
-        return SupportCount(q=code.q, k=k, n_points=code.n, blocks=blocks)
+        kernels.check_budget(source.big.q**2 // source.q, budget)
+        return "trace"
+    if source.codeword_count() <= budget:
+        return "words"
+    spec = source.spec
+    if k in (4, 5) and spec is not None and spec.delta == 3 and spec.n == source.q + 1:
+        kernels.check_budget(comb(source.n - 1, k - 1), budget)
+        return "rank"
     raise BudgetExceeded(
-        f"{count_text(code.codeword_count())} codewords exceed budget {budget} and no "
+        f"{count_text(source.codeword_count())} codewords exceed budget {budget} and no "
         f"structural construction applies for k={k}"
     )
 
@@ -246,14 +262,13 @@ def _word_supports(words: np.ndarray, k: int, q: int) -> np.ndarray:
     return supports
 
 
-def _trace_supports(td: TraceDualSpec, k: int, budget: int) -> SupportCount:
+def _trace_supports(td: TraceDualSpec, k: int) -> SupportCount:
     """Weight-k supports of the trace dual from its words with c[0] = 1.
 
     A support through 0 is carried by q-1 words, the scalar multiples of
     one; exactly one of them has c[0] = 1.  So each support through 0 must
     come from exactly one of these words, and the rotations of those
     supports are all the supports, the code being cyclic."""
-    kernels.check_budget(td.big.q**2 // td.q, budget)
     require_cyclic(td.basis_matrix(), td.field)
     supports, mults = _group_supports(td.through_zero_supports(k), k)
     bad = np.flatnonzero(mults != 1)
@@ -291,18 +306,21 @@ def _rank_supports(td: TraceDualSpec, k: int, check_code: LinearCode | None = No
     H = td.parity_rows()
     require_cyclic(H, field2)
     mults = _multipliers(n, field2.p)
-    combos = _orbit_least(n, k, mults)
-    flags, nulls = kernels.scan_supports(H, combos, field2)
-    if (flags == 3).any():
-        raise InvalidParameters(
-            f"parity submatrix with nullity >= 2: the code has weight < {k} words"
-        )
-    hit_idx = np.flatnonzero(flags == 1)
-    supports = combos[hit_idx]
-    if check_code is not None and len(hit_idx):
+    supports, nulls = [np.zeros((0, k), dtype=np.int64)], [np.zeros((0, k), dtype=np.int32)]
+    for combos in _orbit_least(n, k, mults):
+        flags, chunk_nulls = kernels.scan_supports(H, combos, field2)
+        if (flags == 3).any():
+            raise InvalidParameters(
+                f"parity submatrix with nullity >= 2: the code has weight < {k} words"
+            )
+        hit = flags == 1
+        supports.append(combos[hit])
+        nulls.append(chunk_nulls[hit])
+    supports = np.concatenate(supports)
+    if check_code is not None and len(supports):
         field = check_code.field
-        words = np.zeros((len(hit_idx), n), dtype=np.int64)
-        vals = td.embedding.project_arr(nulls[hit_idx])
+        words = np.zeros((len(supports), n), dtype=np.int64)
+        vals = td.embedding.project_arr(np.concatenate(nulls))
         np.put_along_axis(words, supports, vals, axis=1)
         H = check_code.check_matrix
         if not orthogonal(words, H, field):
@@ -346,30 +364,39 @@ def _image_keys(rows: np.ndarray, n: int, mults: list[int]) -> np.ndarray:
     return keys
 
 
-def _orbit_least(n: int, k: int, mults: list[int]) -> np.ndarray:
+def _orbit_least(n: int, k: int, mults: list[int]):
     """The k-subsets of range(n) through 0 whose key is least in their orbit
-    under the multipliers (mults[0] = 1), as sorted rows in lexicographic
-    order: one per orbit.
+    under the multipliers (mults[0] = 1), one per orbit, as sorted rows in
+    lexicographic order, yielded in chunks.
 
     The first digit of an image's key is its least point after 0.  So a
     subset is least only if its first point a after 0 is least in its own
     point orbit and no other point x has an image r x below a; only the
-    subsets of such points are listed, and their keys compared."""
+    subsets of such points are listed, the candidates of a few least points
+    a at a time, and their keys compared.  A chunk is the least rows of
+    about _CHUNK_ELEMS / (k |mults|) candidates; the candidates of one point
+    a may overrun that, but their keys are still compared that many at a
+    time."""
     low = np.min([np.arange(n) * r % n for r in mults], axis=0)
-    parts = [np.zeros((0, k), dtype=np.int64)]
-    for a in np.flatnonzero(low == np.arange(n))[1:]:
+    points = np.flatnonzero(low == np.arange(n))[1:]
+    step = max(1, _CHUNK_ELEMS // (k * len(mults)))
+    parts, size = [], 0
+    for j, a in enumerate(points):
         rest = np.flatnonzero(low >= a)
         rest = rest[rest > a]
         tails = rest[ksubsets(len(rest), k - 2)]
         parts.append(np.column_stack([np.zeros(len(tails), dtype=np.int64),
                                       np.full(len(tails), a), tails]))
-    rows = np.concatenate(parts)
-    keep = np.zeros(len(rows), dtype=bool)
-    step = max(1, _CHUNK_ELEMS // (k * len(mults)))
-    for lo in range(0, len(rows), step):
-        keys = _image_keys(rows[lo : lo + step], n, mults)
-        keep[lo : lo + step] = keys[0] == keys.min(axis=0)
-    return rows[keep]
+        size += len(tails)
+        if size < step and j < len(points) - 1:
+            continue
+        rows = np.concatenate(parts)
+        keep = np.zeros(len(rows), dtype=bool)
+        for lo in range(0, len(rows), step):
+            keys = _image_keys(rows[lo : lo + step], n, mults)
+            keep[lo : lo + step] = keys[0] == keys.min(axis=0)
+        yield rows[keep]
+        parts, size = [], 0
 
 
 def _orbit_union(rows: np.ndarray, n: int, mults: list[int]) -> np.ndarray:
@@ -402,8 +429,20 @@ def _counts_through_zero(blocks: CyclicBlocks, t: int) -> np.ndarray:
     are the first C(n-1, t-1)).
 
     The blocks through 0 are the hits, so T = {0} + S lies in as many
-    blocks as there are hits whose tail holds S; the tails are ranked
-    as (t-1)-subsets of the points 1..n-1."""
+    blocks as there are hits whose tail holds S, S a (t-1)-subset of the
+    points 1..n-1.  Each hit's tail ranks C(k-1, t-1) subsets, its
+    complement the C(n-k, j) subsets of each size j < t; the count ranks
+    whichever side ranks fewer (``_tail_counts``, ``_complement_counts``).
+    """
+    n, k = blocks.n, blocks.k
+    if sum(comb(n - k, j) for j in range(1, t)) < comb(k - 1, t - 1):
+        return _complement_counts(blocks, t)
+    return _tail_counts(blocks, t)
+
+
+def _tail_counts(blocks: CyclicBlocks, t: int) -> np.ndarray:
+    """``_counts_through_zero`` by ranking every (t-1)-subset of every
+    hit's tail as a (t-1)-subset of the points 1..n-1."""
     n = blocks.n
     tails = blocks.hits[:, 1:] - 1
     cidx = ksubsets(blocks.k - 1, t - 1)
@@ -412,6 +451,33 @@ def _counts_through_zero(blocks: CyclicBlocks, t: int) -> np.ndarray:
     for lo in range(0, len(tails), step):
         ranks = _lex_rank(tails[lo : lo + step], cidx, n - 1)
         counts += np.bincount(ranks.ravel(), minlength=len(counts))
+    return counts
+
+
+def _complement_counts(blocks: CyclicBlocks, t: int) -> np.ndarray:
+    """``_counts_through_zero`` by inclusion-exclusion over the hits'
+    complements in the points 1..n-1.
+
+    A hit's tail holds S exactly when its complement misses S, so the count
+    of S is sum over U in S of (-1)^|U| r(U), r(U) the number of hits whose
+    complement holds U (r of the empty set is the number of hits); for
+    t = 3 that is H - r(x) - r(y) + r(x, y).  r is counted by ranking the
+    j-subsets of every complement, j < t."""
+    n, k, hits = blocks.n, blocks.k, blocks.hits
+    cidx = [ksubsets(n - k, j) for j in range(t)]
+    r = [np.zeros(comb(n - 1, j), dtype=np.int64) for j in range(t)]
+    step = max(1, _CHUNK_ELEMS // max(n, *map(len, cidx)))
+    for lo in range(0, len(hits), step):
+        chunk = hits[lo : lo + step]
+        missing = np.ones((len(chunk), n), dtype=bool)
+        np.put_along_axis(missing, chunk, False, axis=1)
+        comps = np.nonzero(missing[:, 1:])[1].reshape(len(chunk), n - k)
+        for j in range(t):
+            r[j] += np.bincount(_lex_rank(comps, cidx[j], n - 1).ravel(), minlength=len(r[j]))
+    subsets = ksubsets(n - 1, t - 1)
+    counts = np.zeros(len(subsets), dtype=np.int64)
+    for j in range(t):
+        counts += (-1) ** j * r[j][_lex_rank(subsets, ksubsets(t - 1, j), n - 1)].sum(axis=1)
     return counts
 
 
@@ -491,10 +557,11 @@ def weight4_blocks_det(q: int, h: int, budget: int | None = None) -> CyclicBlock
     rows = np.vstack([np.ones(n, dtype=np.int64), u, u_pi, u_pi1])
     require_cyclic(rows, f2)
     mults = _multipliers(n, f2.p)
-    triples = _orbit_least(n, 3, mults)
     step = max(1, _CHUNK_ELEMS // n)
-    quads = [_quartic_zero_blocks(f2, rows, triples[lo : lo + step])
-             for lo in range(0, len(triples), step)]
+    quads = [np.zeros((0, 4), dtype=np.int64)]
+    for triples in _orbit_least(n, 3, mults):
+        quads += [_quartic_zero_blocks(f2, rows, triples[lo : lo + step])
+                  for lo in range(0, len(triples), step)]
     return CyclicBlocks(_orbit_union(np.concatenate(quads), n, mults), n)
 
 

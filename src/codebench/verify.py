@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dc_field
-from math import gcd
+from math import comb, gcd
 
 import numpy as np
 
@@ -146,20 +146,24 @@ def verify_cor31(s: int, i: int, budget=None) -> VerificationResult:
     return res
 
 
-_CHUNK_ELEMS = 1 << 20  # word entries per chunk of the trace image checks
+_CHUNK_ELEMS = 1 << 18  # word entries per chunk of the trace image checks
 
 
 def _trace_image_checks(code: LinearCode, counts: np.ndarray, budget) -> tuple[int, bool, bool]:
     """(size of the trace image, whether it equals the algebraic dual of
     code = C_(q,q+1,3,h), whether wt(c_(a,b)) = q+1 - N(a,b) for all
     (a, b)) over the q^4 trace words, generated and checked a few values
-    of a at a time, packed into lanes (``Field.lanes``).
+    of a at a time (about 2^18 word entries), packed into lanes
+    (``Field.lanes``).
 
     With the dual's generator matrix in RREF as R, pivot columns P, a trace
     word's digits m at P name the one dual word it can equal: word
     m_0 q + m_1 of the q^2 words of R[:2] plus word m_2 q + m_3 of those of
-    R[2:].  The image has q^4 words when the names are a permutation of
-    range(q^4), and equals the dual when every word also equals its twin."""
+    R[2:].  Each name is marked in one q^4-entry boolean ``seen``, so the
+    image size is the number of marks.  Exactly q^4 names are marked, so
+    they are a permutation of range(q^4) exactly when every entry is
+    marked; the image then has q^4 words, and equals the dual when every
+    word also equals its twin."""
     q, td, dual = code.q, trace_dual(code.q, code.spec.h), code.dual()
     field, n, q2 = dual.field, dual.n, q * q
     lanes = field.lanes(n)
@@ -167,7 +171,7 @@ def _trace_image_checks(code: LinearCode, counts: np.ndarray, budget) -> tuple[i
     top_words, bottom_words = (
         lanes.pack(LinearCode(field, n, rows).codewords(budget=budget)) for rows in (R[:2], R[2:])
     )
-    names = np.empty(q2 * q2, dtype=np.int64)
+    seen = np.zeros(q2 * q2, dtype=bool)
     equal = weights_ok = True
     step = max(1, _CHUNK_ELEMS // (q2 * n))
     for lo in range(0, q2, step):
@@ -176,12 +180,12 @@ def _trace_image_checks(code: LinearCode, counts: np.ndarray, budget) -> tuple[i
         m0, m1, m2, m3 = (lanes.column(words, j) for j in pivots)
         top = m0 * np.int64(q) + m1
         bottom = m2 * np.int64(q) + m3
-        np.add(top * np.int64(q2), bottom, out=names[rows])
+        seen[top * np.int64(q2) + bottom] = True
         twins = lanes.add(top_words.take(top, axis=1), bottom_words.take(bottom, axis=1))
         equal = equal and np.array_equal(twins, words)
         weights_ok = weights_ok and np.array_equal(lanes.weights(words), (q + 1) - counts[rows])
-    hits = np.bincount(names, minlength=q2 * q2)
-    return int(np.count_nonzero(hits)), bool((hits == 1).all()) and equal, weights_ok
+    size = int(np.count_nonzero(seen))
+    return size, size == len(seen) and equal, weights_ok
 
 
 def _four_weight_suite(theorem: str, q: int, i: int, family: str, budget) -> VerificationResult:
@@ -298,6 +302,10 @@ def verify_thm41(q: int, i: int, family: str, budget=None) -> VerificationResult
     code = bch_build(CodeSpec(q=q, n=n, delta=3, h=h))
     # enumerator and A_4 from one enumeration
     primal_wd, dual_wd = distribution_pair(code, budget=budget)
+    # price both support phases, in phase order, before either runs
+    dmin = q - p_m
+    designs_mod.support_route(code, 4, budget)
+    designs_mod.support_route(td, dmin, budget)
     res.check("dual enumerator", enumerator_formula(q, p_m).counts, dual_wd.counts)
     a4 = primal_wd.counts[4]
     res.check("A_4 closed form", (p_m - 2) * (q - 1) ** 2 * q * (q + 1) // 24, a4)
@@ -307,7 +315,6 @@ def verify_thm41(q: int, i: int, family: str, budget=None) -> VerificationResult
     design = designs_mod.design_from_blocks(sup.blocks, n, 3)
     res.check("weight-4 design lambda", p_m - 2, design.lam)
     # dual minimum-weight design
-    dmin = q - p_m
     dsup = designs_mod.supports_of_weight(td, dmin, budget=budget)
     res.check("dual b = A_(q-p^m) / (q-1)", dual_wd.counts[dmin] // (q - 1), dsup.b)
     ddesign = designs_mod.design_from_blocks(dsup.blocks, n, 3)
@@ -328,6 +335,9 @@ def verify_thm42(q: int, i: int, family: str, budget=None) -> VerificationResult
     budget = default_budget() if budget is None else budget
     n = q + 1
     code = bch_build(CodeSpec(q=q, n=n, delta=3, h=h))
+    # price the weight-4 and weight-5 scans, in phase order, before either runs
+    designs_mod.support_route(code, 4, budget)
+    kernels.check_budget(comb(n - 1, 4), budget)
     sup4 = designs_mod.supports_of_weight(code, 4, budget=budget)
     d4 = designs_mod.design_from_blocks(sup4.blocks, n, 3)
     res.check("S(3,4,q+1): lambda", 1, d4.lam)

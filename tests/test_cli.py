@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import codebench
 from codebench import galois
 from codebench.cli import main
 from codebench.errors import count_text
@@ -233,6 +238,57 @@ def test_design_q81_weight4_equals_determinant_blocks(capsys):
     assert lines[0] == "82 4 22140"
     blocks = [tuple(map(int, line.split())) for line in lines[1:]]
     assert blocks == weight4_blocks_det(81, 39)
+
+
+# A wrapper interpreter runs the CLI and waits for it, so the peak RSS it
+# reads from RUSAGE_CHILDREN is that of the CLI process alone.
+_MEASURED = (
+    "import json, resource, subprocess, sys, time\n"
+    "start = time.perf_counter()\n"
+    "r = subprocess.run([sys.executable, '-m', 'codebench.cli', *sys.argv[1:]],\n"
+    "                   capture_output=True, text=True)\n"
+    "print(json.dumps([r.returncode, r.stdout, r.stderr, time.perf_counter() - start,\n"
+    "                  resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024]))\n"
+)
+
+
+def run_measured(*argv):
+    """(exit code, stdout, stderr, wall seconds, peak RSS in MiB) of the CLI
+    in a fresh interpreter under the default budget."""
+    src = str(Path(codebench.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "WORKBENCH_BUDGET"}
+    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run([sys.executable, "-c", _MEASURED, *argv], env=env,
+                         capture_output=True, text=True, check=True, timeout=300)
+    return json.loads(out.stdout)
+
+
+@pytest.mark.slow
+def test_design_q729_weight4_streams_the_orbit_candidates():
+    # the rank scan takes its 5,358,802 orbit candidates a chunk at a time;
+    # holding them all peaked near 600 MB
+    code, out, _err, _wall, rss = run_measured(
+        "design", "--q", "729", "--h", "363", "--weight", "4", "--source", "code",
+        "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"n": 730, "k": 4, "t": 3, "lambda": 1, "b": 16142490,
+                               "steiner": True}
+    assert rss < 200, rss
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("theorem,charge", [
+    ("thm4.1", 729**3),  # the dual support words, after the weight-4 scan
+    ("thm4.2", 11_671_285_626),  # C(729, 4) weight-5 subsets, after the weight-4 scan
+])
+def test_design_suites_price_their_phases_before_the_first_scan(theorem, charge):
+    # the C(729, 3) weight-4 scan fits the budget; a later phase does not
+    code, out, err, wall, _rss = run_measured(
+        "verify", theorem, "--q", "729", "--i", "1", "--family", "q-minus-pi")
+    assert (code, out) == (3, "")
+    assert f"budget exceeded: enumeration of {charge} items exceeds budget {1 << 26}" in (
+        err.splitlines())
+    assert wall < 2, wall
 
 
 def test_trace_dual_budget_charge(capsys):

@@ -593,6 +593,56 @@ def test_verify_design_through_zero_matches_full_count_on_code_designs(q):
                 assert got == outcome(dict_design_counts, full, q + 1, t), (q, h, blocks.k, t)
 
 
+def complement_route(n, k, t):
+    """Whether a block's complement ranks fewer subsets than its tail."""
+    return sum(comb(n - k, j) for j in range(1, t)) < comb(k - 1, t - 1)
+
+
+@pytest.mark.parametrize("q", [9, 16, 25, 27, 49, pytest.param(81, marks=pytest.mark.slow)])
+def test_complement_count_equals_tail_count_on_dual_designs(q, monkeypatch):
+    # the dual minimum-weight blocks miss only p^m + 1 of the q + 1 points
+    for _family, _i, h in valid_instances(q):
+        td = trace_dual(q, h)
+        blocks = supports_of_weight(td, q - td.p_m).blocks
+        for t in (1, 2, 3):
+            got = designs._complement_counts(blocks, t)
+            assert np.array_equal(got, designs._tail_counts(blocks, t)), (q, h, t)
+        if complement_route(q + 1, blocks.k, 3):
+            with monkeypatch.context() as m:
+                m.setattr(designs, "_tail_counts", None)
+                assert verify_design(blocks, q + 1, 3)[0] == int(got[0]), (q, h)
+
+
+def test_complement_count_matches_dict_counter_on_large_blocks():
+    # the rotations of {0, ..., 4} on 7 points: {0, 2} lies in 3 blocks,
+    # the blocks missing neither, against 4 for {0, 1}
+    blocks = CyclicBlocks(np.array([[0, 1, 2, 3, 4], [0, 1, 2, 3, 6], [0, 1, 2, 5, 6],
+                                    [0, 1, 4, 5, 6], [0, 3, 4, 5, 6]]), 7)
+    assert complement_route(7, 5, 2)
+    assert outcome(verify_design, blocks, 7, 2) == ("NotRegular", (0, 2), 3, 4)
+    assert outcome(dict_design_counts, list(blocks), 7, 2) == ("NotRegular", (0, 2), 3, 4)
+    rng = np.random.default_rng(23)
+    raised = regular = 0
+    for _ in range(200):
+        n = int(rng.integers(6, 14))
+        k = n - int(rng.integers(1, 4))
+        t = int(rng.integers(1, 5))
+        if not complement_route(n, k, t):
+            continue
+        through0 = through_zero(n, k)
+        picked = through0[rng.random(len(through0)) < rng.choice([0.05, 0.3, 1.0])]
+        full = rotations(picked.tolist(), n)
+        hits = np.array([blk for blk in full if blk[0] == 0], dtype=np.int64).reshape(-1, k)
+        blocks = CyclicBlocks(hits, n)
+        assert np.array_equal(designs._complement_counts(blocks, t),
+                              designs._tail_counts(blocks, t)), (n, k, t)
+        got = outcome(verify_design, blocks, n, t)
+        assert got == outcome(dict_design_counts, full, n, t), (n, k, t)
+        raised += isinstance(got[0], str)
+        regular += not isinstance(got[0], str) and got != (0, 0)
+    assert raised > 20 and regular > 20, (raised, regular)
+
+
 # ---------------------------------------------------------------------------
 # the multiplier orbits of the rank and determinant routes
 
@@ -643,22 +693,58 @@ def test_orbit_reduced_routes_equal_through_zero_oracle(q):
         assert weight4_blocks_det(q, h) == through_zero_det_blocks(q, h), (q, h)
 
 
-@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27])
-def test_orbit_least_subsets_match_python_oracle(q):
+def orbit_least_chunks(n, k, p):
+    """The chunks of designs._orbit_least, and their rows as tuples."""
+    chunks = list(designs._orbit_least(n, k, designs._multipliers(n, p)))
+    return chunks, [tuple(row) for chunk in chunks for row in chunk.tolist()]
+
+
+@pytest.mark.parametrize("q,chunk_elems", [
+    pytest.param(q, None, id=str(q)) for q in (4, 8, 9, 16, 25, 27)
+] + [pytest.param(q, c, id=f"{q}-chunk{c}") for q, c in ((25, 1 << 8), (27, 1 << 8), (27, 1 << 10))])
+def test_orbit_least_subsets_match_python_oracle(q, chunk_elems, monkeypatch):
+    # with the default chunk size every q <= 27 takes one chunk; a smaller
+    # one splits the candidates, and one least point's tails may overrun it
     n, p = q + 1, prime_power(q)[0]
     mults = designs._multipliers(n, p)
     assert sorted(mults) == sorted({pow(p, j, n) for j in range(n)}) and mults[0] == 1
+    if chunk_elems:
+        monkeypatch.setattr(designs, "_CHUNK_ELEMS", chunk_elems)
     for k in (3, 4, 5):
         classes = orbit_classes(n, k, p)
         least = sorted(s for s, rep in classes.items() if s == rep)
-        got = designs._orbit_least(n, k, mults)
-        assert list(map(tuple, got.tolist())) == least, (q, k)
+        chunks, got = orbit_least_chunks(n, k, p)
+        assert got == least, (q, k)
+        assert (len(chunks) == 1) == (chunk_elems is None), (q, k, len(chunks))
         # a random union of orbits comes back from one row per orbit
         rng = np.random.default_rng(q * 10 + k)
         picked = [s for s in least if rng.random() < 0.3]
         want = sorted(s for s, rep in classes.items() if rep in set(picked))
         rows = np.array(picked, dtype=np.int64).reshape(-1, k)
         assert list(map(tuple, designs._orbit_union(rows, n, mults).tolist())) == want, (q, k)
+
+
+@pytest.mark.parametrize("q", [25, 27])
+def test_chunked_orbit_scans_equal_one_chunk_results(q, monkeypatch):
+    # the rank scans keep each chunk's hits, and the determinant route
+    # feeds the chunks to the quartic: both equal their one-chunk results
+    real = kernels.scan_supports
+    calls = []
+
+    def spy(H, combos, field2):
+        calls.append(len(combos))
+        return real(H, combos, field2)
+
+    monkeypatch.setattr(designs.kernels, "scan_supports", spy)
+    whole = {h: ([rank_outcome(q, h, k) for k in (4, 5)], weight4_blocks_det(q, h))
+             for _family, _i, h in valid_instances(q)}
+    assert len(calls) == 2 * len(whole)
+    monkeypatch.setattr(designs, "_CHUNK_ELEMS", 1 << 8)
+    for h, (rank_whole, det_whole) in whole.items():
+        calls.clear()
+        assert [rank_outcome(q, h, k) for k in (4, 5)] == rank_whole, (q, h)
+        assert len(calls) >= 4, (q, h)
+        assert weight4_blocks_det(q, h) == det_whole, (q, h)
 
 
 def test_rank_scan_takes_one_subset_per_orbit(monkeypatch):

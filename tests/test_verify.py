@@ -235,5 +235,22 @@ def test_four_weight_suite_memory_at_q27():
         tracemalloc.stop()
     words_bytes = q**4 * (q + 1) * 4
     # words_bytes is all q^4 words as int32; the streamed checks hold a few
-    # chunks of them and some q^4 int64 arrays (names, hits, N(a,b))
+    # chunks of them, the q^4 int64 counts N(a,b) and a q^4 boolean of marks
     assert peak < 1.25 * words_bytes, peak / words_bytes
+
+
+def test_trace_image_checks_memory_at_q32():
+    # one q^4-entry boolean of marks (1 MiB) and chunks of about 2^18 word
+    # entries; the q^4 int64 names and their bincount took 17 MB
+    q, h = 32, family_offset(32, 1, "q-minus-pi")
+    code = bch_build(CodeSpec(q=q, n=q + 1, delta=3, h=h))
+    counts = dio.unit_solution_counts(q, h)
+    want = verify._trace_image_checks(code, counts, None)  # warms the caches
+    tracemalloc.start()
+    try:
+        got = verify._trace_image_checks(code, counts, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want == (q**4, True, True)
+    assert peak < 4 * 2**20, peak
