@@ -153,12 +153,9 @@ def orthogonal(a: np.ndarray, b: np.ndarray, field: Field) -> bool:
 
 
 def same_row_space(a: np.ndarray, b: np.ndarray, field: Field) -> bool:
-    ra = rank(a, field)
-    rb = rank(b, field)
-    if ra != rb:
-        return False
-    stacked = np.vstack([a, b])
-    return rank(stacked, field) == ra
+    """Whether a and b span one row space: the RREF of a row space is
+    canonical, so the two reduced matrices are equal."""
+    return np.array_equal(rref(a, field)[0], rref(b, field)[0])
 
 
 def require_cyclic(mat: np.ndarray, field: Field) -> None:
@@ -408,16 +405,22 @@ class TraceDualSpec:
         zeros = np.zeros(self.m, dtype=np.int64)
         return self._words(np.concatenate([powers, zeros]), np.concatenate([zeros, powers]))
 
+    def orbit_counts(self) -> tuple[int, int]:
+        """(g_a, g_b): g_a = gcd((q^m-1)/(q-1), e h) orbits of the
+        scalar/shift group on a != 0 (see ``kernels.trace_orbit_counts``),
+        and g_b = gcd((q^m-1)/(q-1), e (h+1)) on b != 0."""
+        order = self.q**self.m - 1
+        e = order // self.n
+        return tuple(gcd(order // (self.q - 1), e * t % order) for t in (self.h, self.h + 1))
+
     def orbit_count(self) -> int:
-        """g = gcd((q^m-1)/(q-1), e h), the number of orbits of the
-        scalar/shift group on a != 0 (see ``kernels.trace_orbit_counts``)."""
-        order = self.big.q - 1
-        return gcd(order // (self.q - 1), order // self.n * self.h % order)
+        """g = min(g_a, g_b), the orbits of the side that the count reduces."""
+        return min(self.orbit_counts())
 
     def enumeration_cost(self) -> int:
-        """(g+1) q^m: q^m words per orbit representative plus at most q^m
-        for the slice a = 0."""
-        return (self.orbit_count() + 1) * self.big.q
+        """(g+1) q^m: q^m words per orbit representative of the reduced
+        side plus at most q^m for the slice where that side is 0."""
+        return (self.orbit_count() + 1) * self.q**self.m
 
     def through_zero_supports(self, k: int) -> np.ndarray:
         """Support rows (booleans, one per word, repeats kept) of the
@@ -466,10 +469,15 @@ class TraceDualSpec:
         return self.field.lanes(self.n).unpack(self.packed_block(0, self.big.q))
 
     def weight_distribution(self, budget: int | None = None):
-        """Exact distribution in two parts: the m-dimensional slice
-        {c_(0,b)} through ``kernels.weight_counts``, and every a != 0
-        through the g orbit representatives of ``kernels.trace_orbit_counts``.
-        Charged ``enumeration_cost()`` = (g+1) q^m against the budget.
+        """Exact distribution in two parts, reducing the side with fewer
+        orbits.  On a: the m-dimensional slice {c_(0,b)} through
+        ``kernels.weight_counts``, and every a != 0 through the g_a orbit
+        representatives of ``kernels.trace_orbit_counts``.  On b, when
+        g_b < g_a: the slice {c_(a,0)}, and every b != 0 through the kernel
+        at n-1-h, since the reversal i -> -i maps c_(a,b) for h onto
+        c_(b,a) for n-1-h (gamma^(n-1-h) = gamma^-(h+1)) and keeps the
+        weight.  Charged ``enumeration_cost()`` = (min(g_a, g_b)+1) q^m
+        against the budget.
 
         This counts the trace code, which is the dual of C_(q,n,3,h) only
         once its basis is proved to span it; ``weights._enumerate`` makes
@@ -477,11 +485,16 @@ class TraceDualSpec:
         from .weights import WeightDistribution
 
         kernels.check_budget(self.enumeration_cost(), budget)
-        slice_rows = self.basis_matrix()[self.m :]
+        g_a, g_b = self.orbit_counts()
+        m, rows = self.m, self.basis_matrix()
+        if g_b < g_a:
+            slice_rows, t = rows[:m], self.n - 1 - self.h
+        else:
+            slice_rows, t = rows[m:], self.h
         counts = kernels.weight_counts(slice_rows, self.field)
-        counts += kernels.trace_orbit_counts(self.big, self.q, self.n, self.h)
+        counts += kernels.trace_orbit_counts(self.big, self.q, self.n, t)
         return WeightDistribution(
-            n=self.n, q=self.q, k=2 * self.m, counts=tuple(int(c) for c in counts)
+            n=self.n, q=self.q, k=2 * m, counts=tuple(int(c) for c in counts)
         )
 
 

@@ -48,15 +48,17 @@ from .galois import unit_circle
 _CHUNK_ELEMS = 1 << 20  # (triple, w) pairs or t-subset ranks per batch
 
 
-def ksubsets(n: int, k: int) -> np.ndarray:
-    """The k-subsets of range(n) as sorted rows, in lexicographic order
+def ksubsets(n: int, k: int, first: int = 0, stop: int | None = None) -> np.ndarray:
+    """The k-subsets of range(n) whose least point lies in [first, stop)
+    (every k-subset by default) as sorted rows, in lexicographic order
     (those that contain 0 are the first C(n-1, k-1)).
 
     Each round appends to every row every value that still leaves room
     for the points after it, so rows stay in lexicographic order."""
     if k == 0:
         return np.zeros((1, 0), dtype=np.int64)
-    rows = np.arange(n - k + 1, dtype=np.int64)[:, None]
+    stop = n if stop is None else stop
+    rows = np.arange(first, min(stop, n - k + 1), dtype=np.int64)[:, None]
     for j in range(1, k):
         lo = rows[:, -1] + 1
         cnt = n - k + j - lo + 1
@@ -372,31 +374,53 @@ def _orbit_least(n: int, k: int, mults: list[int]):
     The first digit of an image's key is its least point after 0.  So a
     subset is least only if its first point a after 0 is least in its own
     point orbit and no other point x has an image r x below a; only the
-    subsets of such points are listed, the candidates of a few least points
-    a at a time, and their keys compared.  A chunk is the least rows of
-    about _CHUNK_ELEMS / (k |mults|) candidates; the candidates of one point
-    a may overrun that, but their keys are still compared that many at a
-    time."""
+    subsets of such points are listed, in runs of their tails
+    (``_tail_runs``), and their keys compared.  A chunk is the least rows
+    of at most max(_CHUNK_ELEMS / (k |mults|), C(n-3, k-3)) candidates."""
     low = np.min([np.arange(n) * r % n for r in mults], axis=0)
     points = np.flatnonzero(low == np.arange(n))[1:]
     step = max(1, _CHUNK_ELEMS // (k * len(mults)))
     parts, size = [], 0
-    for j, a in enumerate(points):
+    for a in points:
         rest = np.flatnonzero(low >= a)
         rest = rest[rest > a]
-        tails = rest[ksubsets(len(rest), k - 2)]
-        parts.append(np.column_stack([np.zeros(len(tails), dtype=np.int64),
-                                      np.full(len(tails), a), tails]))
-        size += len(tails)
-        if size < step and j < len(points) - 1:
-            continue
-        rows = np.concatenate(parts)
-        keep = np.zeros(len(rows), dtype=bool)
-        for lo in range(0, len(rows), step):
-            keys = _image_keys(rows[lo : lo + step], n, mults)
-            keep[lo : lo + step] = keys[0] == keys.min(axis=0)
-        yield rows[keep]
-        parts, size = [], 0
+        for lo, hi in _tail_runs(len(rest), k - 2, step):
+            tails = rest[ksubsets(len(rest), k - 2, lo, hi)]
+            if size + len(tails) > step and size:
+                yield _least_rows(np.concatenate(parts), n, mults, step)
+                parts, size = [], 0
+            parts.append(np.column_stack([np.zeros(len(tails), dtype=np.int64),
+                                          np.full(len(tails), a), tails]))
+            size += len(tails)
+    if parts:
+        yield _least_rows(np.concatenate(parts), n, mults, step)
+
+
+def _tail_runs(r: int, t: int, step: int) -> list[tuple[int, int]]:
+    """Runs [lo, hi) of first points that split the t-subsets of range(r)
+    into lexicographic runs of at most step subsets, or of the C(r-1-j, t-1)
+    subsets that one first point j leads when those alone are more."""
+    if comb(r, t) <= step:
+        return [(0, r)]
+    runs, lo, size = [], 0, 0
+    for j in range(r - t + 1):
+        lead = comb(r - 1 - j, t - 1)
+        if size + lead > step and size:
+            runs.append((lo, j))
+            lo, size = j, 0
+        size += lead
+    runs.append((lo, r))
+    return runs
+
+
+def _least_rows(rows: np.ndarray, n: int, mults: list[int], step: int) -> np.ndarray:
+    """The rows whose key is least among their multiplier images, their
+    keys computed step rows at a time."""
+    keep = np.zeros(len(rows), dtype=bool)
+    for lo in range(0, len(rows), step):
+        keys = _image_keys(rows[lo : lo + step], n, mults)
+        keep[lo : lo + step] = keys[0] == keys.min(axis=0)
+    return rows[keep]
 
 
 def _orbit_union(rows: np.ndarray, n: int, mults: list[int]) -> np.ndarray:

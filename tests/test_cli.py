@@ -291,6 +291,16 @@ def test_design_suites_price_their_phases_before_the_first_scan(theorem, charge)
     assert wall < 2, wall
 
 
+@pytest.mark.slow
+def test_verify_thm35_q729_default_budget():
+    # one distance per distinct generator polynomial, each counted on the
+    # trace side with fewer orbits
+    code, out, _err, _wall, _rss = run_measured("verify", "thm3.5", "--q", "729")
+    assert code == 0
+    assert "[FAIL]" not in out
+    assert out.endswith("VERIFIED\n")
+
+
 def test_trace_dual_budget_charge(capsys):
     # h = 31, g = gcd(65, 63 * 31) = 1: the orbit route is charged (g+1) q^2
     charge = 2 * 64**2

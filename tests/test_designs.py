@@ -33,7 +33,14 @@ from codebench.errors import (
     MultiplicityNotQMinus1,
     NotRegular,
 )
-from codebench.galois import field_for_order, field_new, prime_power, subfield_embedding, unit_circle
+from codebench.galois import (
+    factorize,
+    field_for_order,
+    field_new,
+    prime_power,
+    subfield_embedding,
+    unit_circle,
+)
 from codebench.verify import valid_instances
 
 
@@ -363,6 +370,12 @@ def test_ksubsets_matches_itertools(through0):
             got = through_zero(n, k) if through0 else ksubsets(n, k)
             assert got.shape == (len(want), k), (n, k)
             assert list(map(tuple, got.tolist())) == want, (n, k)
+            if k and not through0:
+                # the subsets whose least point lies in [first, stop)
+                for first, stop in ((1, 3), (2, n)):
+                    part = [c for c in want if first <= c[0] < stop]
+                    got = ksubsets(n, k, first, stop)
+                    assert list(map(tuple, got.tolist())) == part, (n, k, first)
 
 
 def test_rank_route_needs_delta_3():
@@ -722,6 +735,33 @@ def test_orbit_least_subsets_match_python_oracle(q, chunk_elems, monkeypatch):
         want = sorted(s for s, rep in classes.items() if rep in set(picked))
         rows = np.array(picked, dtype=np.int64).reshape(-1, k)
         assert list(map(tuple, designs._orbit_union(rows, n, mults).tolist())) == want, (q, k)
+
+
+def test_orbit_least_chunk_holds_one_first_point_of_tails():
+    # at (244, 5) the least point 1 has C(242, 3) = 2,331,240 candidates;
+    # split by their first tail point, no chunk holds more than C(241, 2)
+    chunk = next(designs._orbit_least(244, 5, designs._multipliers(244, 3)))
+    assert 0 < len(chunk) <= comb(241, 2)
+
+
+@pytest.mark.parametrize("q", [q for q in range(4, 82) if len(factorize(q)) == 1])
+def test_split_tails_equal_the_one_chunk_listing(q, monkeypatch):
+    # the default chunk splits the tails at q = 64 and 81 (k = 5), a 2^12
+    # one at more q; no chunk exceeds max(step, C(n-3, k-3)), and a chunk
+    # too large to split lists every least point's tails whole
+    n, p = q + 1, prime_power(q)[0]
+    mults = designs._multipliers(n, p)
+    for k in (4, 5):
+        rows = []
+        for elems in (designs._CHUNK_ELEMS, 1 << 12, 1 << 40):
+            monkeypatch.setattr(designs, "_CHUNK_ELEMS", elems)
+            chunks = list(designs._orbit_least(n, k, mults))
+            step = elems // (k * len(mults))
+            assert max(map(len, chunks)) <= max(step, comb(n - 3, k - 3)), (q, k, elems)
+            rows.append(np.concatenate(chunks))
+        monkeypatch.undo()
+        assert len(chunks) == 1
+        assert np.array_equal(rows[0], rows[1]) and np.array_equal(rows[0], rows[2]), (q, k)
 
 
 @pytest.mark.parametrize("q", [25, 27])

@@ -1,4 +1,5 @@
 import tracemalloc
+from math import gcd
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from codebench.codes import CodeSpec, LinearCode, TraceDualSpec, bch_build, rref
 from codebench.errors import WorkbenchError
 from codebench.galois import Field
 from codebench.verify import (
+    VerificationResult,
     family_offset,
     run_suite,
     valid_instances,
@@ -17,6 +19,7 @@ from codebench.verify import (
     verify_cor33,
     verify_thm31,
     verify_thm34,
+    verify_thm35,
     verify_thm36,
     verify_thm42,
 )
@@ -36,6 +39,40 @@ def test_family_offsets():
 def test_valid_instances():
     assert valid_instances(9) == [("q-minus-pi", 1, 3), ("pi-minus-1", 1, 1)]
     assert [h for _, _, h in valid_instances(16)] == [7, 6, 4]
+
+
+def _gen_poly(q, h):
+    return bch_build(CodeSpec(q=q, n=q + 1, delta=3, h=h)).gen_poly.coeffs
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 32, 49])
+def test_reversed_offsets_share_the_generator_polynomial(q):
+    # q = -1 mod q+1, so C_h and C_(q-h) have the zeros {+-h, +-(h+1)}
+    for h in range(q + 1):
+        assert _gen_poly(q, h) == _gen_poly(q, q - h), (q, h)
+
+
+def _thm35_per_offset(q):
+    """The thm3.5 suite with one distance enumeration for every h."""
+    res = VerificationResult("thm3.5", {"q": q})
+    for h in range(q + 1):
+        d = bch_build(CodeSpec(q=q, n=q + 1, delta=3, h=h)).min_distance()
+        res.check(f"h={h}: d==3 iff gcd>1", gcd(2 * h + 1, q + 1) > 1, d == 3)
+    return res
+
+
+@pytest.mark.parametrize("q", [16, 27, 49])
+def test_thm35_enumerates_one_distance_per_generator_polynomial(q, monkeypatch):
+    want = _thm35_per_offset(q).to_json_dict()
+    counted = []
+    real = LinearCode.min_distance
+    monkeypatch.setattr(LinearCode, "min_distance",
+                        lambda self, budget=None: counted.append(self.gen_poly.coeffs)
+                        or real(self, budget))
+    assert verify_thm35(q).to_json_dict() == want
+    polys = {_gen_poly(q, h) for h in range(q + 1)}
+    assert len(polys) == q // 2 + 1
+    assert sorted(counted) == sorted(polys)
 
 
 def test_suite_thm36_amds():

@@ -1,4 +1,5 @@
 import itertools
+from math import gcd
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from codebench.codes import (
     rank,
     trace_dual,
 )
+from codebench.cyclotomic import multiplicative_order
 from codebench.errors import (
     BudgetExceeded,
     DegenerateDimension,
@@ -194,6 +196,39 @@ def test_trace_dual_orbit_route_matches_kernel(q):
         assert td.weight_distribution().counts == tuple(want.tolist()), (family, i, h)
 
 
+def small_trace_duals():
+    """Every trace dual with q <= 9, 3 <= n < 30 and q^m <= 1000."""
+    out = []
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        for n in range(3, 30):
+            if gcd(n, q) != 1 or q ** multiplicative_order(q, n) > 1000:
+                continue
+            for h in range(n):
+                try:
+                    out.append(trace_dual(q, h, n))
+                except DegenerateDimension:
+                    pass
+    return out
+
+
+def test_trace_dual_reduces_the_side_with_fewer_orbits(monkeypatch):
+    # the reversal i -> -i maps c_(a,b) for h onto c_(b,a) for n-1-h, so
+    # the b side is reduced through the kernel at n-1-h
+    offsets = []
+    orbit_counts = kernels.trace_orbit_counts
+    monkeypatch.setattr(kernels, "trace_orbit_counts",
+                        lambda big, q, n, t: offsets.append(t) or orbit_counts(big, q, n, t))
+    tds = small_trace_duals()
+    assert len(tds) == 407
+    for td in tds:
+        g_a, g_b = td.orbit_counts()
+        want = kernels.weight_counts(td.basis_matrix(), td.field)
+        assert td.weight_distribution().counts == tuple(want.tolist()), (td.q, td.n, td.h)
+        assert offsets.pop() == (td.n - 1 - td.h if g_b < g_a else td.h)
+        assert td.enumeration_cost() == (min(g_a, g_b) + 1) * td.big.q
+    assert sum(b < a for a, b in map(TraceDualSpec.orbit_counts, tds)) == 45
+
+
 def _dual_kernel_counts(code):
     dual = code.dual()
     return tuple(kernels.weight_counts(dual.gen_matrix, dual.field).tolist())
@@ -341,14 +376,17 @@ def test_dual_distribution_of_a_non_family_code(spec):
 
 
 def test_orbit_route_charge():
-    # g = gcd(28, 26 * 12) = 4, so the route costs 5 * 27^2 = 3645, below
-    # the dual's 27^3 + 27^2 + 27 + 2 projective messages
-    code = bch_build(CodeSpec(q=27, n=28, delta=3, h=12))
-    td = trace_dual(27, 12)
-    assert (td.orbit_count(), td.enumeration_cost()) == (4, 3645)
-    with pytest.raises(BudgetExceeded, match="trace orbit=3645"):
-        weight_distribution(code, budget=3644)
-    assert weight_distribution(code, budget=3645).d() == 4
+    # (g_a, g_b) = (gcd(28, 26 h), gcd(28, 26 (h+1))), and the route costs
+    # (min(g_a, g_b) + 1) 27^2, below the dual's 27^3 + 27^2 + 27 + 2
+    # projective messages: h = 12 reduces b, h = 6 reduces a
+    for h, sides, charge in ((12, (4, 2), 2187), (6, (4, 14), 3645)):
+        code = bch_build(CodeSpec(q=27, n=28, delta=3, h=h))
+        td = trace_dual(27, h)
+        assert td.orbit_counts() == sides
+        assert (td.orbit_count(), td.enumeration_cost()) == (min(sides), charge)
+        with pytest.raises(BudgetExceeded, match=f"trace orbit={charge}"):
+            weight_distribution(code, budget=charge - 1)
+        assert weight_distribution(code, budget=charge).d() == 4
     (row,) = report_tables(budget=100, labels=("ternary",), s_values=(4,))
     assert row.params is None and "trace orbit=531441" in row.skipped
 
