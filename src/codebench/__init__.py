@@ -26,7 +26,6 @@ from .designs import (
     weight5_blocks_rank,
 )
 from .diophantine import (
-    SolutionCount,
     all_zeros_Pa,
     congruence_solutions,
     count_unit_solutions,
@@ -37,8 +36,6 @@ from .diophantine import (
 )
 from .galois import (
     Field,
-    FieldElement,
-    UnitCircle,
     field_new,
     rel_trace,
     subfield_embedding,

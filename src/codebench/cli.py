@@ -17,7 +17,7 @@ from . import verify as verify_mod
 from .codes import CodeSpec, bch_build, trace_dual
 from .config import default_budget
 from .cyclotomic import coset, coset_leaders
-from .errors import BudgetExceeded, Falsified, ResourceCap, WorkbenchError
+from .errors import BudgetExceeded, Falsified, InvalidParameters, ResourceCap, WorkbenchError
 from .galois import field_new
 from .weights import classify as classify_code
 from .weights import dual_distribution, weight_distribution
@@ -294,7 +294,9 @@ def main(argv=None) -> int:
             raise ValueError("budget must be >= 1")
         if args.threads < 1:
             raise ValueError("threads must be >= 1")
-    except ValueError as exc:
+        if args.seed < 0:
+            raise InvalidParameters("seed must be >= 0")
+    except (ValueError, InvalidParameters) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:

@@ -291,7 +291,7 @@ def bch_build(spec: CodeSpec) -> LinearCode:
         if cs.leader in seen:
             continue
         seen.add(cs.leader)
-        polys.append(minimal_poly(beta, cs))
+        polys.append(minimal_poly(big, beta, cs))
     gen = polys[0]
     for pp in polys[1:]:
         gen = gen * pp  # distinct cosets => coprime minimal polynomials

@@ -14,7 +14,6 @@ from math import gcd
 from .errors import DivisionByZero, NotCoprime, NotPrimitiveRoot, SpecMismatch
 from .galois import (
     Field,
-    FieldElement,
     factorize,
     field_for_order,
     field_new,
@@ -27,7 +26,7 @@ def multiplicative_order(q: int, n: int) -> int:
     if gcd(q, n) != 1:
         raise NotCoprime((q, n))
     m, x = 1, q % n
-    while x != 1:
+    while x != 1 % n:
         x = x * q % n
         m += 1
     return m
@@ -237,26 +236,25 @@ def poly_lcm(polys: list[Poly], dedup: bool = True) -> Poly:
 # minimal polynomials
 
 
-def minimal_poly(beta: FieldElement, cs: CyclotomicCoset) -> Poly:
+def minimal_poly(big: Field, beta: int, cs: CyclotomicCoset) -> Poly:
     """M(x) = prod over i in the coset of (x - beta^i), over canonical GF(q).
 
-    beta must be a primitive n-th root of unity in its (splitting) field.
+    beta must be a primitive n-th root of unity in the (splitting) field big.
     """
-    big = beta.field
     n, q = cs.n, cs.q
     if (big.q - 1) % n != 0:
         raise NotPrimitiveRoot(f"no n-th roots of unity in {big!r}")
-    if big.pow(beta.rep, n) != 1:
+    if big.pow(beta, n) != 1:
         raise NotPrimitiveRoot("beta^n != 1")
     for f in {n // p for p in factorize(n)}:
-        if big.pow(beta.rep, f) == 1:
+        if big.pow(beta, f) == 1:
             raise NotPrimitiveRoot("beta has order smaller than n")
     base = field_for_order(q)
     emb = subfield_embedding(big, base)
     # expand the product in the big field
     coeffs = [1]
     for i in cs.members:
-        root = big.pow(beta.rep, i)
+        root = big.pow(beta, i)
         nxt = [0] * (len(coeffs) + 1)
         for d, c in enumerate(coeffs):
             nxt[d + 1] = big.add(nxt[d + 1], c)
@@ -265,10 +263,9 @@ def minimal_poly(beta: FieldElement, cs: CyclotomicCoset) -> Poly:
     return Poly.make(base, [emb.project(c) for c in coeffs])
 
 
-def splitting_field(q: int, n: int) -> tuple[Field, FieldElement]:
+def splitting_field(q: int, n: int) -> tuple[Field, int]:
     """Canonical GF(q^m) with m = ord_n(q), plus a primitive n-th root beta."""
     p, t = prime_power(q)
     m = multiplicative_order(q, n)
     big = field_new(p, t * m)
-    beta = big.element(big.alpha_pow((big.q - 1) // n))
-    return big, beta
+    return big, big.alpha_pow((big.q - 1) // n)

@@ -168,9 +168,6 @@ class SupportCount:
     """Weight-k supports of a code, each carried by exactly q-1 codewords
     (the routes raise otherwise), as rotation-closed blocks."""
 
-    q: int
-    k: int
-    n_points: int
     blocks: CyclicBlocks
 
     @property
@@ -204,7 +201,7 @@ def supports_of_weight(
         blocks = CyclicBlocks(_lex_sorted(supports[supports[:, 0] == 0]), code.n)
     else:
         blocks = _rank_supports(trace_dual(code.q, code.spec.h), k, check_code=code)
-    return SupportCount(q=code.q, k=k, n_points=code.n, blocks=blocks)
+    return SupportCount(blocks)
 
 
 def support_route(source: LinearCode | TraceDualSpec, k: int, budget: int | None = None) -> str:
@@ -280,7 +277,7 @@ def _trace_supports(td: TraceDualSpec, k: int) -> SupportCount:
             f"{(td.q - 1) * mults[bad[0]]} codewords, expected q-1 = {td.q - 1}"
         )
     blocks = CyclicBlocks(_lex_sorted(supports), td.n)
-    return SupportCount(q=td.q, k=k, n_points=td.n, blocks=blocks)
+    return SupportCount(blocks)
 
 
 def _rank_supports(td: TraceDualSpec, k: int, check_code: LinearCode | None = None) -> CyclicBlocks:
@@ -517,6 +514,8 @@ def verify_design(blocks: CyclicBlocks, n_points: int, t: int) -> tuple[int, int
     integer identity C(n, t) * lambda = b * C(k, t), a cross-check of the
     through-0 count against the block count.
     """
+    if t < 1:
+        raise InvalidParameters(f"design strength t must be >= 1, got {t}")
     b = len(blocks)
     if b == 0:
         return 0, 0
@@ -574,8 +573,7 @@ def weight4_blocks_det(q: int, h: int, budget: int | None = None) -> CyclicBlock
     n = q + 1
     kernels.check_budget(comb(n - 1, 2) * n, budget)
     f2 = td.big
-    circle = unit_circle(f2)
-    u = np.array(circle.elements, dtype=np.int64)
+    u = unit_circle(f2)
     u_pi = f2.pow_arr(u, pi)
     u_pi1 = f2.mul_arr(u_pi, u)
     rows = np.vstack([np.ones(n, dtype=np.int64), u, u_pi, u_pi1])

@@ -9,7 +9,6 @@ target, and 0 otherwise.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 import numpy as np
@@ -23,12 +22,6 @@ from .errors import (
     ValueSetViolation,
 )
 from .galois import field_new, subfield_members, unit_circle
-
-
-@dataclass(frozen=True)
-class SolutionCount:
-    value: int
-    method: str  # closed_form | brute_force
 
 
 def congruence_solutions(a: int, b: int, m: int) -> list[int]:
@@ -73,7 +66,7 @@ def gcd_minus_plus(p: int, i: int, s: int) -> int:
 # zeros of P_a(X) = X^(p^k + 1) + X + a
 
 
-def count_zeros_Pa(p: int, n: int, k: int, a: int) -> SolutionCount:
+def count_zeros_Pa(p: int, n: int, k: int, a: int) -> int:
     """Brute-force root count of P_a over GF(p^n); must land in
     {0, 1, 2, p^e + 1}, e = gcd(n, k)."""
     if a == 0:
@@ -82,7 +75,7 @@ def count_zeros_Pa(p: int, n: int, k: int, a: int) -> SolutionCount:
     e = gcd(n, k)
     if count not in {0, 1, 2, p**e + 1}:
         raise ValueSetViolation(f"N_a = {count} outside {{0, 1, 2, {p**e + 1}}}")
-    return SolutionCount(value=count, method="brute_force")
+    return count
 
 
 def zeros_Pa_brute(p: int, n: int, k: int, a: int) -> list[int]:
@@ -100,7 +93,7 @@ def all_zeros_Pa(p: int, n: int, k: int, a: int, x0: int) -> list[int]:
     pe = p**e
     if field.add(field.add(field.pow(x0, p**k + 1), x0), a) != 0:
         raise InvalidParameters("x0 is not a zero of P_a")
-    if count_zeros_Pa(p, n, k, a).value != pe + 1:
+    if count_zeros_Pa(p, n, k, a) != pe + 1:
         raise NotFullCase("P_a does not have p^e + 1 zeros")
     # delta with delta^(p^k - 1) = x0^2 / a
     rhs = field.div(field.mul(x0, x0), a)
@@ -138,18 +131,17 @@ def all_zeros_Pa(p: int, n: int, k: int, a: int, x0: int) -> list[int]:
 # N(a, b) over the unit circle
 
 
-def count_unit_solutions(q: int, h: int, a: int, b: int) -> SolutionCount:
+def count_unit_solutions(q: int, h: int, a: int, b: int) -> int:
     """Brute-force count of unit-circle solutions of the family equation;
     value must lie in {0, 1, 2, p^m + 1}, m = gcd(i, s)."""
     if a == 0 and b == 0:
         raise InvalidParameters("(a, b) must be nonzero")
     td = trace_dual(q, h)
     pi, p_m, f2 = td.p_i, td.p_m, td.big
-    circle = unit_circle(f2)
     aq = f2.pow(a, q)
     bq = f2.pow(b, q)
     count = 0
-    for u in circle.elements:
+    for u in unit_circle(f2).tolist():
         upi = f2.pow(u, pi)
         upi1 = f2.mul(upi, u)
         if td.family == FAMILY_Q_MINUS_PI:
@@ -160,7 +152,7 @@ def count_unit_solutions(q: int, h: int, a: int, b: int) -> SolutionCount:
             count += 1
     if count not in {0, 1, 2, p_m + 1}:
         raise ValueSetViolation(f"N(a,b) = {count} outside {{0, 1, 2, {p_m + 1}}}")
-    return SolutionCount(value=count, method="brute_force")
+    return count
 
 
 def unit_solution_counts(q: int, h: int) -> np.ndarray:
@@ -172,7 +164,7 @@ def unit_solution_counts(q: int, h: int) -> np.ndarray:
     equation)."""
     td = trace_dual(q, h)
     f2 = td.big
-    u = np.array(unit_circle(f2).elements, dtype=np.int64)[:, None]
+    u = unit_circle(f2)[:, None]
     upi = f2.pow_arr(u, td.p_i)
     upi1 = f2.mul_arr(upi, u)
     reps = np.arange(f2.q, dtype=np.int64)[None, :]
@@ -190,7 +182,7 @@ def unit_solution_counts(q: int, h: int) -> np.ndarray:
     return counts.ravel()
 
 
-def predict_case12(q: int, h: int, a: int, b: int) -> SolutionCount:
+def predict_case12(q: int, h: int, a: int, b: int) -> int:
     """Closed-form N(a, b) when exactly one of a, b is nonzero.
 
     Composes the congruence-count lemma with the gcd identities: reduce the
@@ -216,5 +208,4 @@ def predict_case12(q: int, h: int, a: int, b: int) -> SolutionCount:
         target = ((q + 1) // 2 - r) % (q + 1)
     else:
         target = ((q + 1) // 2 + r) % (q + 1)
-    value = e if target % e == 0 else 0
-    return SolutionCount(value=value, method="closed_form")
+    return e if target % e == 0 else 0

@@ -26,19 +26,18 @@ and weighed digit-wise instead, packed into uint64 lanes (``Lanes``).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from math import gcd, isqrt
 
 import numpy as np
 
 from .errors import (
     DivisionByZero,
+    InvalidParameters,
     NotInSubfield,
     NotPrime,
     NotPrimitiveRoot,
     NotSquareField,
     ResourceCap,
-    SpecMismatch,
 )
 
 TABLE_BUDGET = 1 << 24  # largest field size we will build tables for
@@ -287,7 +286,7 @@ class Field:
         if not is_prime(p):
             raise NotPrime(p)
         if m < 1:
-            raise ValueError("extension degree must be >= 1")
+            raise InvalidParameters(f"extension degree must be >= 1, got {m}")
         q = p**m
         if q > TABLE_BUDGET:
             raise ResourceCap(f"field of order {q} exceeds {TABLE_BUDGET}")
@@ -440,24 +439,6 @@ class Field:
         return self._dense("inv", build)
 
     # -- misc ----------------------------------------------------------------
-
-    def element(self, rep: int) -> "FieldElement":
-        return FieldElement(self, int(rep) % self.q)
-
-    @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
-    @property
-    def alpha(self) -> "FieldElement":
-        return FieldElement(self, int(self.exp[1 % (self.q - 1)]) if self.q > 2 else 1)
-
-    def elements(self) -> range:
-        return range(self.q)
 
     def __repr__(self):
         return f"GF({self.p}^{self.m})" if self.m > 1 else f"GF({self.p})"
@@ -625,57 +606,6 @@ def field_for_order(q: int) -> Field:
 
 
 # ---------------------------------------------------------------------------
-# elements
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """Thin wrapper over an integer representation; ops check field identity."""
-
-    field: Field
-    rep: int
-
-    def _peer(self, other) -> int:
-        if isinstance(other, FieldElement):
-            if other.field is not self.field:
-                raise SpecMismatch("elements of different fields")
-            return other.rep
-        if isinstance(other, int):
-            return other % self.field.p  # prime-subfield constant
-        raise TypeError(f"cannot combine FieldElement with {type(other)!r}")
-
-    def __add__(self, other):
-        return FieldElement(self.field, self.field.add(self.rep, self._peer(other)))
-
-    def __sub__(self, other):
-        return FieldElement(self.field, self.field.sub(self.rep, self._peer(other)))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.rep))
-
-    def __mul__(self, other):
-        return FieldElement(self.field, self.field.mul(self.rep, self._peer(other)))
-
-    def __truediv__(self, other):
-        return FieldElement(self.field, self.field.div(self.rep, self._peer(other)))
-
-    def __pow__(self, e: int):
-        return FieldElement(self.field, self.field.pow(self.rep, e))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.inv(self.rep))
-
-    def __int__(self):
-        return self.rep
-
-    def __bool__(self):
-        return self.rep != 0
-
-    def __repr__(self):
-        return f"{self.field!r}({self.rep})"
-
-
-# ---------------------------------------------------------------------------
 # relative trace, unit circle, subfield embedding
 
 
@@ -711,27 +641,13 @@ def trace_kernel_logs(field: Field, q: int) -> np.ndarray:
     return (u * np.arange(q - 1, dtype=np.int64)[:, None] + first).ravel()
 
 
-@dataclass(frozen=True)
-class UnitCircle:
-    """The q+1 roots of X^(q+1) - 1 in GF(q^2), as powers of beta = alpha^(q-1)."""
-
-    field: Field
-    q: int
-    beta: int
-    elements: tuple[int, ...]
-
-    def __len__(self):
-        return len(self.elements)
-
-
-def unit_circle(field: Field) -> UnitCircle:
+def unit_circle(field: Field) -> np.ndarray:
+    """The q+1 roots of X^(q+1) - 1 in GF(q^2), point j = beta^j for beta =
+    alpha^(q-1): distinct, as (q-1)j < q^2-1 and the exp chain is a permutation."""
     q = isqrt(field.q)
     if q * q != field.q:
         raise NotSquareField(field.q)
-    beta = field.alpha_pow(q - 1)
-    elems = tuple(field.alpha_pow((q - 1) * j) for j in range(q + 1))
-    assert len(set(elems)) == q + 1
-    return UnitCircle(field=field, q=q, beta=beta, elements=elems)
+    return field.exp[(q - 1) * np.arange(q + 1)].astype(np.int64)
 
 
 class SubfieldEmbedding:

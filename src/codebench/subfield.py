@@ -43,6 +43,14 @@ class SubcodeReport:
         }
 
 
+def _check_degree(t: int, s: int) -> None:
+    """GF(p^t) is a subfield of GF(p^s) exactly when t >= 1 divides s."""
+    if t < 1:
+        raise InvalidParameters(f"subfield degree t must be >= 1, got {t}")
+    if s % t != 0:
+        raise InvalidParameters(f"t={t} does not divide s={s}")
+
+
 def subfield_subcode_generic(code: LinearCode, t: int) -> LinearCode:
     """Codewords of `code` with every coordinate in the subfield of order
     p^t, as a code over the canonical GF(p^t).
@@ -53,8 +61,7 @@ def subfield_subcode_generic(code: LinearCode, t: int) -> LinearCode:
     GF(p)-linear in the unknowns: an (n-k)s x nt system over GF(p)."""
     F = code.field
     p, s = F.p, F.m
-    if s % t != 0:
-        raise InvalidParameters(f"t={t} does not divide s={s}")
+    _check_degree(t, s)
     K = field_new(p, t)
     if t == s:
         return LinearCode(K, code.n, code.gen_matrix, gen_poly=code.gen_poly,
@@ -77,16 +84,14 @@ def subfield_subcode_bch(spec: CodeSpec, t: int) -> LinearCode:
     """The structural identity: the subcode of C_(q,q+1,3,h) over GF(p^t)
     is the BCH code C_(p^t, q+1, 3, h)."""
     p, s = prime_power(spec.q)
-    if s % t != 0:
-        raise InvalidParameters(f"t={t} does not divide s={s}")
+    _check_degree(t, s)
     return bch_build(CodeSpec(q=p**t, n=spec.n, delta=spec.delta, h=spec.h))
 
 
 def dimension_by_cosets(q: int, h: int, t: int) -> int:
     """q+1 - |C_h union C_(h+1)| in p^t-cyclotomic cosets mod q+1."""
     p, s = prime_power(q)
-    if s % t != 0:
-        raise InvalidParameters(f"t={t} does not divide s={s}")
+    _check_degree(t, s)
     n = q + 1
     base = p**t
     members = set(coset(n, base, h % n).members) | set(coset(n, base, (h + 1) % n).members)

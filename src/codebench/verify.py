@@ -398,6 +398,10 @@ def _verify_table_rows(theorem: str, label: str, budget, s_filter=None) -> Verif
         for row in subfield_mod.table_rows()
         if row[0] == label and (s_filter is None or row[1] == s_filter)
     ]
+    if not rows:
+        published = sorted(row[1] for row in subfield_mod.table_rows() if row[0] == label)
+        raise WorkbenchError(f"{theorem} has no published {label} row for s={s_filter}; "
+                             f"published s: {', '.join(map(str, published))}")
     reports = subfield_mod.report_tables(
         budget=budget,
         labels=(label,),
@@ -479,7 +483,7 @@ def verify_lemmas(seed: int = 0, budget=None) -> VerificationResult:
         k = int(rng.integers(1, n + 1))
         a = int(rng.integers(1, q))
         e = gcd(n, k)
-        if dio.count_zeros_Pa(p, n, k, a).value == p**e + 1:
+        if dio.count_zeros_Pa(p, n, k, a) == p**e + 1:
             picked.append((p, n, k, a))
     ok = len(picked) == 20
     for p, n, k, a in picked:

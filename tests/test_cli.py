@@ -140,6 +140,12 @@ def test_verify_failed_precondition_exit1(capsys):
 def test_verify_missing_args_exit2(capsys):
     code, _ = run(capsys, "verify", "cor3.1")
     assert code == 2
+    # a table suite with no published row for s has nothing to check
+    assert main(["verify", "thm5.1", "--s", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: thm5.1 has no published binary row for s=3; "
+                            "published s: 4, 5, 6\n")
 
 
 def test_unknown_theorem_exit2(capsys):
@@ -412,6 +418,21 @@ def test_bad_budget_exit2(argv, env, capsys, monkeypatch):
     if env is not None:
         monkeypatch.setenv("WORKBENCH_BUDGET", env)
     assert main([*argv, "field", "3", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["field", "2", "0"],
+    ["subfield", "--q", "9", "--h", "3", "--t", "0"],
+    ["subfield", "--q", "9", "--h", "3", "--t", "-1"],
+    ["design", "--q", "9", "--h", "3", "--weight", "4", "--t", "0"],
+    ["design", "--q", "9", "--h", "3", "--weight", "4", "--t", "-1"],
+    ["--seed", "-1", "verify", "lemmas"],
+], ids=["field-m0", "subfield-t0", "subfield-t-neg", "design-t0", "design-t-neg", "seed-neg"])
+def test_bad_parameter_exit2(argv, capsys):
+    assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")

@@ -4,6 +4,7 @@ from math import gcd
 import numpy as np
 import pytest
 
+from codebench.codes import trace_dual
 from codebench.cyclotomic import (
     Poly,
     coset,
@@ -14,7 +15,13 @@ from codebench.cyclotomic import (
     poly_lcm,
     splitting_field,
 )
-from codebench.errors import DivisionByZero, NotCoprime, NotPrimitiveRoot, SpecMismatch
+from codebench.errors import (
+    DegenerateDimension,
+    DivisionByZero,
+    NotCoprime,
+    NotPrimitiveRoot,
+    SpecMismatch,
+)
 from codebench.galois import field_new, prime_power
 
 
@@ -62,9 +69,9 @@ def test_coset_serialization():
 
 def test_minimal_poly_gf2_n3():
     big, beta = splitting_field(2, 3)
-    m = minimal_poly(beta, coset(3, 2, 1))
+    m = minimal_poly(big, beta, coset(3, 2, 1))
     assert m.coeffs == (1, 1, 1)  # x^2 + x + 1
-    m0 = minimal_poly(beta, coset(3, 2, 0))
+    m0 = minimal_poly(big, beta, coset(3, 2, 0))
     assert m0.coeffs == (1, 1)  # x + 1
 
 
@@ -74,14 +81,14 @@ def test_minimal_poly_product_is_xn_minus_1():
         base = field_new(*prime_power(q))
         prod = Poly.one(base)
         for c in coset_leaders(n, q):
-            prod = prod * minimal_poly(beta, c)
+            prod = prod * minimal_poly(big, beta, c)
         assert prod.coeffs == Poly.x_pow_n_minus_1(base, n).coeffs
 
 
 def test_minimal_polys_irreducible_and_coprime():
     big, beta = splitting_field(2, 33)
     base = field_new(2, 1)
-    polys = [minimal_poly(beta, c) for c in coset_leaders(33, 2)]
+    polys = [minimal_poly(big, beta, c) for c in coset_leaders(33, 2)]
     for m in polys:
         if m.degree >= 2:
             assert all(m.eval(x) != 0 for x in range(2))
@@ -91,9 +98,9 @@ def test_minimal_polys_irreducible_and_coprime():
 
 def test_minimal_poly_rejects_non_primitive_root():
     big, beta = splitting_field(2, 33)
-    bad = big.element(big.pow(beta.rep, 3))  # order 11, not 33
+    bad = big.pow(beta, 3)  # order 11, not 33
     with pytest.raises(NotPrimitiveRoot):
-        minimal_poly(bad, coset(33, 2, 1))
+        minimal_poly(big, bad, coset(33, 2, 1))
 
 
 def test_poly_ring_ops():
@@ -112,8 +119,8 @@ def test_poly_ring_ops():
 
 def test_generator_divides_xn_minus_1():
     big, beta = splitting_field(9, 10)
-    m3 = minimal_poly(beta, coset(10, 9, 3))
-    m4 = minimal_poly(beta, coset(10, 9, 4))
+    m3 = minimal_poly(big, beta, coset(10, 9, 3))
+    m4 = minimal_poly(big, beta, coset(10, 9, 4))
     base = field_new(3, 2)
     xn1 = Poly.x_pow_n_minus_1(base, 10)
     assert (xn1 % m3).is_zero
@@ -131,3 +138,7 @@ def test_poly_lcm_dedups_equal_factors():
 def test_multiplicative_order():
     assert multiplicative_order(9, 10) == 2
     assert multiplicative_order(2, 33) == 10
+    assert multiplicative_order(2, 1) == 1
+    # so length 1 reaches the coset check: modulo 1, C_0 = C_1 = {0}
+    with pytest.raises(DegenerateDimension):
+        trace_dual(4, 0, 1)

@@ -2,7 +2,6 @@ import re
 from collections import Counter
 from itertools import chain, combinations
 from math import comb
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -57,7 +56,7 @@ def scalar_weight4_blocks(q, h):
     pi = p ** trace_dual(q, h).i
     n = q + 1
     f2 = field_for_order(q * q)
-    u = np.array(unit_circle(f2).elements, dtype=np.int64)
+    u = unit_circle(f2)
     u_pi = f2.pow_arr(u, pi)
     u_pi1 = f2.mul_arr(u_pi, u)
     rows = np.vstack([np.ones(n, dtype=np.int64), u, u_pi, u_pi1])
@@ -96,7 +95,7 @@ def all_triples_weight4_blocks(q, h):
     pi = prime_power(q)[0] ** trace_dual(q, h).i
     n = q + 1
     f2 = field_for_order(q * q)
-    u = np.array(unit_circle(f2).elements, dtype=np.int64)
+    u = unit_circle(f2)
     u_pi = f2.pow_arr(u, pi)
     rows = np.vstack([np.ones(n, dtype=np.int64), u, u_pi, f2.mul_arr(u_pi, u)])
     quads = designs._quartic_zero_blocks(f2, rows, ksubsets(n, 3))
@@ -497,8 +496,7 @@ def test_det_route_needs_cyclic_rows(monkeypatch):
     perm = [0, 2, 1, *range(3, 10)]
     want = sorted(tuple(sorted(perm[x] for x in blk)) for blk in all_triples_weight4_blocks(9, 3))
     real = designs.unit_circle
-    monkeypatch.setattr(designs, "unit_circle",
-                        lambda f2: SimpleNamespace(elements=[real(f2).elements[j] for j in perm]))
+    monkeypatch.setattr(designs, "unit_circle", lambda f2: real(f2)[perm])
     with pytest.raises(InvalidParameters, match="cyclic shift"):
         weight4_blocks_det(9, 3)
     monkeypatch.setattr(designs, "require_cyclic", lambda mat, field: None)
@@ -679,7 +677,7 @@ def through_zero_det_blocks(q, h):
     multiplier used."""
     td = trace_dual(q, h)
     n, f2 = q + 1, td.big
-    u = np.array(unit_circle(f2).elements, dtype=np.int64)
+    u = unit_circle(f2)
     u_pi = f2.pow_arr(u, td.p_i)
     rows = np.vstack([np.ones(n, dtype=np.int64), u, u_pi, f2.mul_arr(u_pi, u)])
     require_cyclic(rows, f2)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from codebench import galois
+from codebench.codes import trace_dual
 from codebench.errors import (
     BudgetExceeded,
     DivisionByZero,
@@ -12,7 +13,6 @@ from codebench.errors import (
     NotPrimitiveRoot,
     NotSquareField,
     ResourceCap,
-    SpecMismatch,
 )
 from codebench.galois import (
     Field,
@@ -33,6 +33,7 @@ from codebench.galois import (
     trace_kernel_logs,
     unit_circle,
 )
+from codebench.verify import valid_instances
 
 
 # independent oracle: naive polynomial arithmetic over GF(p), order of x checked
@@ -377,20 +378,25 @@ def test_subfield_copy_size(q):
 
 def test_unit_circle_gf4():
     circle = unit_circle(field_new(2, 2))
-    assert len(circle.elements) == 3
-    assert circle.elements[0] == 1
+    assert len(circle) == 3
+    assert circle[0] == 1
 
 
 def test_unit_circle_gf81():
     f = field_new(3, 4)
     circle = unit_circle(f)
-    assert len(circle.elements) == 10
-    for u in circle.elements:
+    assert len(circle) == 10
+    for u in circle.tolist():
         assert f.pow(u, 10) == 1
         assert f.mul(f.pow(u, 9), u) == 1  # u^q = u^-1
     # exactly the roots of X^(q+1) - 1
     reps = np.arange(f.q, dtype=np.int64)
     assert int((f.pow_arr(reps, 10) == 1).sum()) == 10
+    # point i is gamma^i, coordinate i of the trace dual, for one family
+    # instance per q: thm4.3 matches circle-indexed blocks to code blocks
+    for q in (4, 9, 16, 25, 27, 64, 81, 125):
+        td = trace_dual(q, valid_instances(q)[0][2])
+        assert np.array_equal(unit_circle(td.big), td._root_powers(1)), q
 
 
 def test_unit_circle_requires_square_field():
@@ -496,7 +502,7 @@ def _scalar_embedding(big, small):
     if mids:
         mid = Field(big.p, mids[-1])
         table = _scalar_embedding(big, mid)[1][_scalar_embedding(mid, small)[1]]
-        return (int(table[small.alpha.rep]) if small.q > 2 else 1), table
+        return (int(table[small.exp[1]]) if small.q > 2 else 1), table
     ratio = (big.q - 1) // (small.q - 1)
     if big is small:
         gamma = int(big.exp[1 % (big.q - 1)]) if big.q > 2 else 1
@@ -561,18 +567,6 @@ def test_project_outside_subfield():
     outside = next(x for x in range(81) if big.pow(x, 9) != x)
     with pytest.raises(NotInSubfield):
         emb.project(outside)
-
-
-def test_element_ops_and_spec_mismatch():
-    f9, f16 = field_new(3, 2), field_new(2, 4)
-    a = f9.element(5)
-    b = f9.element(7)
-    assert int(a + b) == f9.add(5, 7)
-    assert int(a * b) == f9.mul(5, 7)
-    assert int(a - a) == 0
-    assert int(a / a) == 1
-    with pytest.raises(SpecMismatch):
-        _ = a + f16.element(3)
 
 
 def test_construction_errors():
