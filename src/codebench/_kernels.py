@@ -90,6 +90,15 @@ def weight_counts(gen_matrix: np.ndarray, field) -> np.ndarray:
     return counts
 
 
+def trace_orbits(qm: int, q: int, n: int, t: int) -> int:
+    """g = gcd((q^m-1)/(q-1), e t), e = (q^m-1)/n, qm = q^m: the orbits of
+    the scalar/shift group on the words c_(a,b), a != 0, of the trace code
+    at offset t (see ``trace_orbit_counts``).  At t = h+1 it counts the
+    orbits on b != 0 at offset h."""
+    order = qm - 1
+    return gcd(order // (q - 1), order // n * t % order)
+
+
 def trace_orbit_counts(big, q: int, n: int, h: int) -> np.ndarray:
     """Exact counts (A_0..A_n) over the words c_(a,b), a != 0, of the trace
     code c_(a,b)[i] = Tr(a gamma^(h i) + b gamma^((h+1) i)), i < n, where
@@ -109,7 +118,7 @@ def trace_orbit_counts(big, q: int, n: int, h: int) -> np.ndarray:
     order = big.q - 1
     e = order // n
     eh = e * h % order
-    orbits = gcd(order // (q - 1), eh)
+    orbits = trace_orbits(big.q, q, n, h)
     kernel_logs = trace_kernel_logs(big, q)
     i = np.arange(n, dtype=np.int64)
     # a few coordinates i at a time, so no n x |K| array is held

@@ -222,8 +222,8 @@ def _cmd_design(args) -> int:
 
 def _cmd_subfield(args) -> int:
     if args.tables or args.q is None:
-        labels = (args.label,) if args.label else None
-        reports = subfield_mod.report_tables(budget=args.budget, labels=labels)
+        rows = [row for row in subfield_mod.table_rows() if args.label in (None, row[0])]
+        reports = subfield_mod.report_tables(rows, budget=args.budget)
         if args.format == "json":
             _emit(subfield_mod.reports_json(reports), args)
         elif args.format == "csv":

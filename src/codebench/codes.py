@@ -6,7 +6,10 @@ generator/check matrices as cyclic shift staircases.  For delta = 3 and
 two distinct cosets C_h, C_(h+1) of size m, the dual is also available as
 the two-term trace code {c_(a,b)} (for n = q + 1, over the unit circle),
 which is the representation all weight/design verifications cross-check
-against.
+against.  The two offset families of the paper, h = (q - p^i)/2 and
+h = (p^i - 1)/2 for 0 < i < s, live here too: ``family_offset`` and
+``valid_instances`` map (family, i) to h, and ``classify_h`` looks h up
+among them.
 """
 from __future__ import annotations
 
@@ -25,6 +28,7 @@ from .errors import (
     DegenerateDimension,
     InvalidParameters,
     NotCoprime,
+    WorkbenchError,
     count_text,
 )
 from .galois import (
@@ -50,7 +54,7 @@ class CodeSpec:
 
     def __post_init__(self):
         if gcd(self.n, self.q) != 1:
-            raise NotCoprime((self.n, self.q))
+            raise NotCoprime(self.n, self.q)
         if not 2 <= self.delta <= self.n:
             raise InvalidParameters("need 2 <= delta <= n")
         if self.h < 0:
@@ -60,30 +64,38 @@ class CodeSpec:
         return {"q": self.q, "n": self.n, "delta": self.delta, "h": self.h}
 
 
-def classify_h(q: int, h: int) -> tuple[str, int | None]:
-    """Detect which h-family (if either) the offset belongs to.
-
-    Family 1: h = (q - p^i)/2 for 0 < i < s, any p.
-    Family 2: h = (p^i - 1)/2 for 0 < i < s, odd p.
-    """
+def family_offset(q: int, i: int, family: str) -> int:
+    """The offset h = (q - p^i)/2 (q-minus-pi) or (p^i - 1)/2 (pi-minus-1,
+    odd p only) for q = p^s and 0 < i < s; q - p^i = p^i (p^(s-i) - 1) is
+    even for every p."""
     p, s = prime_power(q)
-    t = q - 2 * h
-    if t > 1:
-        i = 0
-        while t % p == 0:
-            t //= p
-            i += 1
-        if t == 1 and 0 < i < s:
-            return FAMILY_Q_MINUS_PI, i
-    if p != 2:
-        t = 2 * h + 1
-        i = 0
-        while t % p == 0:
-            t //= p
-            i += 1
-        if t == 1 and 0 < i < s:
-            return FAMILY_PI_MINUS_1, i
-    return FAMILY_GENERIC, None
+    if not 0 < i < s:
+        raise WorkbenchError(f"need 0 < i < s, got i={i}, s={s}")
+    if family == FAMILY_Q_MINUS_PI:
+        return (q - p**i) // 2
+    if family == FAMILY_PI_MINUS_1:
+        if p == 2:
+            raise WorkbenchError("family pi-minus-1 needs odd p")
+        return (p**i - 1) // 2
+    raise WorkbenchError(f"unknown family {family}")
+
+
+def valid_instances(q: int) -> list[tuple[str, int, int]]:
+    """All (family, i, h) with a 4-dimensional dual for this q."""
+    p, s = prime_power(q)
+    out = []
+    for i in range(1, s):
+        out.append((FAMILY_Q_MINUS_PI, i, (q - p**i) // 2))
+        if p != 2:
+            out.append((FAMILY_PI_MINUS_1, i, (p**i - 1) // 2))
+    return out
+
+
+def classify_h(q: int, h: int) -> tuple[str, int | None]:
+    """(family, i) of the offset h among ``valid_instances(q)``, or
+    (generic, None) when h is in neither family."""
+    return next(((f, i) for f, i, offset in valid_instances(q) if offset == h),
+                (FAMILY_GENERIC, None))
 
 
 # ---------------------------------------------------------------------------
@@ -407,11 +419,10 @@ class TraceDualSpec:
 
     def orbit_counts(self) -> tuple[int, int]:
         """(g_a, g_b): g_a = gcd((q^m-1)/(q-1), e h) orbits of the
-        scalar/shift group on a != 0 (see ``kernels.trace_orbit_counts``),
-        and g_b = gcd((q^m-1)/(q-1), e (h+1)) on b != 0."""
-        order = self.q**self.m - 1
-        e = order // self.n
-        return tuple(gcd(order // (self.q - 1), e * t % order) for t in (self.h, self.h + 1))
+        scalar/shift group on a != 0 (see ``kernels.trace_orbits``), and
+        g_b = gcd((q^m-1)/(q-1), e (h+1)) on b != 0."""
+        return tuple(kernels.trace_orbits(self.q**self.m, self.q, self.n, t)
+                     for t in (self.h, self.h + 1))
 
     def orbit_count(self) -> int:
         """g = min(g_a, g_b), the orbits of the side that the count reduces."""

@@ -24,7 +24,7 @@ from .galois import (
 
 def multiplicative_order(q: int, n: int) -> int:
     if gcd(q, n) != 1:
-        raise NotCoprime((q, n))
+        raise NotCoprime(n, q)
     m, x = 1, q % n
     while x != 1 % n:
         x = x * q % n
@@ -53,7 +53,7 @@ class CyclotomicCoset:
 def coset(n: int, q: int, s: int) -> CyclotomicCoset:
     """Orbit of s under multiplication by q modulo n."""
     if gcd(n, q) != 1:
-        raise NotCoprime((n, q))
+        raise NotCoprime(n, q)
     s %= n
     members = {s}
     x = s * q % n
@@ -67,7 +67,7 @@ def coset(n: int, q: int, s: int) -> CyclotomicCoset:
 def coset_leaders(n: int, q: int) -> list[CyclotomicCoset]:
     """All distinct cosets, by increasing leader; they partition Z_n."""
     if gcd(n, q) != 1:
-        raise NotCoprime((n, q))
+        raise NotCoprime(n, q)
     seen: set[int] = set()
     out = []
     for s in range(n):

@@ -48,7 +48,8 @@ class NotInSubfield(WorkbenchError):
 
 
 class NotCoprime(WorkbenchError):
-    pass
+    def __init__(self, n: int, q: int):
+        super().__init__(f"n={n} and q={q} are not coprime")
 
 
 class NotPrimitiveRoot(WorkbenchError):

@@ -284,7 +284,7 @@ class Field:
 
     def __init__(self, p: int, m: int):
         if not is_prime(p):
-            raise NotPrime(p)
+            raise NotPrime(f"{p} is not a prime")
         if m < 1:
             raise InvalidParameters(f"extension degree must be >= 1, got {m}")
         q = p**m
@@ -500,13 +500,17 @@ class Lanes:
         # each coordinate field: its top bit, and the bits below it
         self._top = _repeated(c, per, 1 << (c - 1))
         self._low = _repeated(c, per, (1 << (c - 1)) - 1)
-        # element <-> coordinate field, by tables over groups of whole digits
-        # (at most 2^16 entries each); none where the two coincide
+        # element -> coordinate field by tables over groups of whole digits
+        # (at most 2^16 elements each), and back by tables over groups of
+        # whole digit fields (at most 2^16 bit patterns each); none where the
+        # two coincide
         self._spread: list[tuple[int, int, np.ndarray]] = []
         self._decode: list[tuple[int, int, np.ndarray]] = []
         if p == 2 or k == 1:
             return
-        group = max(1, 16 // w)
+        group = 1
+        while p ** (group + 1) <= 1 << 16:
+            group += 1
         for lo in range(0, k, group):
             d = min(group, k - lo)
             x = np.arange(p**d, dtype=np.uint64)
@@ -514,6 +518,9 @@ class Lanes:
             for i in range(d):
                 spread |= (x // p**i % p) << np.uint64(i * w)
             self._spread.append((p**lo, p**d, spread << np.uint64(lo * w)))
+        group = max(1, 16 // w)
+        for lo in range(0, k, group):
+            d = min(group, k - lo)
             v = np.arange(1 << (d * w), dtype=np.int64)
             digits = [(v >> (i * w)) & ((1 << w) - 1) for i in range(d)]
             decode = sum(dig * p ** (lo + i) for i, dig in enumerate(digits)) % field.q

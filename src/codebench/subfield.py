@@ -122,24 +122,16 @@ def table_rows():
     return list(_ROWS)
 
 
-def report_tables(
-    budget: int | None = None,
-    labels: tuple[str, ...] | None = None,
-    s_values: tuple[int, ...] | None = None,
-) -> list[SubcodeReport]:
-    """Compute every published (subcode, dual) parameter pair, and check
-    that the generic subcode system spans the same rows as the BCH
-    construction.
+def report_tables(rows, budget: int | None = None) -> list[SubcodeReport]:
+    """One report per row of ``table_rows()`` given, in their order: the
+    (subcode, dual) parameters, and whether the generic subcode system
+    spans the same rows as the BCH construction.
 
     Rows whose enumerations exceed the budget are marked skipped, never
     fabricated.
     """
     out = []
-    for label, s, t, parent_q, h, _params, _dual, note in _ROWS:
-        if labels is not None and label not in labels:
-            continue
-        if s_values is not None and s not in s_values:
-            continue
+    for _label, _s, t, parent_q, h, _params, _dual, note in rows:
         parent_spec = CodeSpec(q=parent_q, n=parent_q + 1, delta=3, h=h)
         sub = subfield_subcode_bch(parent_spec, t)
         generic = subfield_subcode_generic(bch_build(parent_spec), t)

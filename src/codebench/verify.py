@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dc_field
-from math import comb, gcd
+from math import gcd
 
 import numpy as np
 
@@ -23,10 +23,10 @@ from .codes import (
     CodeSpec,
     LinearCode,
     bch_build,
+    family_offset,
     rref,
     trace_dual,
 )
-from .config import default_budget
 from .errors import BudgetExceeded, WorkbenchError
 from .galois import field_new, prime_power
 from .weights import (
@@ -99,32 +99,6 @@ class VerificationResult:
         return json.dumps(self.to_json_dict(), indent=2)
 
 
-def family_offset(q: int, i: int, family: str) -> int:
-    p, s = prime_power(q)
-    if not 0 < i < s:
-        raise WorkbenchError(f"need 0 < i < s, got i={i}, s={s}")
-    if family == FAMILY_Q_MINUS_PI:
-        if (q - p**i) % 2:
-            raise WorkbenchError("q - p^i must be even")
-        return (q - p**i) // 2
-    if family == FAMILY_PI_MINUS_1:
-        if p == 2:
-            raise WorkbenchError("family pi-minus-1 needs odd p")
-        return (p**i - 1) // 2
-    raise WorkbenchError(f"unknown family {family}")
-
-
-def valid_instances(q: int) -> list[tuple[str, int, int]]:
-    """All (family, i, h) with a 4-dimensional dual for this q."""
-    p, s = prime_power(q)
-    out = []
-    for i in range(1, s):
-        out.append((FAMILY_Q_MINUS_PI, i, (q - p**i) // 2))
-        if p != 2:
-            out.append((FAMILY_PI_MINUS_1, i, (p**i - 1) // 2))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # parameters of the duals
 
@@ -136,7 +110,7 @@ def verify_cor31(s: int, i: int, budget=None) -> VerificationResult:
     if gcd(i, s) != 1:
         res.record("gcd(i,s)=1 precondition", False, f"gcd={gcd(i, s)}")
         return res
-    h = (q - 2**i) // 2
+    h = family_offset(q, i, FAMILY_Q_MINUS_PI)
     code = bch_build(CodeSpec(q=q, n=q + 1, delta=3, h=h))
     res.check("dimension", q - 3, code.k)
     cls = classify(code, budget=budget)
@@ -231,6 +205,7 @@ def verify_thm35(q: int, budget=None) -> VerificationResult:
     Codes with equal generator polynomials are one code, so each distance
     is enumerated once per polynomial: as q = -1 mod q+1, C_h and C_(q-h)
     have the zeros {+-h, +-(h+1)}."""
+    prime_power(q)  # refuse a q that is not a prime power before building
     res = VerificationResult("thm3.5", {"q": q})
     distances = {}
     for h in range(q + 1):
@@ -340,12 +315,11 @@ def verify_thm42(q: int, i: int, family: str, budget=None) -> VerificationResult
     if p != 3 or gcd(i, s) != 1:
         res.record("p=3, gcd(i,s)=1 precondition", False, (p, gcd(i, s)))
         return res
-    budget = default_budget() if budget is None else budget
     n = q + 1
     code = bch_build(CodeSpec(q=q, n=n, delta=3, h=h))
     # price the weight-4 and weight-5 scans, in phase order, before either runs
     designs_mod.support_route(code, 4, budget)
-    kernels.check_budget(comb(n - 1, 4), budget)
+    route5 = designs_mod.support_route(code, 5, budget)
     sup4 = designs_mod.supports_of_weight(code, 4, budget=budget)
     d4 = designs_mod.design_from_blocks(sup4.blocks, n, 3)
     res.check("S(3,4,q+1): lambda", 1, d4.lam)
@@ -359,7 +333,7 @@ def verify_thm42(q: int, i: int, family: str, budget=None) -> VerificationResult
     res.check("b = A_5 / (q-1)", a5 // (q - 1), d5.b)
     # cross-check the A_5 closed form against the enumerated distribution
     res.check("A_5 from transform", a5, weight_distribution(code, budget=budget).counts[5])
-    if code.codeword_count() <= budget:
+    if route5 == "words":
         sup5 = designs_mod.supports_of_weight(code, 5, budget=budget)
         res.check("enumerated weight-5 blocks", tuple(blocks5), tuple(sup5.blocks))
     return res
@@ -402,15 +376,10 @@ def _verify_table_rows(theorem: str, label: str, budget, s_filter=None) -> Verif
         published = sorted(row[1] for row in subfield_mod.table_rows() if row[0] == label)
         raise WorkbenchError(f"{theorem} has no published {label} row for s={s_filter}; "
                              f"published s: {', '.join(map(str, published))}")
-    reports = subfield_mod.report_tables(
-        budget=budget,
-        labels=(label,),
-        s_values=tuple(row[1] for row in rows),
-    )
-    for row_label, s, t, parent_q, h, params, dual_params, _note in rows:
+    reports = subfield_mod.report_tables(rows, budget=budget)
+    for (_label, s, t, parent_q, h, params, dual_params, _note), report in zip(rows, reports):
         dim = subfield_mod.dimension_by_cosets(parent_q, h, t)
         res.check(f"s={s}: coset dimension", params[1], dim)
-        report = next(r for r in reports if r.parent.q == parent_q and r.t == t)
         if report.skipped:
             res.record(f"s={s}: row skipped", False, report.skipped)
             continue

@@ -12,7 +12,7 @@ from codebench import designs as designs_mod
 from codebench import diophantine as dio
 from codebench import subfield as subfield_mod
 from codebench import verify as verify_mod
-from codebench.codes import CodeSpec, bch_build, trace_dual
+from codebench.codes import CodeSpec, bch_build, trace_dual, valid_instances
 from codebench.weights import classify, enumerator_formula
 
 
@@ -41,7 +41,7 @@ def test_criterion_01_mds_family():
 def _four_weight_instances():
     out = []
     for q, fams in [(9, None), (16, None), (25, None), (27, None)]:
-        out.extend((q, fam, i) for fam, i, _h in verify_mod.valid_instances(q))
+        out.extend((q, fam, i) for fam, i, _h in valid_instances(q))
     return out
 
 
@@ -93,7 +93,7 @@ def test_criterion_05_designs_thm42():
     bad = []
     for q in (9, 27):
         b4_want, b5_want, lam5_want = expected[q]
-        for family, i, h in verify_mod.valid_instances(q):
+        for family, i, h in valid_instances(q):
             n = q + 1
             code = bch_build(CodeSpec(q=q, n=n, delta=3, h=h))
             sup4 = designs_mod.supports_of_weight(code, 4)
@@ -148,7 +148,7 @@ def test_criterion_08_subfield_tables():
         (27, 1): ((28, 16, 4), (28, 12, 8)),
         (81, 1): ((82, 66, 6), (82, 16, 36)),
     }
-    reports = subfield_mod.report_tables()
+    reports = subfield_mod.report_tables(subfield_mod.table_rows())
     got = {(r.parent.q, r.t): (r.params, r.dual_params, r.generic_match)
            for r in reports if not r.skipped}
     bad = []

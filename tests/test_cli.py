@@ -436,3 +436,20 @@ def test_bad_parameter_exit2(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["coset", "0", "2"], "n=0 and q=2 are not coprime"),
+    (["field", "1", "2"], "1 is not a prime"),
+    (["build", "9", "0", "3", "3"], "n=0 and q=9 are not coprime"),
+    (["wdist", "--q", "9", "--h", "3", "--n", "0"], "n=0 and q=9 are not coprime"),
+    (["classify", "--q", "9", "--h", "3", "--n", "3"], "n=3 and q=9 are not coprime"),
+    # the suites check q before they build a code
+    (["verify", "cor3.1", "--s", "0", "--i", "1"], "1 is not a prime power"),
+    (["verify", "thm3.5", "--q", "1"], "1 is not a prime power"),
+], ids=["coset-n0", "field-p1", "build-n0", "wdist-n0", "classify-n3", "cor3.1-s0", "thm3.5-q1"])
+def test_usage_error_names_the_values(argv, err, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {err}\n"

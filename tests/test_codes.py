@@ -16,6 +16,7 @@ from codebench.codes import (
     rref,
     same_row_space,
     trace_dual,
+    valid_instances,
 )
 from codebench.cyclotomic import coset
 from codebench.designs import weight4_blocks_det
@@ -25,11 +26,11 @@ from codebench.galois import (
     factorize,
     field_for_order,
     field_new,
+    prime_power,
     subfield_embedding,
     trace_arr,
     unit_circle,
 )
-from codebench.verify import valid_instances
 from codebench.weights import verify_four_weight
 
 
@@ -51,6 +52,38 @@ def test_family_detection():
     assert classify_h(16, 4) == ("q-minus-pi", 3)
     assert classify_h(9, 2) == ("generic", None)
     assert classify_h(16, 0) == ("generic", None)
+
+
+def classify_h_by_digits(q, h):
+    """The family of h read off the base-p digits of q - 2h and 2h + 1, as
+    codes.classify_h did before it became a lookup."""
+    p, s = prime_power(q)
+    t = q - 2 * h
+    if t > 1:
+        i = 0
+        while t % p == 0:
+            t //= p
+            i += 1
+        if t == 1 and 0 < i < s:
+            return "q-minus-pi", i
+    if p != 2:
+        t = 2 * h + 1
+        i = 0
+        while t % p == 0:
+            t //= p
+            i += 1
+        if t == 1 and 0 < i < s:
+            return "pi-minus-1", i
+    return "generic", None
+
+
+def test_family_lookup_matches_digit_oracle():
+    # every h <= 2q+2 at every prime power q <= 1024
+    qs = [q for q in range(2, 1025) if len(factorize(q)) == 1]
+    assert len(qs) == 198
+    for q in qs:
+        for h in range(2 * q + 3):
+            assert classify_h(q, h) == classify_h_by_digits(q, h), (q, h)
 
 
 def test_generator_matrix_annihilates_check_matrix():

@@ -14,6 +14,7 @@ from codebench.codes import (
     bch_build,
     require_cyclic,
     trace_dual,
+    valid_instances,
 )
 from codebench import _kernels as kernels
 from codebench.designs import (
@@ -40,7 +41,6 @@ from codebench.galois import (
     subfield_embedding,
     unit_circle,
 )
-from codebench.verify import valid_instances
 
 
 def through_zero(n, k):

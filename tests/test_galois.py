@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from codebench import galois
-from codebench.codes import trace_dual
+from codebench.codes import trace_dual, valid_instances
 from codebench.errors import (
     BudgetExceeded,
     DivisionByZero,
@@ -33,7 +33,6 @@ from codebench.galois import (
     trace_kernel_logs,
     unit_circle,
 )
-from codebench.verify import valid_instances
 
 
 # independent oracle: naive polynomial arithmetic over GF(p), order of x checked
@@ -282,7 +281,7 @@ def test_lanes_match_array_ops_small_fields():
 @pytest.mark.parametrize("p,m", [
     (1048573, 1),  # w = c = 21: three coordinates fill 63 bits of a lane
     pytest.param(2, 24, marks=pytest.mark.slow),  # c = 24, two coordinates a lane
-    pytest.param(3, 15, marks=pytest.mark.slow),  # c = 45, three digit tables
+    pytest.param(3, 15, marks=pytest.mark.slow),  # c = 45: two spread, three decode tables
 ])
 def test_lanes_match_array_ops_large_fields(p, m):
     _check_lanes(Field(p, m), np.random.default_rng(p + m), rows=64)

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from codebench import _kernels as kernels
-from codebench.codes import CodeSpec, bch_build, nullspace, rref, trace_dual
+from codebench.codes import CodeSpec, bch_build, nullspace, rref, trace_dual, valid_instances
 from codebench.galois import field_new, prime_power, trace_kernel_logs
-from codebench.verify import valid_instances
 from codebench.weights import enumerator_formula
 
 def brute_counts(G, field, n):

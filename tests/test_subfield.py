@@ -249,8 +249,12 @@ def test_degenerate_binary_s4():
     assert macwilliams(wd).d() == 2
 
 
+def _rows(labels, s_values):
+    return [row for row in table_rows() if row[0] in labels and row[1] in s_values]
+
+
 def test_report_rows_small():
-    reports = report_tables(labels=("ternary",), s_values=(2, 3))
+    reports = report_tables(_rows(("ternary",), (2, 3)))
     by_q = {r.parent.q: r for r in reports}
     assert by_q[9].params == (10, 2, 5) and by_q[9].dual_params == (10, 8, 2)
     assert by_q[27].params == (28, 16, 4) and by_q[27].dual_params == (28, 12, 8)
@@ -258,7 +262,7 @@ def test_report_rows_small():
 
 
 def test_report_skip_on_budget():
-    reports = report_tables(budget=100, labels=("ternary",), s_values=(2, 4))
+    reports = report_tables(_rows(("ternary",), (2, 4)), budget=100)
     by_q = {r.parent.q: r for r in reports}
     assert by_q[9].params == (10, 2, 5)  # small row still fits
     assert by_q[81].skipped is not None
@@ -266,7 +270,7 @@ def test_report_skip_on_budget():
 
 
 def test_report_emitters():
-    reports = report_tables(labels=("ternary",), s_values=(2,))
+    reports = report_tables(_rows(("ternary",), (2,)))
     csv = report_csv(reports)
     assert csv.splitlines()[0].startswith("parent_q,h,t,")
     assert "9,3,1,10,2,5,10,8,2" in csv
@@ -276,7 +280,7 @@ def test_report_emitters():
 
 
 def test_delsarte_bounds_and_distance_dominance():
-    reports = report_tables(labels=("ternary", "quaternary"), s_values=(2, 3, 4))
+    reports = report_tables(_rows(("ternary", "quaternary"), (2, 3, 4)))
     for r in reports:
         if r.skipped or r.t == 0:
             continue

@@ -7,14 +7,21 @@ import pytest
 from codebench import diophantine as dio
 from codebench import verify
 from codebench.cli import main
-from codebench.codes import CodeSpec, LinearCode, TraceDualSpec, bch_build, rref, trace_dual
+from codebench.codes import (
+    CodeSpec,
+    LinearCode,
+    TraceDualSpec,
+    bch_build,
+    family_offset,
+    rref,
+    trace_dual,
+    valid_instances,
+)
 from codebench.errors import WorkbenchError
 from codebench.galois import Field
 from codebench.verify import (
     VerificationResult,
-    family_offset,
     run_suite,
-    valid_instances,
     verify_cor32,
     verify_cor33,
     verify_thm31,

@@ -14,6 +14,7 @@ from codebench.codes import (
     orthogonal,
     rank,
     trace_dual,
+    valid_instances,
 )
 from codebench.cyclotomic import multiplicative_order
 from codebench.errors import (
@@ -24,7 +25,7 @@ from codebench.errors import (
 )
 from codebench.galois import factorize, field_new, prime_power
 from codebench.subfield import report_tables, table_rows
-from codebench.verify import run_suite, valid_instances
+from codebench.verify import run_suite
 from codebench.weights import (
     WeightDistribution,
     classify,
@@ -387,7 +388,7 @@ def test_orbit_route_charge():
         with pytest.raises(BudgetExceeded, match=f"trace orbit={charge}"):
             weight_distribution(code, budget=charge - 1)
         assert weight_distribution(code, budget=charge).d() == 4
-    (row,) = report_tables(budget=100, labels=("ternary",), s_values=(4,))
+    (row,) = report_tables([SUBFIELD_ROWS["ternary", 4]], budget=100)
     assert row.params is None and "trace orbit=531441" in row.skipped
 
 
