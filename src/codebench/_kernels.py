@@ -12,17 +12,23 @@ Three kernels dominate every long run:
   representative of a per class of the weight-preserving scalar/shift
   group, on the field's log/Zech arrays and the logs of ker Tr, with no
   dense table.
-* ``scan_supports`` — for 4- or 5-column submatrices of a 4-row parity
-  matrix over GF(q^2), classify the nullspace and extract the unique
-  projective nullvector where it exists, through vectorised adjugate
-  minors instead of per-subset elimination.  The minors (``_det``, also
-  the cofactors of ``designs.weight4_blocks_det``) are computed on logs
-  with the field's log-domain ops, in chunks of subsets, with no dense
+* ``scan_supports`` — for 2- to 5-column submatrices of a 4-row parity
+  matrix over GF(q^2), or of each matrix of a stack of them, classify the
+  nullspace and extract the unique projective nullvector where it exists,
+  through vectorised minors instead of per-subset elimination.  A
+  submatrix is singular when all its s x s minors vanish, each computed
+  only where the ones before it vanished, and its nullvector is a
+  cofactor vector.  The minors (``_det``, also the cofactors of
+  ``designs.weight4_blocks_det``) are computed on logs with the field's
+  log-domain ops, in chunks of (matrix, subset) pairs, with no dense
   table, so it runs over GF(q^2) for every q (GF(6561) at q = 81).  The
   design routes hand it one subset through 0 per orbit of the
   Frobenius-twisted multiplier i -> p i, which the proved shift implies
   (``designs._orbit_least``), about 1/(2s) of the C(n-1, k-1) they are
-  charged for, a chunk at a time.
+  charged for, a chunk at a time.  ``weights.distance_is_three`` hands it
+  the stacked parity rows of every undecided code of ``thm3.5`` with the
+  pairs through 0, then with chunks of one triple per orbit of the
+  rotations and multipliers (``designs._triple_orbit_least``).
 
 Every kernel indexes the one set of log/antilog/Zech arrays that
 ``galois.Field`` holds.  The tests check each kernel against an
@@ -32,7 +38,7 @@ emission.
 """
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations, product
 from math import gcd
 
 import numpy as np
@@ -142,65 +148,89 @@ def trace_orbit_counts(big, q: int, n: int, h: int) -> np.ndarray:
 
 
 def scan_supports(H: np.ndarray, combos: np.ndarray, field2) -> tuple[np.ndarray, np.ndarray]:
-    """Classify null(H[:, combo]) for each combo.
+    """Classify null(H[:, combo]) for each combo of 2 to 5 columns.
 
+    H is one r x n matrix or a stack (c, r, n) of them; the results then
+    run over the (matrix, combo) pairs, matrix-major, one flat row each.
     Returns (flags, nulls).  Flag meanings: 0 trivial nullspace, 1 unique
     projective nullvector with all entries nonzero (nulls row holds it,
     normalised to leading coefficient 1), 2 unique nullvector with a zero
     entry, 3 nullspace dimension >= 2.  The minors are computed on logs
-    (see ``galois.Field``), in chunks of combos.
+    (see ``galois.Field``), in chunks of pairs.
     """
     combos = np.ascontiguousarray(combos, dtype=np.int64)
     N, s = combos.shape
-    if s not in (4, 5):
-        raise ValueError("scan_supports handles 4 or 5 columns")
-    flags = np.zeros(N, dtype=np.int8)
-    nulls = np.zeros((N, s), dtype=np.int32)
-    LH = field2.log[H]
-    step = max(1, _CHUNK_ELEMS // 64)
+    if not 2 <= s <= 5:
+        raise ValueError("scan_supports handles 2 to 5 columns")
+    H = np.asarray(H)
+    H = H[None] if H.ndim == 2 else H
+    c, r, _ = H.shape
+    flags = np.zeros(c * N, dtype=np.int8)
+    nulls = np.zeros((c * N, s), dtype=np.int32)
+    step = max(1, _CHUNK_ELEMS // (64 * c))
     for lo in range(0, N, step):
-        A = LH[:, combos[lo : lo + step]].transpose(1, 0, 2)  # (chunk, 4, s)
-        flags[lo : lo + step], nulls[lo : lo + step] = _classify(A, field2)
+        part = combos[lo : lo + step]
+        # X[i, j] holds the logs of entry (i, j) of every (matrix, combo)
+        # pair of this chunk, matrix-major, so each entry is one contiguous row
+        X = np.empty((r, s, c * len(part)), dtype=field2.log.dtype)
+        for i in range(r):
+            for j in range(s):
+                field2.log.take(H[:, i, part[:, j]], out=X[i, j].reshape(c, -1))
+        at = (np.arange(c)[:, None] * N + np.arange(lo, lo + len(part))).ravel()
+        flags[at], nulls[at] = _classify(X.transpose(2, 0, 1), field2)
     return flags, nulls
 
 
 def _classify(A: np.ndarray, field) -> tuple[np.ndarray, np.ndarray]:
-    """(flags, nulls) of ``scan_supports`` for one chunk of 4 x s log matrices."""
-    N, _, s = A.shape
+    """(flags, nulls) of ``scan_supports`` for one chunk of r x s log matrices.
+
+    A matrix is singular when all its s x s minors vanish; each is computed
+    only where the ones before it vanished (``_singular``).  The
+    cofactors along s-1 rows, where not all zero, are a nullvector of those
+    rows, which then span the row space of a rank s-1 matrix: so they are
+    its nullvector, and a singular matrix with none has nullity >= 2."""
+    N, r, s = A.shape
     z = field.log_zero
     flags = np.zeros(N, dtype=np.int8)
-    rows4 = (0, 1, 2, 3)
-    memo: dict = {}
-    if s == 4:
-        sing = _det(A, rows4, rows4, field, memo) == z
-        # adjugate: cofactor vectors along each row are nullvectors
-        best = np.full((N, 4), z, dtype=np.int64)
-        have = np.zeros(N, dtype=bool)
-        for i0 in rows4:
-            rows3 = tuple(r for r in rows4 if r != i0)
-            v = np.empty((N, 4), dtype=np.int64)
-            for j in range(4):
-                minor = _det(A, rows3, tuple(c for c in rows4 if c != j), field, memo)
-                v[:, j] = field.neg_logs(minor) if (i0 + j) % 2 == 1 else minor
-            take = sing & (v != z).any(axis=1) & ~have
-            best[take] = v[take]
-            have |= take
-        flags[sing & ~have] = 3
-        vec = best
-    else:
-        vec = np.empty((N, 5), dtype=np.int64)
-        for j in range(5):
-            m = _det(A, rows4, tuple(c for c in range(5) if c != j), field, memo)
-            vec[:, j] = field.neg_logs(m) if j % 2 == 1 else m
-        have = (vec != z).any(axis=1)  # rank 4
-        flags[~have] = 3
-    full = have & (vec != z).all(axis=1)
-    flags[full] = 1
-    flags[have & ~full] = 2
-    # nullvectors normalised to leading coefficient 1
     nulls = np.zeros((N, s), dtype=np.int32)
-    nulls[full] = field.exp[(vec[full] - vec[full, :1]) % (field.q - 1)]
+    sing = _singular(A, field)
+    B = A if len(sing) == N else A[sing]
+    cols = tuple(range(s))
+    vec = np.full((len(B), s), z, dtype=np.int64)
+    have = np.zeros(len(B), dtype=bool)
+    memo: dict = {}
+    for rows in combinations(range(r), s - 1):
+        if have.all():
+            break
+        v = np.empty((len(B), s), dtype=np.int64)
+        for j in cols:
+            minor = _det(B, rows, cols[:j] + cols[j + 1 :], field, memo)
+            v[:, j] = field.neg_logs(minor) if j % 2 == 1 else minor
+        take = ~have & (v != z).any(axis=1)
+        vec[take] = v[take]
+        have |= take
+    flags[sing[~have]] = 3
+    full = have & (vec != z).all(axis=1)
+    flags[sing[full]] = 1
+    flags[sing[have & ~full]] = 2
+    # nullvectors normalised to leading coefficient 1
+    nulls[sing[full]] = field.exp[(vec[full] - vec[full, :1]) % (field.q - 1)]
     return flags, nulls
+
+
+def _singular(A: np.ndarray, field) -> np.ndarray:
+    """The indices of the stacked r x s log matrices whose s x s minors all
+    vanish (rank < s; every matrix when s > r), each minor computed only
+    where the ones before it vanished."""
+    N, r, s = A.shape
+    live = np.arange(N)
+    cols = tuple(range(s))
+    for rows in combinations(range(r), s):
+        if not len(live):
+            break
+        sub = A if len(live) == N else A[live]
+        live = live[_det(sub, rows, cols, field, {}) == field.log_zero]
+    return live
 
 
 def _det(A, rows, cols, field, memo):

@@ -174,11 +174,32 @@ def require_cyclic(mat: np.ndarray, field: Field) -> None:
     """Prove that the row space of mat is closed under the cyclic shift
     i -> i+1 mod n of its columns (so is its nullspace, and with it the
     supports of the code that mat generates or checks); raise
-    InvalidParameters if it is not."""
+    InvalidParameters if it is not.
+
+    Rows of evaluations gamma^(t i), such as parity rows, are eigenvectors
+    of the shift, which maps each to a multiple of itself: that is proved
+    on logs in O(rows n) (``_shift_eigenrows``).  Any other matrix gets the
+    rank comparison."""
     # a column permutation keeps the rank r, so the two row spaces agree
     # exactly when the stack has rank r
-    if rank(np.vstack([np.roll(mat, 1, axis=1), mat]), field) != rank(mat, field):
+    if not _shift_eigenrows(mat, field) and (
+        rank(np.vstack([np.roll(mat, 1, axis=1), mat]), field) != rank(mat, field)
+    ):
         raise InvalidParameters("the row space is not closed under the cyclic shift")
+
+
+def _shift_eigenrows(mat: np.ndarray, field: Field) -> bool:
+    """Whether every row of mat is zero, or has no zero entry and one log
+    step between every two cyclically adjacent columns; then the shift
+    maps the row r to c r, c = r[n-1] / r[0], and the row space to itself."""
+    L = field.log[np.asarray(mat, dtype=np.int64)]
+    zero = L == field.log_zero
+    some = zero.any(axis=1)
+    if (some & ~zero.all(axis=1)).any():
+        return False
+    live = L[~some]
+    step = (np.roll(live, -1, axis=1) - live) % (field.q - 1)
+    return bool((step == step[:, :1]).all())
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +342,15 @@ def dump_codewords(code: LinearCode, budget: int | None = None) -> str:
 # trace representation of the dual of a two-coset BCH code
 
 
+def root_powers(big: Field, n: int, ts) -> np.ndarray:
+    """The rows gamma^(t i), i < n, over big, one for each t of the array
+    ts (one row for a scalar t), where gamma = alpha^((|big| - 1)/n) is the
+    primitive n-th root of unity of the BCH construction."""
+    order = big.q - 1
+    e = np.asarray(ts, dtype=np.int64) % n * (order // n)
+    return big.exp[e[..., None] * np.arange(n) % order]
+
+
 class TraceDualSpec:
     """Generator of the dual codewords c_(a,b) of C_(q,n,3,h) via the trace.
 
@@ -361,17 +391,11 @@ class TraceDualSpec:
 
     @cached_property
     def _bh(self) -> np.ndarray:
-        return self._root_powers(self.h)
+        return root_powers(self.big, self.n, self.h)
 
     @cached_property
     def _bh1(self) -> np.ndarray:
-        return self._root_powers(self.h + 1)
-
-    def _root_powers(self, t: int) -> np.ndarray:
-        """gamma^(t i) for i < n, over ``big``."""
-        order = self.big.q - 1
-        i = np.arange(self.n, dtype=np.int64)
-        return self.big.exp[(order // self.n * t % order) * i % order]
+        return root_powers(self.big, self.n, self.h + 1)
 
     def _family_i(self) -> int:
         if self.i is None:
@@ -395,8 +419,8 @@ class TraceDualSpec:
         generator's roots, in the order (h, h+1, qh, q(h+1), ...) for j < m.
         For n = q + 1 these are the cosets {h, -h} and {h+1, -(h+1)} on
         the unit circle."""
-        return np.stack([self._root_powers(t * self.q**j)
-                         for j in range(self.m) for t in (self.h, self.h + 1)])
+        return root_powers(self.big, self.n, [t * self.q**j for j in range(self.m)
+                                              for t in (self.h, self.h + 1)])
 
     def _words(self, a, b) -> np.ndarray:
         """Rows c_(a[j], b[j]), coordinates in canonical GF(q)."""

@@ -11,7 +11,13 @@ import json
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import DivisionByZero, NotCoprime, NotPrimitiveRoot, SpecMismatch
+from .errors import (
+    DivisionByZero,
+    InvalidParameters,
+    NotCoprime,
+    NotPrimitiveRoot,
+    SpecMismatch,
+)
 from .galois import (
     Field,
     factorize,
@@ -50,10 +56,16 @@ class CyclotomicCoset:
         return json.dumps(self.to_json_dict())
 
 
-def coset(n: int, q: int, s: int) -> CyclotomicCoset:
-    """Orbit of s under multiplication by q modulo n."""
+def _require_modulus(n: int, q: int) -> None:
     if gcd(n, q) != 1:
         raise NotCoprime(n, q)
+    if n < 1:
+        raise InvalidParameters(f"need a modulus n >= 1, got n={n}")
+
+
+def coset(n: int, q: int, s: int) -> CyclotomicCoset:
+    """Orbit of s under multiplication by q modulo n."""
+    _require_modulus(n, q)
     s %= n
     members = {s}
     x = s * q % n
@@ -66,8 +78,7 @@ def coset(n: int, q: int, s: int) -> CyclotomicCoset:
 
 def coset_leaders(n: int, q: int) -> list[CyclotomicCoset]:
     """All distinct cosets, by increasing leader; they partition Z_n."""
-    if gcd(n, q) != 1:
-        raise NotCoprime(n, q)
+    _require_modulus(n, q)
     seen: set[int] = set()
     out = []
     for s in range(n):

@@ -420,6 +420,49 @@ def _least_rows(rows: np.ndarray, n: int, mults: list[int], step: int) -> np.nda
     return rows[keep]
 
 
+def _triple_orbit_least(n: int, mults: list[int]):
+    """The triples {0, x, y}, x < y, whose key x n + y is least over their
+    images r (T - t) mod n, t in T and r in mults (mults[0] = 1): one
+    triple per orbit of the group of the maps i -> r i + c, as sorted rows
+    in lexicographic order, yielded in chunks.
+
+    Every orbit holds triples through 0, each an image r (T - t) of any
+    other, so exactly one of them holds the least key.  The points after 0
+    of the images are the r d and -r d for d in {x, y, y - x}; the first
+    digit of a key is the least of them.  So a triple is least only if x is
+    least among r x and -r x and no r d or -r d lies below x; only those
+    are listed, and their keys compared.  A chunk is the least rows of at
+    most max(_CHUNK_ELEMS / (3 |mults|), n) candidates, sized by their count."""
+    i = np.arange(n)
+    low = np.min([i * r % n for r in mults] + [-i * r % n for r in mults], axis=0)
+    step = max(1, _CHUNK_ELEMS // (3 * len(mults)))
+    parts, size = [], 0
+    for x in np.flatnonzero(low == i)[1:]:
+        y = i[x + 1 :]
+        y = y[(low[y] >= x) & (low[y - x] >= x)]
+        if size + len(y) > step and size:
+            yield _least_triples(np.concatenate(parts), n, mults)
+            parts, size = [], 0
+        parts.append(np.column_stack([np.zeros_like(y), np.full_like(y, x), y]))
+        size += len(y)
+    if parts:
+        yield _least_triples(np.concatenate(parts), n, mults)
+
+
+def _least_triples(rows: np.ndarray, n: int, mults: list[int]) -> np.ndarray:
+    """The rows {0, x, y} whose key is least among the multiplier images of
+    their three rotations that hold 0: {0, x, y}, {0, y - x, n - x} and
+    {0, n - y, n - y + x}."""
+    _, x, y = rows.T
+    keys = _image_keys(rows, n, mults)
+    own = keys[0]
+    least = keys.min(axis=0)
+    for turned in ((y - x, n - x), (n - y, n - y + x)):
+        turned = np.column_stack([np.zeros_like(x), *turned])
+        least = np.minimum(least, _image_keys(turned, n, mults).min(axis=0))
+    return rows[own == least]
+
+
 def _orbit_union(rows: np.ndarray, n: int, mults: list[int]) -> np.ndarray:
     """Every image r S mod n of the rows S through 0 under the multipliers,
     as distinct sorted rows in lexicographic order."""

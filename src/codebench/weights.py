@@ -11,9 +11,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import _kernels as kernels
-from .codes import LinearCode, orthogonal, rank, trace_dual
+from .codes import LinearCode, orthogonal, rank, require_cyclic, root_powers, trace_dual
 from .config import default_budget
+from .cyclotomic import coset, splitting_field
+from .designs import _multipliers, _triple_orbit_least
 from .errors import (
     BudgetExceeded,
     DegenerateDimension,
@@ -23,6 +27,8 @@ from .errors import (
     count_text,
 )
 from .galois import prime_power
+
+_CHUNK_PAIRS = 1 << 18  # (code, triple) pairs per scan of the weight-3 route
 
 
 @dataclass(frozen=True)
@@ -107,6 +113,64 @@ def _enumerate(code: LinearCode, budget: int | None) -> tuple[WeightDistribution
         return wd, route == "dual"
     listed = ", ".join(f"{route}={count_text(cost)}" for route, cost in costs.items())
     raise BudgetExceeded(f"min({listed}) exceeds budget {budget}")
+
+
+def distance_is_three(q: int, budget: int | None = None) -> list[bool]:
+    """Whether d(C_(q,q+1,3,h)) = 3, for h = 0..q, from rank scans of the
+    parity rows, every distinct code at once.
+
+    The code of h has the zeros gamma^t, t in Z = C_h u C_(h+1), and one
+    code per distinct Z is scanned (C_h and C_(q-h) share theirs).  Its
+    parity rows gamma^(t i), t = h, h+1, qh, q(h+1), run over Z, so their
+    nullspace over GF(q^2) is the code's extension, and Z, closed under
+    t -> q t, makes that extension have a basis over GF(q) (Galois
+    descent): the code has a word supported on a set S exactly when the
+    columns S of its rows are dependent.  The rows are proved cyclic, which
+    also closes the dependent sets under i -> p i (see
+    ``designs._rank_supports``), so one triple per orbit of the maps
+    i -> r i + c settles every triple (``designs._triple_orbit_least``), and
+    the pairs through 0 every pair.  d = 3 exactly when no pair has rank
+    <= 1 and some triple has rank <= 2.  The triples are scanned in
+    chunks, and a code drops out at its first dependent triple.
+
+    Charged codes ((n-1) + triple representatives) subset scans, before
+    GF(q^2) is built."""
+    p, _ = prime_power(q)
+    n = q + 1
+    zeros = [tuple(sorted({*coset(n, q, h).members, *coset(n, q, h + 1).members}))
+             for h in range(n)]
+    first = {}  # each distinct zero set, with its least h
+    for h, key in enumerate(zeros):
+        first.setdefault(key, h)
+    if n in map(len, first):
+        raise InvalidParameters("zero code has no minimum distance")
+    triples = np.concatenate(list(_triple_orbit_least(n, _multipliers(n, p))))
+    kernels.check_budget(len(first) * (n - 1 + len(triples)), budget)
+    big, _ = splitting_field(q, n)
+    H = root_powers(big, n, [(h, h + 1, q * h, q * (h + 1)) for h in first.values()])
+    for rows in H:
+        require_cyclic(rows, big)
+    pairs = np.column_stack([np.zeros(n - 1, dtype=np.int64), np.arange(1, n)])
+    light = (kernels.scan_supports(H, pairs, big)[0].reshape(len(H), -1) != 0).any(axis=1)
+    three = np.zeros(len(H), dtype=bool)
+    live = np.flatnonzero(~light)
+    H, lo = H[live], 0
+    while len(live) and lo < len(triples):
+        chunk = triples[lo : lo + max(1, _CHUNK_PAIRS // len(live))]
+        lo += len(chunk)
+        flags = kernels.scan_supports(H, chunk, big)[0].reshape(len(live), -1)
+        if (flags >= 2).any():
+            j, at = np.argwhere(flags >= 2)[0]
+            raise InvalidParameters(
+                f"zeros {list(first)[live[j]]}: columns {tuple(chunk[at].tolist())} have a "
+                "nullvector with a zero entry or nullity >= 2, though no pair is dependent"
+            )
+        hit = (flags == 1).any(axis=1)
+        if hit.any():
+            three[live[hit]] = True
+            live, H = live[~hit], H[~hit]
+    decided = dict(zip(first, three.tolist()))
+    return [decided[key] for key in zeros]
 
 
 def weight_distribution(code: LinearCode, budget: int | None = None) -> WeightDistribution:

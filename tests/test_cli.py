@@ -299,12 +299,28 @@ def test_design_suites_price_their_phases_before_the_first_scan(theorem, charge)
 
 @pytest.mark.slow
 def test_verify_thm35_q729_default_budget():
-    # one distance per distinct generator polynomial, each counted on the
-    # trace side with fewer orbits
-    code, out, _err, _wall, _rss = run_measured("verify", "thm3.5", "--q", "729")
+    # one weight-3 scan per distinct code, over its 7,408 triple
+    # representatives: 1.2-1.5 s here (13.5 s when each code's distribution
+    # was counted)
+    code, out, _err, wall, _rss = run_measured("verify", "thm3.5", "--q", "729")
     assert code == 0
     assert "[FAIL]" not in out
     assert out.endswith("VERIFIED\n")
+    assert wall < 3, wall
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("q", ["2048", "2187"])
+def test_verify_thm35_q2048_q2187_default_budget(q):
+    # 1,025 codes x (2,048 pairs + 31,807 triple representatives) =
+    # 34,701,375 subsets charged at q = 2048, and 1,094 x (2,187 + 56,993)
+    # = 64,742,920 at q = 2187, under the default 2^26; about 19 s and
+    # 31 s here
+    code, out, _err, wall, _rss = run_measured("verify", "thm3.5", "--q", q)
+    assert code == 0
+    assert "[FAIL]" not in out
+    assert out.endswith("VERIFIED\n")
+    assert wall < 60, wall
 
 
 def test_trace_dual_budget_charge(capsys):
@@ -444,10 +460,21 @@ def test_bad_parameter_exit2(argv, capsys):
     (["build", "9", "0", "3", "3"], "n=0 and q=9 are not coprime"),
     (["wdist", "--q", "9", "--h", "3", "--n", "0"], "n=0 and q=9 are not coprime"),
     (["classify", "--q", "9", "--h", "3", "--n", "3"], "n=3 and q=9 are not coprime"),
-    # the suites check q before they build a code
-    (["verify", "cor3.1", "--s", "0", "--i", "1"], "1 is not a prime power"),
+    (["coset", "0", "1", "--s", "0"], "need a modulus n >= 1, got n=0"),
+    (["coset", "0", "1"], "need a modulus n >= 1, got n=0"),
+    (["coset", "-3", "2"], "need a modulus n >= 1, got n=-3"),
+    # the suites check s, then q, before they build a code
+    (["verify", "cor3.1", "--s", "0", "--i", "1"], "need s >= 1, got s=0"),
+    (["verify", "cor3.2", "--s", "0", "--i", "1", "--family", "pi-minus-1"],
+     "need s >= 1, got s=0"),
+    (["verify", "cor3.3", "--s", "-1"], "need s >= 1, got s=-1"),
+    (["verify", "thm5.1", "--s", "0"],
+     "thm5.1 has no published binary row for s=0; published s: 4, 5, 6"),
     (["verify", "thm3.5", "--q", "1"], "1 is not a prime power"),
-], ids=["coset-n0", "field-p1", "build-n0", "wdist-n0", "classify-n3", "cor3.1-s0", "thm3.5-q1"])
+    (["verify", "thm3.5", "--q", "2"], "zero code has no minimum distance"),
+], ids=["coset-n0", "field-p1", "build-n0", "wdist-n0", "classify-n3", "coset-n0-q1-s0",
+        "coset-n0-q1", "coset-n-neg", "cor3.1-s0", "cor3.2-s0", "cor3.3-s-neg", "thm5.1-s0",
+        "thm3.5-q1", "thm3.5-q2"])
 def test_usage_error_names_the_values(argv, err, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()

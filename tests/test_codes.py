@@ -5,6 +5,7 @@ from math import gcd
 import numpy as np
 import pytest
 
+from codebench import codes
 from codebench.codes import (
     CodeSpec,
     LinearCode,
@@ -13,12 +14,13 @@ from codebench.codes import (
     dump_codewords,
     nullspace,
     orthogonal,
+    require_cyclic,
     rref,
     same_row_space,
     trace_dual,
     valid_instances,
 )
-from codebench.cyclotomic import coset
+from codebench.cyclotomic import coset, splitting_field
 from codebench.designs import weight4_blocks_det
 from codebench.diophantine import count_unit_solutions
 from codebench.errors import BudgetExceeded, DegenerateDimension, InvalidParameters, NotCoprime
@@ -290,6 +292,49 @@ def test_trace_basis_matrix_spans_dual():
     td = trace_dual(9, 3)
     code = bch_build(CodeSpec(q=9, n=10, delta=3, h=3))
     assert same_row_space(td.basis_matrix(), code.dual().gen_matrix, code.field)
+
+
+def _rank_spy(monkeypatch):
+    """Record each call of codes.rank made by require_cyclic."""
+    calls = []
+    real = codes.rank
+    monkeypatch.setattr(codes, "rank", lambda mat, field: calls.append(len(mat)) or real(mat, field))
+    return calls
+
+
+@pytest.mark.parametrize("q,h", [(9, 3), (27, 0), (16, 8), (49, 12)])
+def test_require_cyclic_proves_eigenvector_rows_without_ranks(q, h, monkeypatch):
+    # parity rows gamma^(t i), degenerate keys included, and a zero row:
+    # each row is a shift eigenvector, proved on logs with no rank taken
+    calls = _rank_spy(monkeypatch)
+    n, big = q + 1, splitting_field(q, q + 1)[0]
+    e = (big.q - 1) // n
+    rows = np.stack([big.exp[e * t * np.arange(n) % (big.q - 1)]
+                     for t in (h, h + 1, q * h, q * (h + 1))] + [np.zeros(n, dtype=np.int32)])
+    require_cyclic(rows, big)
+    assert calls == []
+
+
+def test_require_cyclic_takes_the_rank_comparison_for_other_rows(monkeypatch):
+    calls = _rank_spy(monkeypatch)
+    # the trace basis spans a cyclic code, but its rows are no eigenvectors
+    td = trace_dual(9, 3)
+    require_cyclic(td.basis_matrix(), td.field)
+    assert calls == [8, 4]
+    # ones and gamma^i - 1 span the cyclic <1, gamma^i>, with a zero entry
+    calls.clear()
+    big = td.big
+    gamma = unit_circle(big)
+    rows = np.stack([np.ones(10, dtype=np.int64), big.sub_arr(gamma, 1)])
+    require_cyclic(rows, big)
+    assert calls == [4, 2]
+    # the same rows with two points swapped: the rank comparison refuses them
+    swapped = [0, 2, 1, *range(3, 10)]
+    with pytest.raises(InvalidParameters, match="cyclic shift"):
+        require_cyclic(rows[:, swapped], big)
+    # a permuted unit circle has no constant log step and no shifted span
+    with pytest.raises(InvalidParameters, match="cyclic shift"):
+        require_cyclic(np.stack([np.ones(10, dtype=np.int64), gamma[swapped]]), big)
 
 
 def test_code_json_and_dump():

@@ -762,6 +762,40 @@ def test_split_tails_equal_the_one_chunk_listing(q, monkeypatch):
         assert np.array_equal(rows[0], rows[1]) and np.array_equal(rows[0], rows[2]), (q, k)
 
 
+def triple_orbit(t, n, mults):
+    """Oracle: the images of the triple t under the maps i -> r i + c,
+    r in mults."""
+    return frozenset(tuple(sorted((r * x + c) % n for x in t)) for r in mults for c in range(n))
+
+
+@pytest.mark.parametrize("q", [q for q in range(2, 82) if len(factorize(q)) == 1])
+def test_triple_orbit_representatives_cover_every_triple_once(q):
+    # one representative per orbit of the rotations and multipliers: their
+    # orbits are disjoint and cover all C(n, 3) triples, and each is the
+    # lexicographically least triple of its orbit
+    n, p = q + 1, prime_power(q)[0]
+    mults = designs._multipliers(n, p)
+    chunks = list(designs._triple_orbit_least(n, mults))
+    reps = [tuple(row) for chunk in chunks for row in chunk.tolist()]
+    assert reps == sorted(reps) and all(rep[0] == 0 for rep in reps)
+    orbits = [triple_orbit(rep, n, mults) for rep in reps]
+    assert sum(map(len, orbits)) == len(frozenset().union(*orbits)) == comb(n, 3)
+    assert all(rep == min(orbit) for rep, orbit in zip(reps, orbits))
+
+
+@pytest.mark.parametrize("q", [25, 27, 49, 81])
+def test_triple_orbit_chunks_equal_the_one_chunk_listing(q, monkeypatch):
+    # a small chunk splits the candidates; the least rows come back alike,
+    # each chunk the least of at most max(step, n) candidates
+    n, p = q + 1, prime_power(q)[0]
+    mults = designs._multipliers(n, p)
+    whole = list(designs._triple_orbit_least(n, mults))
+    monkeypatch.setattr(designs, "_CHUNK_ELEMS", 1 << 8)
+    parts = list(designs._triple_orbit_least(n, mults))
+    assert len(whole) == 1 and len(parts) > 1
+    assert np.array_equal(np.concatenate(parts), whole[0])
+
+
 @pytest.mark.parametrize("q", [25, 27])
 def test_chunked_orbit_scans_equal_one_chunk_results(q, monkeypatch):
     # the rank scans keep each chunk's hits, and the determinant route

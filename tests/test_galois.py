@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from codebench import galois
-from codebench.codes import trace_dual, valid_instances
+from codebench.codes import root_powers, trace_dual, valid_instances
 from codebench.errors import (
     BudgetExceeded,
     DivisionByZero,
@@ -395,7 +395,7 @@ def test_unit_circle_gf81():
     # instance per q: thm4.3 matches circle-indexed blocks to code blocks
     for q in (4, 9, 16, 25, 27, 64, 81, 125):
         td = trace_dual(q, valid_instances(q)[0][2])
-        assert np.array_equal(unit_circle(td.big), td._root_powers(1)), q
+        assert np.array_equal(unit_circle(td.big), root_powers(td.big, td.n, 1)), q
 
 
 def test_unit_circle_requires_square_field():

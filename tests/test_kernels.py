@@ -165,12 +165,44 @@ def test_scan_supports_matches_nullspace(s):
     assert np.array_equal(nulls[hit], want_nulls[hit])  # both normalised
 
 
-@pytest.mark.parametrize("s", [4, 5])
+def parity_stack(q, hs):
+    """The rows gamma^(t i), t = h, h+1, qh, q(h+1), of every h, over
+    GF(q^2), as a (len(hs), 4, q+1) stack: two rows coincide at h = 0."""
+    n = q + 1
+    f2 = field_new(*prime_power(q * q))
+    e = (f2.q - 1) // n
+    ts = np.array([[h, h + 1, q * h, q * (h + 1)] for h in hs])
+    return f2.exp[(e * ts % (f2.q - 1))[:, :, None] * np.arange(n) % (f2.q - 1)], f2
+
+
+@pytest.mark.parametrize("q,h3", [(9, 2), (16, 8), (27, 3)])
+def test_scan_supports_three_columns_match_nullspace(q, h3):
+    # every triple of the stacked rows of three codes: h = 0 has two equal
+    # rows, h3 has d = 3 (at q = 16 it has two pairs of equal rows); the
+    # flags run over (code, triple) pairs, code-major
+    H, f2 = parity_stack(q, (0, 1, h3))
+    combos = np.array(list(itertools.combinations(range(q + 1), 3)), dtype=np.int64)
+    flags, nulls = kernels.scan_supports(H, combos, f2)
+    assert flags.shape == (3 * len(combos),) and nulls.shape == (3 * len(combos), 3)
+    seen = set()
+    for j, rows in enumerate(H):
+        want_flags, want_nulls = nullspace_oracle(rows, combos, f2)
+        got = slice(j * len(combos), (j + 1) * len(combos))
+        assert np.array_equal(flags[got], want_flags), (q, j)
+        hit = want_flags == 1
+        assert np.array_equal(nulls[got][hit], want_nulls[hit]), (q, j)
+        assert np.array_equal(kernels.scan_supports(rows, combos, f2)[0], want_flags)
+        seen |= set(want_flags.tolist())
+    assert {0, 1} <= seen
+
+
+@pytest.mark.parametrize("s", [2, 3, 4, 5])
 def test_scan_supports_flag2_hand_built(s):
     # columns c, lam*c, e1, e2, e3, w, mu*c over GF(9): a subset holding two
     # multiples of c beside columns independent of c has a one-dimensional
     # nullspace supported on those two, so with a zero entry (flag 2); three
-    # multiples of c give flag 3, and {c, e1, e2, e3, w} flag 1
+    # multiples of c give flag 3, and {c, e1, e2, e3, w} flag 1; two
+    # multiples of c alone give flag 1
     f2 = field_new(3, 2)
     a = f2.alpha_pow
     c = np.array([1, a(1), a(2), a(3)], dtype=np.int64)
@@ -180,7 +212,7 @@ def test_scan_supports_flag2_hand_built(s):
     H = np.stack(cols, axis=1)
     combos = np.array(list(itertools.combinations(range(H.shape[1]), s)), dtype=np.int64)
     want_flags, want_nulls = nullspace_oracle(H, combos, f2)
-    assert set(want_flags.tolist()) == {4: {0, 2, 3}, 5: {1, 2, 3}}[s]
+    assert set(want_flags.tolist()) == {2: {0, 1}, 3: {0, 2, 3}, 4: {0, 2, 3}, 5: {1, 2, 3}}[s]
     flags, nulls = kernels.scan_supports(H, combos, f2)
     assert np.array_equal(flags, want_flags)
     hit = flags == 1

@@ -4,8 +4,8 @@ from math import gcd
 import numpy as np
 import pytest
 
+from codebench import designs, verify, weights
 from codebench import diophantine as dio
-from codebench import verify
 from codebench.cli import main
 from codebench.codes import (
     CodeSpec,
@@ -17,8 +17,8 @@ from codebench.codes import (
     trace_dual,
     valid_instances,
 )
-from codebench.errors import WorkbenchError
-from codebench.galois import Field
+from codebench.errors import InvalidParameters, WorkbenchError
+from codebench.galois import Field, factorize
 from codebench.verify import (
     VerificationResult,
     run_suite,
@@ -71,15 +71,108 @@ def _thm35_per_offset(q):
 @pytest.mark.parametrize("q", [16, 27, 49])
 def test_thm35_enumerates_one_distance_per_generator_polynomial(q, monkeypatch):
     want = _thm35_per_offset(q).to_json_dict()
-    counted = []
-    real = LinearCode.min_distance
-    monkeypatch.setattr(LinearCode, "min_distance",
-                        lambda self, budget=None: counted.append(self.gen_poly.coeffs)
-                        or real(self, budget))
-    assert verify_thm35(q).to_json_dict() == want
     polys = {_gen_poly(q, h) for h in range(q + 1)}
     assert len(polys) == q // 2 + 1
-    assert sorted(counted) == sorted(polys)
+    # the route builds no code and counts no distribution: it scans the
+    # parity rows of each distinct code, once, in one stack
+    stacks = []
+    real = weights.kernels.scan_supports
+
+    def spy(H, combos, field2):
+        stacks.append((len(H), combos.shape[1]))
+        return real(H, combos, field2)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("thm3.5 builds a code or counts a distribution")
+
+    monkeypatch.setattr(weights.kernels, "scan_supports", spy)
+    monkeypatch.setattr(verify, "bch_build", refuse)
+    monkeypatch.setattr(LinearCode, "min_distance", refuse)
+    monkeypatch.setattr(weights, "_enumerate", refuse)
+    assert verify_thm35(q).to_json_dict() == want
+    assert stacks[0] == (len(polys), 2)  # the pairs of every distinct code
+    assert all(s == 3 for _, s in stacks[1:])
+
+
+def _thm35_oracle_or_error(q):
+    try:
+        return _thm35_per_offset(q).to_json_dict()
+    except WorkbenchError as exc:
+        return str(exc)
+
+
+def _thm35_or_error(q):
+    try:
+        return verify_thm35(q).to_json_dict()
+    except WorkbenchError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("q", [q for q in range(2, 82) if len(factorize(q)) == 1] + [
+    pytest.param(343, marks=pytest.mark.slow)])
+def test_thm35_route_equals_one_distance_per_offset(q):
+    # at q = 2 the h = 0 code is the zero code, refused alike by both
+    assert _thm35_or_error(q) == _thm35_oracle_or_error(q)
+
+
+def _blind_to_code(q, h):
+    """A scan_supports that reports no dependent triple for the code of h."""
+    real = weights.kernels.scan_supports
+    row = trace_dual(q, h).parity_rows()[0]
+
+    def scan(H, combos, field2):
+        flags, nulls = real(H, combos, field2)
+        if combos.shape[1] == 3:
+            stack = np.asarray(H).reshape(-1, *np.shape(H)[-2:])
+            flags.reshape(len(stack), -1)[(stack[:, 0] == row).all(axis=1)] = 0
+        return flags, nulls
+
+    return scan
+
+
+def test_thm35_fails_when_a_dependent_triple_is_missed(monkeypatch, capsys):
+    # gcd(7, 28) = 7: the code of h = 3 (and of h = 24, the same code) has
+    # d = 3; blind to its triples, the route decides d > 3
+    monkeypatch.setattr(weights.kernels, "scan_supports", _blind_to_code(27, 3))
+    assert main(["verify", "thm3.5", "--q", "27"]) == 1
+    out = capsys.readouterr().out
+    failed = [line for line in out.splitlines() if "[FAIL]" in line]
+    assert failed == [f"  [FAIL] h={h}: d==3 iff gcd>1 (expected True, got False)"
+                      for h in (3, 24)]
+    assert out.endswith("FALSIFIED\n")
+
+
+@pytest.mark.parametrize("flag", [2, 3])
+def test_thm35_refuses_a_light_triple_after_the_pair_scan(flag, monkeypatch):
+    # the pairs ruled out weight <= 2, so a triple whose nullvector has a
+    # zero entry, or whose nullity is >= 2, contradicts the pair scan
+    real = weights.kernels.scan_supports
+
+    def scan(H, combos, field2):
+        flags, nulls = real(H, combos, field2)
+        if combos.shape[1] == 3:
+            flags[-1] = flag
+        return flags, nulls
+
+    monkeypatch.setattr(weights.kernels, "scan_supports", scan)
+    with pytest.raises(InvalidParameters, match="no pair is dependent"):
+        verify_thm35(27)
+
+
+def test_thm35_budget_charge(capsys):
+    # 14 distinct codes, each scanned on its 27 pairs through 0 and the 23
+    # triple representatives of the maps i -> 3^j i + c on Z_28
+    reps = designs._triple_orbit_least(28, designs._multipliers(28, 3))
+    assert sum(map(len, reps)) == 23
+    charge = 14 * (27 + 23)
+    argv = ("verify", "thm3.5", "--q", "27")
+    assert main(["--budget", str(charge - 1), *argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"budget exceeded: enumeration of {charge} items exceeds budget {charge - 1}\n")
+    assert main(["--budget", str(charge), *argv]) == 0
+    assert capsys.readouterr().out.endswith("VERIFIED\n")
 
 
 def test_suite_thm36_amds():
