@@ -11,7 +11,9 @@ Three kernels dominate every long run:
   trace code words c_(a,b) with a != 0 over GF(q^m), one orbit
   representative of a per class of the weight-preserving scalar/shift
   group, on the field's log/Zech arrays and the logs of ker Tr, with no
-  dense table.
+  dense table.  The Frobenius x -> x^p permutes those representatives
+  and keeps the weights, so only the least of each of its classes
+  (``frobenius_classes``) is counted, weighted by the class size.
 * ``scan_supports`` — for 2- to 5-column submatrices of a 4-row parity
   matrix over GF(q^2), or of each matrix of a stack of them, classify the
   nullspace and extract the unique projective nullvector where it exists,
@@ -44,6 +46,7 @@ from math import gcd
 import numpy as np
 
 from .config import default_budget
+from .cyclotomic import coset_leaders
 from .errors import BudgetExceeded, count_text
 from .galois import trace_kernel_logs
 
@@ -105,6 +108,14 @@ def trace_orbits(qm: int, q: int, n: int, t: int) -> int:
     return gcd(order // (q - 1), order // n * t % order)
 
 
+def frobenius_classes(g: int, p: int) -> list[tuple[int, int]]:
+    """(least r, size) of each orbit of r -> p r mod g, by increasing r:
+    the p-cyclotomic cosets mod g (p is prime to g, a divisor of q^m - 1).
+    These are the classes of the representatives a = alpha^r, r < g, of
+    ``trace_orbit_counts``."""
+    return [(c.leader, c.size) for c in coset_leaders(g, p)]
+
+
 def trace_orbit_counts(big, q: int, n: int, h: int) -> np.ndarray:
     """Exact counts (A_0..A_n) over the words c_(a,b), a != 0, of the trace
     code c_(a,b)[i] = Tr(a gamma^(h i) + b gamma^((h+1) i)), i < n, where
@@ -115,8 +126,12 @@ def trace_orbit_counts(big, q: int, n: int, h: int) -> np.ndarray:
     (lambda a gamma^(h t), lambda b gamma^((h+1) t)) and keep the weight.
     On a they generate the subgroup of index g = gcd((q^m-1)/(q-1), e h)
     of GF(q^m)*, so a = alpha^r, r < g, represents the g orbits, each of
-    (q^m-1)/g elements.  For one representative, coordinate i of c_(a,b)
-    is zero exactly when b lies on the hyperplane
+    (q^m-1)/g elements.  The Frobenius x -> x^p commutes with Tr, so it
+    maps c_(a,b) onto c_(a^p,b^p) with the coordinates permuted by
+    i -> p i: r and p r mod g have one histogram over b, and only the least
+    r of each class of ``frobenius_classes`` is counted, weighted by the
+    class size.  For one representative, coordinate i of c_(a,b) is zero
+    exactly when b lies on the hyperplane
     B_i = (K - a gamma^(h i)) gamma^(-(h+1) i), K = ker Tr.  Counting for
     every b the hyperplanes through it gives the weights of all q^m words
     c_(a,b) from n (q^(m-1) - 1) Zech lookups, one per nonzero k in K.
@@ -130,7 +145,7 @@ def trace_orbit_counts(big, q: int, n: int, h: int) -> np.ndarray:
     # a few coordinates i at a time, so no n x |K| array is held
     rows = max(1, _CHUNK_ELEMS // max(len(kernel_logs), 1))
     hist = np.zeros(n + 1, dtype=np.int64)
-    for r in range(orbits):
+    for r, size in frobenius_classes(orbits, big.p):
         # log(-a gamma^(h i)) and log(-a gamma^(-i)), the k = 0 point of B_i
         shift = (r + big.log_neg_one + eh * i) % order
         line0 = (r + big.log_neg_one - e * i) % order
@@ -143,7 +158,7 @@ def trace_orbit_counts(big, q: int, n: int, h: int) -> np.ndarray:
             logs = big.mul_logs(line0[lo : lo + rows, None], one_plus)
             del one_plus  # before the (q^m)-entry bincount
             zeros += np.bincount(np.minimum(logs, order, out=logs).ravel(), minlength=order + 1)
-        hist += np.bincount(np.subtract(n, zeros, out=zeros), minlength=n + 1)
+        hist += size * np.bincount(np.subtract(n, zeros, out=zeros), minlength=n + 1)
     return hist * (order // orbits)
 
 

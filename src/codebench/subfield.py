@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import CodeSpec, LinearCode, bch_build, nullspace, rref, same_row_space
+from .codes import CodeSpec, LinearCode, bch_build, nullspace, rref
 from .cyclotomic import coset
 from .errors import BudgetExceeded, InvalidParameters
 from .galois import field_new, prime_power, subfield_embedding
@@ -53,21 +53,22 @@ def _check_degree(t: int, s: int) -> None:
 
 def subfield_subcode_generic(code: LinearCode, t: int) -> LinearCode:
     """Codewords of `code` with every coordinate in the subfield of order
-    p^t, as a code over the canonical GF(p^t).
+    p^t, as a code over the canonical GF(p^t), with its basis in RREF.
 
-    With H a basis of the dual, these are the c in GF(p^t)^n with
-    H c^T = 0.  The unknowns are the t base-p digits of each c_i; the
-    equations are the s base-p digits of each entry of H c^T, which are
-    GF(p)-linear in the unknowns: an (n-k)s x nt system over GF(p)."""
+    With H = ``code.check_matrix``, a basis of the dual, these are the c in
+    GF(p^t)^n with H c^T = 0.  The unknowns are the t base-p digits of each
+    c_i; the equations are the s base-p digits of each entry of H c^T,
+    which are GF(p)-linear in the unknowns: an (n-k)s x nt system over
+    GF(p)."""
     F = code.field
     p, s = F.p, F.m
     _check_degree(t, s)
     K = field_new(p, t)
     if t == s:
-        return LinearCode(K, code.n, code.gen_matrix, gen_poly=code.gen_poly,
+        return LinearCode(K, code.n, rref(code.gen_matrix, K)[0], gen_poly=code.gen_poly,
                           family=code.family, spec=code.spec)
     n = code.n
-    H = nullspace(code.gen_matrix, F)
+    H = code.check_matrix
     # beta[e]: the image in F of the e-th power basis element of K
     powers = p ** np.arange(t, dtype=np.int64)
     beta = subfield_embedding(F, K).embed_arr(powers)
@@ -134,8 +135,9 @@ def report_tables(rows, budget: int | None = None) -> list[SubcodeReport]:
     for _label, _s, t, parent_q, h, _params, _dual, note in rows:
         parent_spec = CodeSpec(q=parent_q, n=parent_q + 1, delta=3, h=h)
         sub = subfield_subcode_bch(parent_spec, t)
+        # the generic basis is in RREF already, and an RREF is canonical
         generic = subfield_subcode_generic(bch_build(parent_spec), t)
-        generic_match = same_row_space(generic.gen_matrix, sub.gen_matrix, sub.field)
+        generic_match = np.array_equal(generic.gen_matrix, rref(sub.gen_matrix, sub.field)[0])
         try:
             wd, dual_wd = distribution_pair(sub, budget=budget)
             params = (sub.n, sub.k, wd.d())

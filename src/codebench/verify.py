@@ -175,6 +175,8 @@ def _four_weight_suite(theorem: str, q: int, i: int, family: str, budget) -> Ver
     res = VerificationResult(theorem, {"q": q, "i": i, "family": family, "h": h})
     try:
         code = bch_build(CodeSpec(q=q, n=q + 1, delta=3, h=h))
+        if q <= 32:
+            kernels.check_budget(q**4, budget)  # the cross-check enumerates every trace word
         report = verify_four_weight(code, budget=budget)
     except BudgetExceeded:
         raise  # a refused enumeration has falsified nothing
@@ -187,7 +189,6 @@ def _four_weight_suite(theorem: str, q: int, i: int, family: str, budget) -> Ver
         res.check("enumerator matches closed form", True, report["formula_match"])
     if q > 32:
         return res
-    kernels.check_budget(q**4, budget)  # every trace word is enumerated
     counts = dio.unit_solution_counts(q, h)
     size, equal, weights_ok = _trace_image_checks(code, counts, budget)
     res.check("trace image size", q**4, size)

@@ -5,7 +5,8 @@ import pytest
 
 from codebench import _kernels as kernels
 from codebench.codes import CodeSpec, bch_build, nullspace, rref, trace_dual, valid_instances
-from codebench.galois import field_new, prime_power, trace_kernel_logs
+from codebench.galois import Field, field_new, prime_power, trace_kernel_logs
+from codebench.subfield import table_rows
 from codebench.weights import enumerator_formula
 
 def brute_counts(G, field, n):
@@ -130,6 +131,99 @@ def test_lane_kernel_matches_table_kernel_with_every_row_in_the_loop(q, monkeypa
     want = table_weight_counts(R, f)
     monkeypatch.setattr(kernels, "_CHUNK_ELEMS", 1)
     assert np.array_equal(kernels.weight_counts(R, f), want)
+
+
+def all_representatives_counts(big, q, n, h):
+    """The orbit kernel before the Frobenius classes, kept as its oracle:
+    every representative a = alpha^r, r < g, counted on its own."""
+    order = big.q - 1
+    e = order // n
+    orbits = kernels.trace_orbits(big.q, q, n, h)
+    kernel_logs = trace_kernel_logs(big, q)
+    i = np.arange(n, dtype=np.int64)
+    hist = np.zeros(n + 1, dtype=np.int64)
+    for r in range(orbits):
+        shift = (r + big.log_neg_one + e * h * i) % order
+        line0 = (r + big.log_neg_one - e * i) % order
+        zeros = np.bincount(line0, minlength=order + 1)
+        one_plus = big.zech.take(kernel_logs - shift[:, None] + big.log_zero)
+        logs = big.mul_logs(line0[:, None], one_plus)
+        zeros += np.bincount(np.minimum(logs, order).ravel(), minlength=order + 1)
+        hist += np.bincount(n - zeros, minlength=n + 1)
+    return hist * (order // orbits)
+
+
+def orbit_kernel_instances():
+    """(q, n, h) of the 407 small trace duals and of the subcodes of the
+    nine subfield table rows."""
+    from test_weights import small_trace_duals
+
+    small = [(td.q, td.n, td.h) for td in small_trace_duals()]
+    assert len(small) == 407
+    rows = [(prime_power(parent_q)[0] ** t, parent_q + 1, h)
+            for _label, _s, t, parent_q, h, *_ in table_rows()]
+    return small + rows
+
+
+def test_frobenius_classes_of_the_orbit_kernel():
+    # the p-cyclotomic cosets mod g: 21 representatives fall into 6 classes
+    # over GF(4^6), 63 into 13 over GF(2^12) and 80 into 23 over GF(3^8)
+    assert kernels.frobenius_classes(21, 2) == [(0, 1), (1, 6), (3, 3), (5, 6), (7, 2), (9, 3)]
+    for g, p, classes in ((63, 2, 13), (80, 3, 23), (1, 5, 1)):
+        got = kernels.frobenius_classes(g, p)
+        assert len(got) == classes and sum(size for _, size in got) == g
+
+
+def test_orbit_kernel_matches_every_representative():
+    # the Frobenius maps c_(a,b) onto c_(a^p,b^p) with coordinates permuted
+    # by i -> p i, so one representative per class gives every histogram;
+    # both offsets that the trace dual route counts, h and n-1-h
+    for q, n, h in orbit_kernel_instances():
+        big = trace_dual(q, h, n).big
+        for t in (h, n - 1 - h):
+            want = all_representatives_counts(big, q, n, t)
+            assert np.array_equal(kernels.trace_orbit_counts(big, q, n, t), want), (q, n, t)
+
+
+@pytest.mark.parametrize("q,h,n,evaluated,g", [(4, 16, 65, 6, 21), (2, 16, 65, 13, 63)])
+def test_orbit_kernel_evaluates_one_representative_per_class(q, h, n, evaluated, g, monkeypatch):
+    # the subfield table rows quaternary and binary s = 6: each counted
+    # representative r shows as the first log -a gamma^0 of its mul_logs
+    big = trace_dual(q, h, n).big
+    seen = []
+    mul_logs = Field.mul_logs
+    monkeypatch.setattr(Field, "mul_logs", lambda f, la, lb: seen.append(
+        (int(la.flat[0]) - f.log_neg_one) % (f.q - 1)) or mul_logs(f, la, lb))
+    kernels.trace_orbit_counts(big, q, n, h)
+    assert kernels.trace_orbits(big.q, q, n, h) == g
+    assert seen == [r for r, _ in kernels.frobenius_classes(g, prime_power(q)[0])]
+    assert len(seen) == evaluated
+
+
+def test_orbit_kernel_oracle_catches_a_wrong_class_map(monkeypatch):
+    # r -> (p+1) r mod g in place of r -> p r: a partition of r < g with the
+    # same total, whose classes do not share one histogram
+    def wrong_classes(g, p):
+        seen, out = set(), []
+        for r in range(g):
+            x, size = r, 0
+            while x not in seen:
+                seen.add(x)
+                size += 1
+                x = x * (p + 1) % g
+            if size:
+                out.append((r, size))
+        return out
+
+    monkeypatch.setattr(kernels, "frobenius_classes", wrong_classes)
+    caught = 0
+    for q, n, h in orbit_kernel_instances():
+        big = trace_dual(q, h, n).big
+        got = kernels.trace_orbit_counts(big, q, n, h)
+        want = all_representatives_counts(big, q, n, h)
+        assert got.sum() == want.sum()
+        caught += not np.array_equal(got, want)
+    assert caught
 
 
 def nullspace_oracle(H, combos, f2):

@@ -194,6 +194,17 @@ def test_identity_subcode():
     assert same_row_space(sub.gen_matrix, code.gen_matrix, code.field)
 
 
+@pytest.mark.parametrize("q,h,t", [(9, 3, 2), (9, 3, 1), (4, 1, 2), (16, 4, 2), (16, 4, 4)])
+def test_generic_subcode_basis_is_in_rref(q, h, t):
+    # every branch, t = s included, returns its basis reduced, so the
+    # report compares it with the structural basis after one RREF
+    parent = bch_build(CodeSpec(q=q, n=q + 1, delta=3, h=h))
+    sub = subfield_subcode_generic(parent, t)
+    assert np.array_equal(sub.gen_matrix, rref(sub.gen_matrix, sub.field)[0])
+    assert same_row_space(sub.gen_matrix, subfield_subcode_bch(parent.spec, t).gen_matrix,
+                          sub.field)
+
+
 def test_generic_subcode_dimensions():
     parent = bch_build(CodeSpec(q=9, n=10, delta=3, h=3))
     sub = subfield_subcode_generic(parent, 1)

@@ -175,6 +175,27 @@ def test_thm35_budget_charge(capsys):
     assert capsys.readouterr().out.endswith("VERIFIED\n")
 
 
+@pytest.mark.parametrize("theorem,q", [("thm3.1", 16), ("thm3.4", 27)])
+def test_four_weight_cross_check_is_charged_before_the_count(theorem, q, capsys, monkeypatch):
+    # the q <= 32 cross-check enumerates all q^4 trace words; a budget that
+    # cannot hold them is refused before the distribution is counted, also
+    # below the orbit route's charge
+    def refuse(*args, **kwargs):
+        raise AssertionError("the distribution was counted")
+
+    monkeypatch.setattr(verify, "verify_four_weight", refuse)
+    argv = ("verify", theorem, "--q", str(q), "--i", "1")
+    for budget in (100, q**4 - 1):
+        assert main(["--budget", str(budget), *argv]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"budget exceeded: enumeration of {q**4} items exceeds budget {budget}\n")
+    monkeypatch.undo()
+    assert main(["--budget", str(q**4), *argv]) == 0
+    assert capsys.readouterr().out.endswith("VERIFIED\n")
+
+
 def test_suite_thm36_amds():
     res = verify_thm36(25, 1, "q-minus-pi")
     assert res.ok
