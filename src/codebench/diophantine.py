@@ -176,9 +176,13 @@ def unit_solution_counts(q: int, h: int) -> np.ndarray:
     else:
         lhs = f2.add_arr(f2.mul_arr(rq, u), f2.mul_arr(reps, upi))
         rhs = f2.neg_arr(f2.add_arr(rq, f2.mul_arr(reps, upi1)))
+    # field reps fit the narrowest unsigned type, and the compares dominate
+    rep = np.min_scalar_type(f2.q - 1)
+    lhs, rhs = lhs.astype(rep), rhs.astype(rep)
     counts = np.zeros((f2.q, f2.q), dtype=np.min_scalar_type(q + 1))  # N <= q + 1
+    hit = np.empty((f2.q, f2.q), dtype=bool)
     for a_vals, b_vals in zip(lhs, rhs):
-        counts += a_vals[:, None] == b_vals[None, :]
+        counts += np.equal(a_vals[:, None], b_vals[None, :], out=hit)
     return counts.ravel()
 
 

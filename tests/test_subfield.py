@@ -18,8 +18,12 @@ from codebench.galois import (
     subfield_embedding,
     subfield_members,
 )
+from codebench import codes as codes_mod
+from codebench import subfield as subfield_mod
+from codebench.cli import main
 from codebench.subfield import (
     dimension_by_cosets,
+    generic_subcode_matches,
     report_csv,
     report_tables,
     report_text,
@@ -197,7 +201,7 @@ def test_identity_subcode():
 @pytest.mark.parametrize("q,h,t", [(9, 3, 2), (9, 3, 1), (4, 1, 2), (16, 4, 2), (16, 4, 4)])
 def test_generic_subcode_basis_is_in_rref(q, h, t):
     # every branch, t = s included, returns its basis reduced, so the
-    # report compares it with the structural basis after one RREF
+    # oracle below compares it with the structural basis after one RREF
     parent = bch_build(CodeSpec(q=q, n=q + 1, delta=3, h=h))
     sub = subfield_subcode_generic(parent, t)
     assert np.array_equal(sub.gen_matrix, rref(sub.gen_matrix, sub.field)[0])
@@ -307,3 +311,131 @@ def test_delsarte_bounds_and_distance_dominance():
         else:
             d_parent = macwilliams(weight_distribution(parent.dual())).d()
         assert d_sub >= d_parent
+
+
+# ---------------------------------------------------------------------------
+# the report's generic check: membership and dimension, against the
+# construct-and-compare oracle
+
+
+def _parent(q, h):
+    return bch_build(CodeSpec(q=q, n=q + 1, delta=3, h=h))
+
+
+def _structural(q, h, t):
+    return subfield_subcode_bch(CodeSpec(q=q, n=q + 1, delta=3, h=h), t)
+
+
+def _oracle_match(parent: LinearCode, sub: LinearCode) -> bool:
+    generic = subfield_subcode_generic(parent, sub.field.m)
+    return np.array_equal(generic.gen_matrix, rref(sub.gen_matrix, sub.field)[0])
+
+
+@pytest.mark.parametrize("row", table_rows(), ids=lambda row: f"{row[0]}-s{row[1]}")
+def test_generic_check_agrees_with_oracle_on_published_rows(row):
+    _label, _s, t, q, h, *_ = row
+    parent, sub = _parent(q, h), _structural(q, h, t)
+    assert generic_subcode_matches(parent, sub) is True
+    assert _oracle_match(parent, sub)
+
+
+def test_generic_check_agrees_with_oracle_on_every_parent_offset():
+    # each row's structural subcode against the parents of every offset
+    # h <= 40: 233 cases, most of them mismatches
+    verdicts = []
+    for _label, _s, t, q, h_row, *_ in table_rows():
+        sub = _structural(q, h_row, t)
+        for h in range(min(40, q) + 1):
+            parent = _parent(q, h)
+            got = generic_subcode_matches(parent, sub)
+            assert got == _oracle_match(parent, sub), (q, t, h)
+            verdicts.append(got)
+    assert (len(verdicts), verdicts.count(False)) == (233, 189)
+
+
+@pytest.mark.parametrize("q,t", [(4, 2), (8, 3), (9, 2), (16, 4), (27, 3)])
+def test_generic_check_agrees_with_oracle_when_t_equals_s(q, t):
+    # the check has no t == s branch; the subcode is then the parent itself
+    verdicts = []
+    for h in range(q + 1):
+        parent = _parent(q, h)
+        for h_sub in (h, (h + 1) % (q + 1)):
+            sub = _structural(q, h_sub, t)
+            got = generic_subcode_matches(parent, sub)
+            assert got == _oracle_match(parent, sub), (h, h_sub)
+            verdicts.append(got)
+    assert all(verdicts[::2]) and not all(verdicts)
+
+
+def _changed_row(sub: LinearCode) -> LinearCode:
+    """`sub` with one entry past the leading one of its middle row
+    changed: the staircase shape and the row count stay."""
+    G = sub.gen_matrix.copy()
+    r = len(G) // 2
+    G[r, r + 1] = sub.field.add(int(G[r, r + 1]), 1)
+    return LinearCode(sub.field, sub.n, G)
+
+
+# the s = 5 binary row: C_(32,33,3,8) over GF(2), and a wrong structural code
+_FAULTS = {
+    "other-offset": lambda: _structural(32, 9, 1),
+    "changed-row": lambda: _changed_row(_structural(32, 8, 1)),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_FAULTS))
+def test_generic_check_rejects_a_wrong_structural_code(fault, monkeypatch, capsys):
+    wrong = _FAULTS[fault]()
+    assert wrong.k > 0
+    assert generic_subcode_matches(_parent(32, 8), wrong) is False
+    assert not _oracle_match(_parent(32, 8), wrong)
+
+    real = subfield_mod.subfield_subcode_bch
+    monkeypatch.setattr(subfield_mod, "subfield_subcode_bch",
+                        lambda spec, t: wrong if spec.q == 32 else real(spec, t))
+    reports = report_tables(_rows(("binary",), (5,)))
+    assert [r.generic_match for r in reports] == [False]
+    assert main(["subfield", "--tables", "--label", "binary"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.endswith("GENERIC-MISMATCH") for line in lines[1:]] == [False, True, False]
+    assert main(["verify", "thm5.1", "--s", "5"]) == 1
+    assert "[FAIL] s=5: generic construction matches" in capsys.readouterr().out
+
+
+def test_generic_check_needs_the_full_dimension():
+    # every row of a proper subcode solves the system; only the dimension
+    # count tells it apart
+    parent, sub = _parent(32, 8), _structural(32, 8, 1)
+    short = LinearCode(sub.field, sub.n, sub.gen_matrix[:-1])
+    assert generic_subcode_matches(parent, short) is False
+    # any basis of the subcode matches, not only the staircase
+    mixed = sub.gen_matrix[::-1].copy()
+    mixed[0] = sub.field.add_arr(mixed[0], mixed[-1])
+    assert generic_subcode_matches(parent, LinearCode(sub.field, sub.n, mixed)) is True
+
+
+def test_report_tables_builds_no_generic_basis(monkeypatch):
+    # one GF(p) rank per row decides the match: no nullspace, no generic
+    # basis, and no elimination over a larger field
+    def refuse(*args):
+        raise AssertionError("the report built the generic basis")
+
+    fields = []
+    real_rref = codes_mod.rref
+
+    def recording_rref(mat, field):
+        fields.append(field.q)
+        return real_rref(mat, field)
+
+    monkeypatch.setattr(subfield_mod, "subfield_subcode_generic", refuse)
+    monkeypatch.setattr(subfield_mod, "nullspace", refuse)
+    monkeypatch.setattr(codes_mod, "nullspace", refuse)
+    monkeypatch.setattr(subfield_mod, "rref", recording_rref)
+    monkeypatch.setattr(codes_mod, "rref", recording_rref)
+    rows = table_rows()
+    # a budget of 1 skips every enumeration, so only the check eliminates
+    reports = report_tables(rows, budget=1)
+    assert all(r.skipped and r.generic_match for r in reports)
+    assert fields == [prime_power(q)[0] for _l, _s, _t, q, *_ in rows]
+    # with the enumerations run, the rows still build no generic basis
+    assert all(r.generic_match for r in report_tables(rows))
