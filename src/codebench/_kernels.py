@@ -30,7 +30,8 @@ Three kernels dominate every long run:
   charged for, a chunk at a time.  ``weights.distance_is_three`` hands it
   the stacked parity rows of every undecided code of ``thm3.5`` with the
   pairs through 0, then with chunks of one triple per orbit of the
-  rotations and multipliers (``designs._triple_orbit_least``).
+  rotations and multipliers (``designs._triple_orbit_least``, a filter
+  over the triples of ``designs._orbit_least``).
 
 Every kernel indexes the one set of log/antilog/Zech arrays that
 ``galois.Field`` holds.  The tests check each kernel against an

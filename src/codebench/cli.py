@@ -110,8 +110,11 @@ def _emit(text: str, args) -> None:
     if not text.endswith("\n"):
         text += "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise WorkbenchError(f"cannot write {args.out}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -233,6 +236,8 @@ def _cmd_subfield(args) -> int:
         return EXIT_OK
     if args.t is None:
         raise WorkbenchError("--t is required for a single subcode")
+    if args.h is None:
+        raise WorkbenchError("--h is required for a single subcode")
     spec = CodeSpec(q=args.q, n=args.q + 1, delta=3, h=args.h)
     sub = subfield_mod.subfield_subcode_bch(spec, args.t)
     wd = weight_distribution(sub, budget=args.budget)

@@ -53,6 +53,7 @@ class CodeSpec:
     h: int
 
     def __post_init__(self):
+        prime_power(self.q)
         if gcd(self.n, self.q) != 1:
             raise NotCoprime(self.n, self.q)
         if not 2 <= self.delta <= self.n:
@@ -369,6 +370,7 @@ class TraceDualSpec:
     """
 
     def __init__(self, q: int, h: int, n: int | None = None):
+        prime_power(q)
         n = q + 1 if n is None else n
         m = multiplicative_order(q, n)
         ch, ch1 = coset(n, q, h), coset(n, q, h + 1)

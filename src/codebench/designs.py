@@ -357,8 +357,8 @@ def _image_keys(rows: np.ndarray, n: int, mults: list[int]) -> np.ndarray:
     cols = list(tails[:, None, :] * np.array(mults, dtype=small)[None, :, None] % n)
     for a, b in _NETWORKS[len(cols)]:
         cols[a], cols[b] = np.minimum(cols[a], cols[b]), np.maximum(cols[a], cols[b])
-    keys = np.zeros((len(mults), len(rows)), dtype=np.int64)
-    for c in cols:
+    keys = cols[0].astype(np.int64)
+    for c in cols[1:]:
         keys = keys * n + c
     return keys
 
@@ -374,7 +374,7 @@ def _orbit_least(n: int, k: int, mults: list[int]):
     subsets of such points are listed, in runs of their tails
     (``_tail_runs``), and their keys compared.  A chunk is the least rows
     of at most max(_CHUNK_ELEMS / (k |mults|), C(n-3, k-3)) candidates."""
-    low = np.min([np.arange(n) * r % n for r in mults], axis=0)
+    low = _point_least(n, mults)
     points = np.flatnonzero(low == np.arange(n))[1:]
     step = max(1, _CHUNK_ELEMS // (k * len(mults)))
     parts, size = [], 0
@@ -391,6 +391,11 @@ def _orbit_least(n: int, k: int, mults: list[int]):
             size += len(tails)
     if parts:
         yield _least_rows(np.concatenate(parts), n, mults, step)
+
+
+def _point_least(n: int, mults: list[int]) -> np.ndarray:
+    """low[i], the least image r i mod n of each point i under the multipliers."""
+    return np.min([np.arange(n) * r % n for r in mults], axis=0)
 
 
 def _tail_runs(r: int, t: int, step: int) -> list[tuple[int, int]]:
@@ -427,40 +432,22 @@ def _triple_orbit_least(n: int, mults: list[int]):
     in lexicographic order, yielded in chunks.
 
     Every orbit holds triples through 0, each an image r (T - t) of any
-    other, so exactly one of them holds the least key.  The points after 0
-    of the images are the r d and -r d for d in {x, y, y - x}; the first
-    digit of a key is the least of them.  So a triple is least only if x is
-    least among r x and -r x and no r d or -r d lies below x; only those
-    are listed, and their keys compared.  A chunk is the least rows of at
-    most max(_CHUNK_ELEMS / (3 |mults|), n) candidates, sized by their count."""
-    i = np.arange(n)
-    low = np.min([i * r % n for r in mults] + [-i * r % n for r in mults], axis=0)
-    step = max(1, _CHUNK_ELEMS // (3 * len(mults)))
-    parts, size = [], 0
-    for x in np.flatnonzero(low == i)[1:]:
-        y = i[x + 1 :]
-        y = y[(low[y] >= x) & (low[y - x] >= x)]
-        if size + len(y) > step and size:
-            yield _least_triples(np.concatenate(parts), n, mults)
-            parts, size = [], 0
-        parts.append(np.column_stack([np.zeros_like(y), np.full_like(y, x), y]))
-        size += len(y)
-    if parts:
-        yield _least_triples(np.concatenate(parts), n, mults)
-
-
-def _least_triples(rows: np.ndarray, n: int, mults: list[int]) -> np.ndarray:
-    """The rows {0, x, y} whose key is least among the multiplier images of
-    their three rotations that hold 0: {0, x, y}, {0, y - x, n - x} and
-    {0, n - y, n - y + x}."""
-    _, x, y = rows.T
-    keys = _image_keys(rows, n, mults)
-    own = keys[0]
-    least = keys.min(axis=0)
-    for turned in ((y - x, n - x), (n - y, n - y + x)):
-        turned = np.column_stack([np.zeros_like(x), *turned])
-        least = np.minimum(least, _image_keys(turned, n, mults).min(axis=0))
-    return rows[own == least]
+    other, so exactly one of them holds the least key.  That triple is
+    least among its images r T, so it is a row of ``_orbit_least(n, 3,
+    mults)``; each chunk of those rows is filtered to the ones whose key is
+    also no more than every multiplier image of their other two rotations
+    through 0, {0, y - x, n - x} and {0, n - y, n - y + x}.  The first
+    digit of an image's key is its least point after 0, so a row with some
+    r (y - x) below x is dropped before its keys are computed."""
+    low = _point_least(n, mults)
+    for rows in _orbit_least(n, 3, mults):
+        rows = rows[low[rows[:, 2] - rows[:, 1]] >= rows[:, 1]]
+        _, x, y = rows.T
+        keep = np.ones(len(rows), dtype=bool)
+        for turned in ((y - x, n - x), (n - y, n - y + x)):
+            turned = np.column_stack([np.zeros_like(x), *turned])
+            keep &= x * n + y <= _image_keys(turned, n, mults).min(axis=0)
+        yield rows[keep]
 
 
 def _orbit_union(rows: np.ndarray, n: int, mults: list[int]) -> np.ndarray:

@@ -128,10 +128,12 @@ def distance_is_three(q: int, budget: int | None = None) -> list[bool]:
     columns S of its rows are dependent.  The rows are proved cyclic, which
     also closes the dependent sets under i -> p i (see
     ``designs._rank_supports``), so one triple per orbit of the maps
-    i -> r i + c settles every triple (``designs._triple_orbit_least``), and
-    the pairs through 0 every pair.  d = 3 exactly when no pair has rank
-    <= 1 and some triple has rank <= 2.  The triples are scanned in
-    chunks, and a code drops out at its first dependent triple.
+    i -> r i + c settles every triple, and the pairs through 0 every pair;
+    ``designs._triple_orbit_least`` takes those triples from the ones that
+    ``designs._orbit_least`` lists for the multipliers alone.  d = 3
+    exactly when no pair has rank <= 1 and some triple has rank <= 2.  The
+    triples are scanned in chunks, and a code drops out at its first
+    dependent triple.
 
     Charged codes ((n-1) + triple representatives) subset scans, before
     GF(q^2) is built."""

@@ -365,6 +365,15 @@ def test_out_file_byte_identical(tmp_path, capsys):
     assert b"\r" not in b1
 
 
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "missing" / "out.txt"
+    assert main(["field", "3", "2", "--out", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {path}: No such file or directory\n"
+    assert not path.parent.exists()
+
+
 def test_workbench_budget_env(monkeypatch):
     from codebench.config import default_budget
 
@@ -472,9 +481,21 @@ def test_bad_parameter_exit2(argv, capsys):
      "thm5.1 has no published binary row for s=0; published s: 4, 5, 6"),
     (["verify", "thm3.5", "--q", "1"], "1 is not a prime power"),
     (["verify", "thm3.5", "--q", "2"], "zero code has no minimum distance"),
+    # q is checked before n, delta, h and the dual dimension
+    (["build", "1", "2", "3", "0"], "1 is not a prime power"),
+    (["wdist", "--q", "1", "--h", "0"], "1 is not a prime power"),
+    (["classify", "--q", "0", "--h", "0"], "0 is not a prime power"),
+    (["subfield", "--q", "1", "--h", "0", "--t", "1"], "1 is not a prime power"),
+    (["design", "--q", "0", "--h", "0", "--weight", "4"], "0 is not a prime power"),
+    (["design", "--q", "0", "--h", "0", "--weight", "4", "--source", "det"],
+     "0 is not a prime power"),
+    (["design", "--q", "0", "--h", "0", "--weight", "4", "--source", "dual"],
+     "0 is not a prime power"),
+    (["subfield", "--q", "9", "--t", "1"], "--h is required for a single subcode"),
 ], ids=["coset-n0", "field-p1", "build-n0", "wdist-n0", "classify-n3", "coset-n0-q1-s0",
         "coset-n0-q1", "coset-n-neg", "cor3.1-s0", "cor3.2-s0", "cor3.3-s-neg", "thm5.1-s0",
-        "thm3.5-q1", "thm3.5-q2"])
+        "thm3.5-q1", "thm3.5-q2", "build-q1", "wdist-q1", "classify-q0", "subfield-q1",
+        "design-q0", "design-det-q0", "design-dual-q0", "subfield-no-h"])
 def test_usage_error_names_the_values(argv, err, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()

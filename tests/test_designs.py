@@ -783,10 +783,35 @@ def test_triple_orbit_representatives_cover_every_triple_once(q):
     assert all(rep == min(orbit) for rep, orbit in zip(reps, orbits))
 
 
+@pytest.mark.parametrize("q", [243, 729, 2048])
+def test_triple_orbit_representatives_are_one_per_orbit_at_large_q(q):
+    # each representative T = {0, x, y} holds the least key x n + y among
+    # its 3 |mults| images r (T - t) through 0, so no orbit has two; the
+    # stabiliser of T is the (r, t) whose image is T itself, and the orbit
+    # sizes |mults| n / |Stab(T)| add up to all C(n, 3) triples
+    n, p = q + 1, prime_power(q)[0]
+    mults = designs._multipliers(n, p)
+    reps = np.concatenate(list(designs._triple_orbit_least(n, mults)))
+    assert (reps[:, 0] == 0).all() and (reps[:, 1] < reps[:, 2]).all()
+    keys = reps[:, 1] * n + reps[:, 2]
+    assert (np.diff(keys) > 0).all()
+    _, x, y = reps.T
+    r = np.array(mults, dtype=np.int64)[:, None]
+    images = []
+    for a, b in ((x, y), (y - x, n - x), (n - y, n - y + x)):
+        a, b = r * a % n, r * b % n
+        images.append(np.minimum(a, b) * n + np.maximum(a, b))
+    images = np.concatenate(images)
+    assert (keys == images.min(axis=0)).all()
+    stab = (images == keys).sum(axis=0)
+    assert (len(mults) * n % stab == 0).all()
+    assert int((len(mults) * n // stab).sum()) == comb(n, 3)
+
+
 @pytest.mark.parametrize("q", [25, 27, 49, 81])
 def test_triple_orbit_chunks_equal_the_one_chunk_listing(q, monkeypatch):
-    # a small chunk splits the candidates; the least rows come back alike,
-    # each chunk the least of at most max(step, n) candidates
+    # a small chunk splits the rows of _orbit_least that are filtered; the
+    # least rows come back alike
     n, p = q + 1, prime_power(q)[0]
     mults = designs._multipliers(n, p)
     whole = list(designs._triple_orbit_least(n, mults))
