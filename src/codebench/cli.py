@@ -224,6 +224,8 @@ def _cmd_design(args) -> int:
 
 
 def _cmd_subfield(args) -> int:
+    if not args.tables and args.q is None and (args.h is not None or args.t is not None):
+        raise WorkbenchError("--q is required for a single subcode")
     if args.tables or args.q is None:
         rows = [row for row in subfield_mod.table_rows() if args.label in (None, row[0])]
         reports = subfield_mod.report_tables(rows, budget=args.budget)

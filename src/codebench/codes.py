@@ -459,28 +459,6 @@ class TraceDualSpec:
         side plus at most q^m for the slice where that side is 0."""
         return (self.orbit_count() + 1) * self.q**self.m
 
-    def through_zero_supports(self, k: int) -> np.ndarray:
-        """Support rows (booleans, one per word, repeats kept) of the
-        weight-k words among the q^(2m-1) words with c_(a,b)[0] = 1.
-
-        c_(a,b)[0] = Tr(a + b), so these are the words with u = a + b in
-        Tr^-1(1) and any b.  Tr is GF(q)-linear, so c_(a,b)[i] =
-        Tr(u gamma^(h i)) - Tr(b d_i) with d_i = gamma^(h i) - gamma^((h+1) i),
-        and coordinate i is zero exactly when Tr(u gamma^(h i)) = Tr(b d_i).
-        Both sides are traces of log/Zech products over (elements x n)
-        arrays; the words are compared a few values of u at a time."""
-        big, n = self.big, self.n
-        reps = np.arange(big.q, dtype=np.int64)
-        tr = trace_arr(big, reps, self.q)
-        left = tr[big.mul_arr(np.flatnonzero(tr == 1)[:, None], self._bh)]
-        right = tr[big.mul_arr(reps[:, None], big.sub_arr(self._bh, self._bh1))]
-        step = max(1, (1 << 22) // right.size)
-        out = [np.zeros((0, n), dtype=bool)]
-        for lo in range(0, len(left), step):
-            nz = (left[lo : lo + step, None, :] != right[None, :, :]).reshape(-1, n)
-            out.append(nz[np.count_nonzero(nz, axis=1) == k])
-        return np.concatenate(out)
-
     @cached_property
     def _packed_tables(self) -> tuple[np.ndarray, np.ndarray]:
         reps = np.arange(self.big.q, dtype=np.int64)

@@ -14,7 +14,10 @@ closed under the multiplier i -> p i twisted by the Frobenius x -> x^p
 ord_(q+1)(p) = 2s; so the rank and determinant routes evaluate only the
 subsets through 0 that are least in their multiplier orbit, and expand the
 hits back into the orbits.  Each route is still charged every subset
-through 0 (C(n-1, k-1) subsets, or C(n-1, 2) n (triple, w) pairs).
+through 0 (C(n-1, k-1) subsets, or C(n-1, 2) n (triple, w) pairs).  The
+one words route, for a code and for a trace dual alike, meets the
+q^(dim-1) words with c[0] = 1 in two tables of about their square root
+each and is charged those words.
 """
 from __future__ import annotations
 
@@ -32,6 +35,7 @@ from .codes import (
     TraceDualSpec,
     orthogonal,
     require_cyclic,
+    rref,
     trace_dual,
 )
 from .config import default_budget
@@ -182,102 +186,92 @@ def supports_of_weight(
     q-1 codewords, reduced to blocks, by the route that ``support_route``
     chooses and charges.
 
-    The words route enumerates the q^k codewords; all their weight-k
-    supports are checked, and the code is then proved cyclic and its
-    supports through point 0 kept.  The rank route takes the weight-4 and
-    weight-5 supports of C_(q,q+1,3,h) from the parity-submatrix rank scan
-    of the k-subsets through point 0, one per multiplier orbit.  The trace
-    route takes the trace dual's supports from its q^(2m-1) words with
-    c_(a,b)[0] = 1.  These routes too first prove that the code is cyclic,
-    and every route returns ``CyclicBlocks``.
+    The words route compares the words with c[0] = 1 of the source's
+    generator rows (``_supports_through_zero``).  The rank route takes the
+    weight-4 and weight-5 supports of C_(q,q+1,3,h) from the
+    parity-submatrix rank scan of the k-subsets through point 0, one per
+    multiplier orbit.  Both routes first prove that the code is cyclic,
+    and both return ``CyclicBlocks``.
     """
-    route = support_route(source, k, budget)
-    if route == "trace":
-        return _trace_supports(source, k)
-    code = source
-    if route == "words":
-        supports = _word_supports(code.codewords(budget=budget), k, code.q)
-        require_cyclic(code.gen_matrix, code.field)
-        blocks = CyclicBlocks(_lex_sorted(supports[supports[:, 0] == 0]), code.n)
-    else:
-        blocks = _rank_supports(trace_dual(code.q, code.spec.h), k, check_code=code)
-    return SupportCount(blocks)
+    if support_route(source, k, budget) == "words":
+        return SupportCount(_supports_through_zero(source, k, budget))
+    return SupportCount(_rank_supports(trace_dual(source.q, source.spec.h), k, check_code=source))
 
 
 def support_route(source: LinearCode | TraceDualSpec, k: int, budget: int | None = None) -> str:
     """The route of ``supports_of_weight`` for (source, k), after checking
-    its charge against the budget: "trace" for a trace dual, charged its
-    q^(2m-1) words with c[0] = 1; "words" for a code whose q^k codewords
-    fit the budget; else "rank" for k in {4, 5} on C_(q,q+1,3,h), charged
-    all C(n-1, k-1) subsets through 0.  Raises BudgetExceeded when no route
-    fits, so a suite can price its phases before it runs the first."""
+    its charge against the budget: "words" when the q^(dim-1) words with
+    c[0] = 1 fit it, dim = 2m for a trace dual; else, for a code, "rank"
+    for k in {4, 5} on C_(q,q+1,3,h), charged all C(n-1, k-1) subsets
+    through 0.  Raises InvalidParameters for a block size outside
+    [1, n], and BudgetExceeded when no route fits, so a suite can price
+    its phases before it runs the first."""
     budget = default_budget() if budget is None else budget
-    if k < 1:
-        raise InvalidParameters(f"need a block size k >= 1, got {k}")
+    if not 1 <= k <= source.n:
+        raise InvalidParameters(f"need a block size 1 <= k <= {source.n}, got k={k}")
     if isinstance(source, TraceDualSpec):
-        kernels.check_budget(source.big.q**2 // source.q, budget)
-        return "trace"
-    if source.codeword_count() <= budget:
+        kernels.check_budget(source.q ** (2 * source.m - 1), budget)
+        return "words"
+    charge = source.q ** max(source.k - 1, 0)
+    if charge <= budget:
         return "words"
     spec = source.spec
     if k in (4, 5) and spec is not None and spec.delta == 3 and spec.n == source.q + 1:
         kernels.check_budget(comb(source.n - 1, k - 1), budget)
         return "rank"
     raise BudgetExceeded(
-        f"{count_text(source.codeword_count())} codewords exceed budget {budget} and no "
+        f"{count_text(charge)} codewords with c[0] = 1 exceed budget {budget} and no "
         f"structural construction applies for k={k}"
     )
 
 
-def _lex_sorted(rows: np.ndarray) -> np.ndarray:
-    return rows[np.lexsort(rows.T[::-1])]
-
-
-def _group_supports(rows: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """(supports, mults): the distinct rows of a boolean array of weight-k
-    rows, as sorted point rows in order of first appearance, and how many
-    rows share each.
-
-    Each row is packed into one byte string; ``np.unique`` sorts them
-    stably, so the index it returns is each support's first row."""
-    packed = np.packbits(rows, axis=1)
-    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-    _, first, mults = np.unique(keys, return_index=True, return_counts=True)
-    seen = np.argsort(first)
-    return np.nonzero(rows[first[seen]])[1].reshape(len(seen), k), mults[seen]
-
-
-def _word_supports(words: np.ndarray, k: int, q: int) -> np.ndarray:
-    """The distinct weight-k supports of a word array, as sorted point rows
-    in order of first appearance, after checking that each is carried by
-    exactly q-1 words."""
-    supports, mults = _group_supports(words[np.count_nonzero(words, axis=1) == k] != 0, k)
-    bad = np.flatnonzero(mults != q - 1)
-    if len(bad):
-        raise MultiplicityNotQMinus1(
-            f"support {tuple(supports[bad[0]].tolist())} carried by {mults[bad[0]]} "
-            f"codewords, expected q-1 = {q - 1}"
-        )
-    return supports
-
-
-def _trace_supports(td: TraceDualSpec, k: int) -> SupportCount:
-    """Weight-k supports of the trace dual from its words with c[0] = 1.
+def _supports_through_zero(
+    source: LinearCode | TraceDualSpec, k: int, budget: int | None = None
+) -> CyclicBlocks:
+    """Weight-k supports of a cyclic code from its words with c[0] = 1.
 
     A support through 0 is carried by q-1 words, the scalar multiples of
     one; exactly one of them has c[0] = 1.  So each support through 0 must
     come from exactly one of these words, and the rotations of those
-    supports are all the supports, the code being cyclic."""
-    require_cyclic(td.basis_matrix(), td.field)
-    supports, mults = _group_supports(td.through_zero_supports(k), k)
-    bad = np.flatnonzero(mults != 1)
-    if len(bad):
+    supports are all the supports once the generator rows G are proved
+    cyclic.  With R = rref(G) pivoting on column 0, the words with
+    c[0] = 1 are R[0] + span(R[1:]), met in two tables: left[x] in
+    R[0] + span(R[1:1+a]) and right[y] in -span(R[1+a:]), which is the
+    set span(R[1+a:]), a = (rank G - 1) // 2.  Coordinate i of
+    left[x] - right[y] is zero exactly when left[x, i] == right[y, i], so
+    the tables are compared a few rows of left at a time and the rows with
+    k unequal coordinates kept, each packed into bytes as the complement
+    of its support: byte order is then lexicographic order of the
+    supports, and repeats are adjacent."""
+    G = source.gen_matrix if isinstance(source, LinearCode) else source.basis_matrix()
+    field, n, q = source.field, source.n, source.q
+    require_cyclic(G, field)
+    R, pivots = rref(G, field)
+    packed = [np.zeros((0, (n + 7) // 8), dtype=np.uint8)]
+    if pivots[:1] == [0]:
+        a = (len(R) - 1) // 2
+        small = np.min_scalar_type(q - 1)
+        span = LinearCode(field, n, R[1 : 1 + a]).codewords(budget)
+        left = field.add_arr(span, R[0]).astype(small)
+        right = LinearCode(field, n, R[1 + a :]).codewords(budget).astype(small)
+        step = max(1, (1 << 22) // right.size)
+        for lo in range(0, len(left), step):
+            nz = (left[lo : lo + step, None, :] != right[None, :, :]).reshape(-1, n)
+            packed.append(np.packbits(~nz[np.count_nonzero(nz, axis=1) == k], axis=1))
+    packed = np.concatenate(packed)
+    keys = np.sort(packed.view(np.dtype((np.void, packed.shape[1]))).ravel())
+    off = np.unpackbits(keys.view(np.uint8).reshape(packed.shape), axis=1, count=n)
+    same = keys[1:] == keys[:-1]
+    if same.any():
+        j = int(same.argmax())
+        run = 1 + int(np.append(same[j:], False).argmin())
         raise MultiplicityNotQMinus1(
-            f"support {tuple(supports[bad[0]].tolist())} carried by "
-            f"{(td.q - 1) * mults[bad[0]]} codewords, expected q-1 = {td.q - 1}"
+            f"support {tuple(np.flatnonzero(off[j] == 0).tolist())} carried by "
+            f"{(q - 1) * run} codewords, expected q-1 = {q - 1}"
         )
-    blocks = CyclicBlocks(_lex_sorted(supports), td.n)
-    return SupportCount(blocks)
+    points = np.flatnonzero(off == 0)
+    points %= n
+    return CyclicBlocks(points.reshape(-1, k), n)
 
 
 def _rank_supports(td: TraceDualSpec, k: int, check_code: LinearCode | None = None) -> CyclicBlocks:

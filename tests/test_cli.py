@@ -492,10 +492,13 @@ def test_bad_parameter_exit2(argv, capsys):
     (["design", "--q", "0", "--h", "0", "--weight", "4", "--source", "dual"],
      "0 is not a prime power"),
     (["subfield", "--q", "9", "--t", "1"], "--h is required for a single subcode"),
+    (["subfield", "--h", "3", "--t", "1"], "--q is required for a single subcode"),
+    (["design", "--q", "9", "--h", "3", "--weight", "11"], "need a block size 1 <= k <= 10, got k=11"),
 ], ids=["coset-n0", "field-p1", "build-n0", "wdist-n0", "classify-n3", "coset-n0-q1-s0",
         "coset-n0-q1", "coset-n-neg", "cor3.1-s0", "cor3.2-s0", "cor3.3-s-neg", "thm5.1-s0",
         "thm3.5-q1", "thm3.5-q2", "build-q1", "wdist-q1", "classify-q0", "subfield-q1",
-        "design-q0", "design-det-q0", "design-dual-q0", "subfield-no-h"])
+        "design-q0", "design-det-q0", "design-dual-q0", "subfield-no-h", "subfield-no-q",
+        "design-k-above-n"])
 def test_usage_error_names_the_values(argv, err, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()

@@ -1,4 +1,3 @@
-import re
 from collections import Counter
 from itertools import chain, combinations
 from math import comb
@@ -150,11 +149,22 @@ def test_supports_of_primal_q9():
 
 
 def test_supports_multiplicity_violation():
-    # the full space [2,2] over GF(3) has four weight-2 words on one support
-    f = field_new(3, 1)
-    full = LinearCode(f, 2, np.eye(2, dtype=np.int64))
-    with pytest.raises(MultiplicityNotQMinus1):
-        supports_of_weight(full, 2)
+    # a full space GF(q)^n is cyclic and carries each weight-w support on
+    # (q-1)^w words; the route names the lexicographically least support
+    # and counts q-1 words for each of its words with c[0] = 1
+    for p, m, n, w, witness, count in [
+        (3, 1, 2, 2, (0, 1), 4),
+        (3, 1, 3, 2, (0, 1), 4),  # (0, 1) and (0, 2) are both carried 4 times
+        (2, 2, 2, 2, (0, 1), 9),
+        (3, 1, 4, 3, (0, 1, 2), 8),
+    ]:
+        f = field_new(p, m)
+        full = LinearCode(f, n, np.eye(n, dtype=np.int64))
+        with pytest.raises(MultiplicityNotQMinus1) as exc:
+            supports_of_weight(full, w)
+        assert str(exc.value) == (
+            f"support {witness} carried by {count} codewords, expected q-1 = {f.q - 1}")
+        assert count == (f.q - 1) ** w
 
 
 def test_verify_design_complete():
@@ -251,6 +261,17 @@ def test_budget_errors():
         supports_of_weight(code, 6, budget=10_000)  # no structural route for k=6
     with pytest.raises(BudgetExceeded):
         weight4_blocks_det(9, 3, budget=10)
+    # the words route is charged the q^(k-1) words with c[0] = 1 of the
+    # [10, 6] code: within that budget it runs and finds the weight-6
+    # supports carried by more than q-1 words
+    with pytest.raises(MultiplicityNotQMinus1) as exc:
+        supports_of_weight(code, 6, budget=9**5)
+    assert str(exc.value) == ("support (0, 1, 2, 3, 4, 5) carried by 48 codewords, "
+                              "expected q-1 = 8")
+    with pytest.raises(BudgetExceeded) as exc:
+        supports_of_weight(code, 6, budget=9**5 - 1)
+    assert str(exc.value) == ("59049 codewords with c[0] = 1 exceed budget 59048 and no "
+                              "structural construction applies for k=6")
 
 
 def test_weight4_blocks_det_charges_triple_w_pairs():
@@ -329,38 +350,6 @@ def test_rank_supports_checks_every_reconstructed_word(monkeypatch):
     assert str(exc.value) == f"reconstructed weight-4 word on {corrupted[0]} is not in the code"
 
 
-def test_supports_from_words_first_seen_order_and_multiplicity():
-    # raw words: support (1, 2) twice, then (0, 3) once
-    words = np.array([[0, 1, 1, 0], [0, 2, 2, 0], [1, 0, 0, 1], [1, 1, 1, 1]])
-    with pytest.raises(MultiplicityNotQMinus1) as exc:
-        designs._word_supports(words, 2, 3)
-    assert "support (0, 3) carried by 1 codewords" in str(exc.value)
-    assert designs._word_supports(words[:2], 2, 3).tolist() == [[1, 2]]
-
-
-def test_group_supports_match_dict_oracle():
-    # n = 70 packs into nine bytes
-    rng = np.random.default_rng(6)
-    n, k = 70, 5
-    base = np.zeros((40, n), dtype=bool)
-    for row in base:
-        row[rng.choice(n, size=k, replace=False)] = True
-    base[:2] = False
-    base[:2, [0, 10, 20, 30]] = True
-    base[0, 68] = base[1, 69] = True  # apart only in the last packed byte
-    rows = np.vstack([base, base[rng.integers(0, 40, size=60)], base[:3]])
-    rows = rows[rng.permutation(len(rows))]
-    oracle: dict[tuple[int, ...], int] = {}
-    for row in rows:
-        key = tuple(np.flatnonzero(row).tolist())
-        oracle[key] = oracle.get(key, 0) + 1
-    supports, mults = designs._group_supports(rows, k)
-    assert list(map(tuple, supports.tolist())) == list(oracle)
-    assert mults.tolist() == list(oracle.values())
-    supports, mults = designs._group_supports(np.zeros((0, n), dtype=bool), k)
-    assert supports.shape == (0, k) and len(mults) == 0
-
-
 @pytest.mark.parametrize("through0", [False, True])
 def test_ksubsets_matches_itertools(through0):
     for n in range(13):
@@ -399,9 +388,38 @@ def cyclic(blocks, n):
     return CyclicBlocks(hits.reshape(-1, len(blocks[0])), n)
 
 
-def sorted_word_supports(words, k, q):
-    """Every weight-k support of a word array, sorted, as tuples."""
-    return tuple(sorted(map(tuple, designs._word_supports(words, k, q).tolist())))
+def word_support_counts(word_arrays):
+    """Oracle: how many words of the arrays lie on each nonzero support,
+    keyed by the support as a sorted tuple."""
+    counts = Counter()
+    for words in word_arrays:
+        n = words.shape[1]
+        masks = (words != 0).astype(np.int64) @ (1 << np.arange(n, dtype=np.int64))
+        keys, mults = np.unique(masks[masks != 0], return_counts=True)
+        counts.update(dict(zip(keys.tolist(), mults.tolist())))
+    return {tuple(i for i in range(n) if mask >> i & 1): c for mask, c in counts.items()}
+
+
+def code_words(code):
+    """Every one of the q^k words of a code, q^(k-1) at a time:
+    s G[0] + span(G[1:]) for each s in GF(q)."""
+    G, f = code.gen_matrix, code.field
+    if not len(G):
+        return [np.zeros((1, code.n), dtype=np.int64)]
+    rest = LinearCode(f, code.n, G[1:]).codewords()
+    return (f.add_arr(rest, f.mul_arr(s, G[0])) for s in range(code.q))
+
+
+def sorted_word_supports(counts, k, q):
+    """Oracle for the words route: every weight-k support, sorted, after
+    checking that the words on each number q-1; else MultiplicityNotQMinus1
+    naming the lexicographically least support that fails, and its count."""
+    supports = sorted(s for s in counts if len(s) == k)
+    bad = [s for s in supports if counts[s] != q - 1]
+    if bad:
+        raise MultiplicityNotQMinus1(
+            f"support {bad[0]} carried by {counts[bad[0]]} codewords, expected q-1 = {q - 1}")
+    return tuple(supports)
 
 
 def full_scan_supports(q, h, k):
@@ -446,29 +464,32 @@ def test_rank_route_charges_subsets_through_zero():
     assert len(weight5_blocks_rank(27, 12, budget=comb(27, 4))) == 78624
 
 
-@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27])
 def test_trace_supports_equal_word_supports(q):
-    for _family, _i, h in valid_instances(q):
-        td = trace_dual(q, h)
-        words = td.codewords()
-        for k in np.unique(np.count_nonzero(words, axis=1)):
-            if k == 0:
-                continue
+    # the trace duals of the family instances at each of their weights, and
+    # every C_(q,q+1,3,h) with q <= 9 at every weight, against the oracle
+    # that counts all q^k words
+    sources = [trace_dual(q, h) for _family, _i, h in valid_instances(q)]
+    if q <= 9:
+        sources += [bch_build(CodeSpec(q=q, n=q + 1, delta=3, h=h)) for h in range(q + 1)]
+    for source in sources:
+        if isinstance(source, TraceDualSpec):
+            counts = word_support_counts([source.codewords()])
+            weights = sorted({len(supp) for supp in counts})
+        else:
+            counts = word_support_counts(code_words(source))
+            weights = range(1, q + 2)
+        for k in weights:
             try:
-                want = sorted_word_supports(words, int(k), q)
-            except MultiplicityNotQMinus1:
-                # the through-0 route names a support and its full multiplicity
+                want = sorted_word_supports(counts, k, q)
+            except MultiplicityNotQMinus1 as bad:
                 with pytest.raises(MultiplicityNotQMinus1) as exc:
-                    supports_of_weight(td, int(k))
-                supp, mult = re.match(r"support \((.*)\) carried by (\d+) ", str(exc.value)).groups()
-                supp = [int(x) for x in supp.split(",")]
-                nonzero = words != 0
-                on = (nonzero.sum(axis=1) == k) & nonzero[:, supp].all(axis=1)
-                assert int(mult) == int(on.sum()) != q - 1, (q, h, k)
+                    supports_of_weight(source, k)
+                assert str(exc.value) == str(bad), (q, source, k)
                 continue
-            got = supports_of_weight(td, int(k))
+            got = supports_of_weight(source, k)
             assert isinstance(got.blocks, CyclicBlocks)
-            assert got.blocks == want and list(got.blocks) == list(want), (q, h, k)
+            assert got.blocks == want and list(got.blocks) == list(want), (q, source, k)
 
 
 def test_trace_route_charges_words_through_zero():
@@ -513,7 +534,7 @@ def test_words_route_needs_cyclic_code(monkeypatch):
     # the same for the enumerated words of a code with two coordinates swapped
     code = bch_build(CodeSpec(q=9, n=10, delta=3, h=3))
     swapped = LinearCode(code.field, 10, code.gen_matrix[:, [0, 2, 1, *range(3, 10)]])
-    want = sorted_word_supports(swapped.codewords(), 4, 9)
+    want = sorted_word_supports(word_support_counts([swapped.codewords()]), 4, 9)
     with pytest.raises(InvalidParameters, match="cyclic shift"):
         supports_of_weight(swapped, 4)
     monkeypatch.setattr(designs, "require_cyclic", lambda mat, field: None)
@@ -527,7 +548,7 @@ def test_trace_route_needs_cyclic_code(monkeypatch):
     td = trace_dual(9, 3)
     perm = [0, 2, 1, *range(3, 10)]
     td._bh, td._bh1 = td._bh[perm], td._bh1[perm]
-    want = sorted_word_supports(td.codewords(), 6, 9)
+    want = sorted_word_supports(word_support_counts([td.codewords()]), 6, 9)
     with pytest.raises(InvalidParameters, match="cyclic shift"):
         supports_of_weight(td, 6)
     monkeypatch.setattr(designs, "require_cyclic", lambda mat, field: None)
