@@ -13,7 +13,6 @@ from .codes import (
     classify_h,
     trace_dual,
 )
-from .config import default_budget
 from .cyclotomic import CyclotomicCoset, Poly, coset, coset_leaders, minimal_poly
 from .designs import (
     CyclicBlocks,

@@ -46,7 +46,7 @@ from math import gcd
 
 import numpy as np
 
-from .config import default_budget
+from .config import DEFAULT_BUDGET
 from .cyclotomic import coset_leaders
 from .errors import BudgetExceeded, count_text
 from .galois import trace_kernel_logs
@@ -274,6 +274,6 @@ def _det(A, rows, cols, field, memo):
 
 def check_budget(count: int, budget: int | None = None) -> None:
     """Raise BudgetExceeded when count exceeds budget (None: the default)."""
-    budget = default_budget() if budget is None else budget
+    budget = DEFAULT_BUDGET if budget is None else budget
     if count > budget:
         raise BudgetExceeded(f"enumeration of {count_text(count)} items exceeds budget {budget}")

@@ -15,7 +15,7 @@ from . import designs as designs_mod
 from . import subfield as subfield_mod
 from . import verify as verify_mod
 from .codes import CodeSpec, bch_build, trace_dual
-from .config import default_budget
+from .config import DEFAULT_BUDGET
 from .cyclotomic import coset, coset_leaders
 from .errors import BudgetExceeded, Falsified, InvalidParameters, ResourceCap, WorkbenchError
 from .galois import field_new
@@ -30,8 +30,8 @@ EXIT_BUDGET = 3
 
 def _add_common(parser, suppress: bool) -> None:
     d = (lambda v: argparse.SUPPRESS) if suppress else (lambda v: v)
-    parser.add_argument("--budget", type=int, default=d(None),
-                        help="enumeration budget (default 2^26 or WORKBENCH_BUDGET)")
+    parser.add_argument("--budget", type=int, default=d(DEFAULT_BUDGET),
+                        help="enumeration budget (default 2^26)")
     parser.add_argument("--threads", type=int, default=d(1),
                         help="accepted for compatibility; has no effect")
     parser.add_argument("--format", choices=("text", "json", "csv"), default=d("text"))
@@ -295,8 +295,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        if args.budget is None:
-            args.budget = default_budget()
         if args.budget < 1:
             raise ValueError("budget must be >= 1")
         if args.threads < 1:

@@ -21,7 +21,7 @@ from math import gcd
 import numpy as np
 
 from . import _kernels as kernels
-from .config import default_budget
+from .config import DEFAULT_BUDGET
 from .cyclotomic import Poly, coset, minimal_poly, multiplicative_order, splitting_field
 from .errors import (
     BudgetExceeded,
@@ -263,7 +263,7 @@ class LinearCode:
 
     def codewords(self, budget: int | None = None) -> np.ndarray:
         """Materialise all q^k codewords as an array (small codes only)."""
-        budget = default_budget() if budget is None else budget
+        budget = DEFAULT_BUDGET if budget is None else budget
         if self.codeword_count() > budget:
             raise BudgetExceeded(
                 f"{count_text(self.codeword_count())} codewords exceed budget {budget}"
@@ -275,16 +275,6 @@ class LinearCode:
             mults = lanes.pack(self.field.mul_arr(scalars, row[None, :]))
             out = lanes.add(out[:, :, None], mults[:, None, :]).reshape(lanes.count, -1)
         return lanes.unpack(out)
-
-    def min_distance(self, budget: int | None = None) -> int:
-        """Exact minimum distance via the cheaper of direct or dual-side
-        enumeration (dual side goes through the MacWilliams transform)."""
-        from .weights import weight_distribution
-
-        d = weight_distribution(self, budget=budget).d()
-        if d is None:
-            raise InvalidParameters("zero code has no minimum distance")
-        return d
 
     def to_json_dict(self) -> dict:
         return {

@@ -38,7 +38,7 @@ from .codes import (
     rref,
     trace_dual,
 )
-from .config import default_budget
+from .config import DEFAULT_BUDGET
 from .cyclotomic import multiplicative_order
 from .errors import (
     BudgetExceeded,
@@ -87,14 +87,17 @@ class CyclicBlocks(Sequence):
 
     def __init__(self, hits: np.ndarray, n: int):
         hits = np.asarray(hits, dtype=np.int64)
-        step = np.diff(hits, axis=0)  # the first nonzero step of each row pair must be > 0
-        if len(hits) and ((hits[:, 0] != 0).any() or (np.diff(hits, axis=1) <= 0).any()
-                          or hits[:, -1].max() >= n
-                          or (step[np.arange(len(step)), (step != 0).argmax(axis=1)] <= 0).any()):
-            raise InvalidParameters(
-                "hits must be distinct increasing rows in range(n) that start at 0, "
-                "in lexicographic order"
-            )
+        rows = max(1, _CHUNK_ELEMS // max(1, hits.shape[-1]))
+        for lo in range(0, len(hits), rows):  # chunks overlap by one row pair
+            part = hits[max(lo - 1, 0) : lo + rows]
+            step = np.diff(part, axis=0)  # the first nonzero step of each row pair must be > 0
+            if ((part[:, 0] != 0).any() or (np.diff(part, axis=1) <= 0).any()
+                    or part[:, -1].max() >= n
+                    or (step[np.arange(len(step)), (step != 0).argmax(axis=1)] <= 0).any()):
+                raise InvalidParameters(
+                    "hits must be distinct increasing rows in range(n) that start at 0, "
+                    "in lexicographic order"
+                )
         self.hits, self.n, self.k = hits, n, hits.shape[1]
         self._b = int((n - hits[:, -1]).sum()) if len(hits) else 0
         if self._b * self.k != len(hits) * n:
@@ -206,7 +209,7 @@ def support_route(source: LinearCode | TraceDualSpec, k: int, budget: int | None
     through 0.  Raises InvalidParameters for a block size outside
     [1, n], and BudgetExceeded when no route fits, so a suite can price
     its phases before it runs the first."""
-    budget = default_budget() if budget is None else budget
+    budget = DEFAULT_BUDGET if budget is None else budget
     if not 1 <= k <= source.n:
         raise InvalidParameters(f"need a block size 1 <= k <= {source.n}, got k={k}")
     if isinstance(source, TraceDualSpec):
@@ -540,14 +543,14 @@ def verify_design(blocks: CyclicBlocks, n_points: int, t: int) -> tuple[int, int
     """
     if t < 1:
         raise InvalidParameters(f"design strength t must be >= 1, got {t}")
+    k = blocks.k
+    if not t < k < n_points:
+        raise InvalidParameters(f"need t < k < n, got t={t}, k={k}, n={n_points}")
+    if blocks.n != n_points:
+        raise InvalidParameters(f"blocks rotate on {blocks.n} points, not {n_points}")
     b = len(blocks)
     if b == 0:
         return 0, 0
-    k = blocks.k
-    if not t < k < n_points:
-        raise InvalidParameters("need t < k < n_points")
-    if blocks.n != n_points:
-        raise InvalidParameters(f"blocks rotate on {blocks.n} points, not {n_points}")
     counts = _counts_through_zero(blocks, t)
     lam = int(counts[0])
     off = np.flatnonzero(counts != lam)
@@ -561,8 +564,7 @@ def verify_design(blocks: CyclicBlocks, n_points: int, t: int) -> tuple[int, int
 
 def design_from_blocks(blocks: CyclicBlocks, n_points: int, t: int) -> Design:
     lam, b = verify_design(blocks, n_points, t)
-    k = blocks.k if b else 0
-    return Design(n_points=n_points, k=k, blocks=blocks, t=t, lam=lam, b=b)
+    return Design(n_points=n_points, k=blocks.k, blocks=blocks, t=t, lam=lam, b=b)
 
 
 def steiner_check(design: Design) -> bool:

@@ -272,7 +272,6 @@ class Field:
         "m",
         "q",
         "modulus",
-        "generator_index",
         "exp",
         "log",
         "zech",
@@ -291,7 +290,6 @@ class Field:
         if q > TABLE_BUDGET:
             raise ResourceCap(f"field of order {q} exceeds {TABLE_BUDGET}")
         self.p, self.m, self.q = p, m, q
-        self.generator_index = 1
         self.modulus = lex_smallest_primitive_modulus(p, m)
         base = _build_exp_chain(p, m, q, self.modulus).astype(np.int32, copy=False)
         o = q - 1

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import _kernels as kernels
 from .codes import LinearCode, orthogonal, rank, require_cyclic, root_powers, trace_dual
-from .config import default_budget
+from .config import DEFAULT_BUDGET
 from .cyclotomic import coset, splitting_field
 from .designs import _multipliers, _triple_orbit_least
 from .errors import (
@@ -86,7 +86,7 @@ def _enumerate(code: LinearCode, budget: int | None) -> tuple[WeightDistribution
         only once its 2m x n basis B is proven to span the dual
         (G B^T = 0 and rank B = n - k), else the next route is tried.
     """
-    budget = default_budget() if budget is None else budget
+    budget = DEFAULT_BUDGET if budget is None else budget
     costs = {
         "direct": code.enumeration_cost(),
         "dual": kernels.projective_count(code.q, code.n - code.k) + 1,

@@ -262,8 +262,7 @@ def run_measured(*argv):
     """(exit code, stdout, stderr, wall seconds, peak RSS in MiB) of the CLI
     in a fresh interpreter under the default budget."""
     src = str(Path(codebench.__file__).resolve().parents[1])
-    env = {k: v for k, v in os.environ.items() if k != "WORKBENCH_BUDGET"}
-    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run([sys.executable, "-c", _MEASURED, *argv], env=env,
                          capture_output=True, text=True, check=True, timeout=300)
     return json.loads(out.stdout)
@@ -374,14 +373,14 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
     assert not path.parent.exists()
 
 
-def test_workbench_budget_env(monkeypatch):
-    from codebench.config import default_budget
-
-    monkeypatch.setenv("WORKBENCH_BUDGET", "12345")
-    assert default_budget() == 12345
-    monkeypatch.setenv("WORKBENCH_BUDGET", "0")
-    with pytest.raises(ValueError):
-        default_budget()
+@pytest.mark.parametrize("value", ["5", "abc"])
+def test_budget_environment_variable_changes_nothing(value, capsys, monkeypatch):
+    # a run's budget comes from its argv alone
+    argvs = (["verify", "thm3.1", "--q", "9", "--i", "1"], ["field", "3", "2"])
+    plain = [run(capsys, *argv) for argv in argvs]
+    monkeypatch.setenv("WORKBENCH_BUDGET", value)
+    assert [run(capsys, *argv) for argv in argvs] == plain
+    assert [code for code, _ in plain] == [0, 0]
 
 
 def test_cli_threads_smoke(capsys):
@@ -417,6 +416,14 @@ def test_design_code_source(capsys):
     assert out.startswith("10 5 72\n")
 
 
+@pytest.mark.parametrize("argv, header", [
+    (["--q", "9", "--h", "3", "--weight", "5", "--source", "dual"], "10 5 0\n"),
+    (["--q", "4", "--h", "1", "--weight", "4", "--source", "det"], "5 4 0\n"),
+], ids=["dual-no-weight-5", "det-q4"])
+def test_empty_design_header_keeps_the_block_size(argv, header, capsys):
+    assert run(capsys, "design", *argv) == (0, header)
+
+
 def test_design_rank_route_names_the_weight_it_rules_out(capsys):
     # C_(16,17,3,6) is AMDS with d = 4: two independent nullvectors on a
     # 5-subset give a word of weight < 5, not one of weight < 4
@@ -434,14 +441,8 @@ def test_cli_rejects_bad_thread_count(capsys):
     assert captured.err.startswith("error: ")
 
 
-@pytest.mark.parametrize("argv, env", [
-    (["--budget", "0"], None),
-    ([], "0"),
-    ([], "abc"),
-], ids=["budget-0", "env-0", "env-abc"])
-def test_bad_budget_exit2(argv, env, capsys, monkeypatch):
-    if env is not None:
-        monkeypatch.setenv("WORKBENCH_BUDGET", env)
+@pytest.mark.parametrize("argv", [["--budget", "0"]], ids=["budget-0"])
+def test_bad_budget_exit2(argv, capsys):
     assert main([*argv, "field", "3", "2"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -494,11 +495,12 @@ def test_bad_parameter_exit2(argv, capsys):
     (["subfield", "--q", "9", "--t", "1"], "--h is required for a single subcode"),
     (["subfield", "--h", "3", "--t", "1"], "--q is required for a single subcode"),
     (["design", "--q", "9", "--h", "3", "--weight", "11"], "need a block size 1 <= k <= 10, got k=11"),
+    (["design", "--q", "9", "--h", "3", "--weight", "2"], "need t < k < n, got t=3, k=2, n=10"),
 ], ids=["coset-n0", "field-p1", "build-n0", "wdist-n0", "classify-n3", "coset-n0-q1-s0",
         "coset-n0-q1", "coset-n-neg", "cor3.1-s0", "cor3.2-s0", "cor3.3-s-neg", "thm5.1-s0",
         "thm3.5-q1", "thm3.5-q2", "build-q1", "wdist-q1", "classify-q0", "subfield-q1",
         "design-q0", "design-det-q0", "design-dual-q0", "subfield-no-h", "subfield-no-q",
-        "design-k-above-n"])
+        "design-k-above-n", "design-k-below-t"])
 def test_usage_error_names_the_values(argv, err, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()

@@ -33,7 +33,7 @@ from codebench.galois import (
     trace_arr,
     unit_circle,
 )
-from codebench.weights import verify_four_weight
+from codebench.weights import verify_four_weight, weight_distribution
 
 
 def test_bch_dimensions():
@@ -127,22 +127,22 @@ def test_dual_of_full_space_is_zero_code():
 
 
 def test_min_distances():
-    assert bch_build(CodeSpec(8, 9, 3, 3)).min_distance() == 5
-    assert bch_build(CodeSpec(9, 10, 3, 3)).min_distance() == 4
-    assert bch_build(CodeSpec(2, 33, 3, 8)).min_distance() == 10
+    assert weight_distribution(bch_build(CodeSpec(8, 9, 3, 3))).d() == 5
+    assert weight_distribution(bch_build(CodeSpec(9, 10, 3, 3))).d() == 4
+    assert weight_distribution(bch_build(CodeSpec(2, 33, 3, 8))).d() == 10
 
 
 def test_bch_bound_holds():
     for spec in [CodeSpec(4, 5, 3, 1), CodeSpec(9, 10, 3, 3), CodeSpec(8, 9, 3, 2),
                  CodeSpec(2, 33, 3, 8), CodeSpec(3, 28, 3, 12)]:
-        assert bch_build(spec).min_distance() >= spec.delta
+        assert weight_distribution(bch_build(spec)).d() >= spec.delta
 
 
 def test_min_distance_criterion_q4():
     # gcd(2h+1, q+1) > 1 exactly characterises distance 3 (smallest case)
     q = 4
     for h in range(q + 1):
-        d = bch_build(CodeSpec(q, q + 1, 3, h)).min_distance()
+        d = weight_distribution(bch_build(CodeSpec(q, q + 1, 3, h))).d()
         assert (d == 3) == (gcd(2 * h + 1, q + 1) > 1), h
 
 
@@ -151,7 +151,7 @@ def test_codewords_distinct_and_heavy():
     words = code.codewords()
     assert words.shape == (9**4, 10)
     assert len(np.unique(words, axis=0)) == 9**4
-    d = code.min_distance()
+    d = weight_distribution(code).d()
     weights = (words != 0).sum(axis=1)
     assert (weights[weights > 0] >= d).all() and (weights == 0).sum() == 1
 
@@ -175,7 +175,7 @@ def test_codeword_budget():
     with pytest.raises(BudgetExceeded):
         code.codewords(budget=100)
     with pytest.raises(BudgetExceeded):
-        code.min_distance(budget=3)
+        weight_distribution(code, budget=3)
 
 
 def test_trace_dual_zero_pair_and_injectivity():

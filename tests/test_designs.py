@@ -577,6 +577,18 @@ def test_cyclic_blocks_sequence():
             CyclicBlocks(np.array(bad), 4)
 
 
+def test_cyclic_blocks_checks_the_row_pairs_across_chunks(monkeypatch):
+    # two rows of three points a chunk: rows 1 and 2 straddle the first
+    # boundary, and the one row of overlap still compares them
+    monkeypatch.setattr(designs, "_CHUNK_ELEMS", 6)
+    hits = through_zero(7, 3)
+    assert len(CyclicBlocks(hits, 7)) == 35
+    for rows in ([0, 2, 1], [0, 1, 1]):
+        bad = np.concatenate([hits[rows], hits[3:]])
+        with pytest.raises(InvalidParameters, match="lexicographic order"):
+            CyclicBlocks(bad, 7)
+
+
 def test_cyclic_blocks_slices_like_a_tuple():
     # the Fano plane as the rotations of {0, 1, 3}, {0, 2, 6} and {0, 4, 5}
     blocks = CyclicBlocks(np.array([[0, 1, 3], [0, 2, 6], [0, 4, 5]]), 7)

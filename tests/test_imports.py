@@ -26,6 +26,17 @@ def test_package_imports_only_stdlib_and_numpy():
     assert outside == []
 
 
+def test_package_reads_no_environment():
+    # a run's output follows from its argv alone
+    reads = []
+    for path in sorted(Path(codebench.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+            if name in ("environ", "getenv", "environb", "getenvb"):
+                reads.append(f"{path.name}:{node.lineno} {name}")
+    assert reads == []
+
+
 def test_importing_the_cli_builds_no_field():
     # field set-up belongs to the commands, not to the import
     src = str(Path(codebench.__file__).resolve().parents[1])
